@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Pin the golden traces that tests/test_golden.py compares against.
+
+Runs every method once on three small problems (least squares on a 5-agent
+cycle, scenario II with p=10 on a cycle, and the static problem) at a fixed
+step size and seed, and stores the recorded series in tests/data/golden.npz
+together with the config text and step size of each case, so the test can
+rebuild the cases from the file alone.
+
+Rerun it only when the recorded outputs are meant to change:
+
+    PYTHONPATH=src python3 scripts/pin_golden.py
+"""
+
+import argparse
+from pathlib import Path
+
+import numpy as np
+
+from netdrift.algorithms import ALGORITHMS
+from netdrift.experiment import build_network, build_objective, parse_config, run_single
+
+# Row order of each stored (series, iteration) array; y_dev only for dgt.
+SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
+
+# name -> (config text, step size)
+CASES = {
+    "lsq_n5": ("scenario = I\ntopology = cycle\nn = 5\nhorizon = 30\nseed = 0\n", 0.01),
+    "rotation_p10": ("scenario = II\ntopology = cycle\np = 10\nhorizon = 30\nseed = 0\n", 0.1),
+    "static_p2": ("scenario = static\ntopology = cycle\np = 2\nhorizon = 30\nseed = 0\n", 0.2),
+}
+
+DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden.npz"
+
+
+def golden_arrays() -> dict:
+    arrays = {}
+    for name, (text, alpha) in CASES.items():
+        config = parse_config(text)
+        objective = build_objective(config)
+        _, wm = build_network(config)
+        arrays[f"{name}/config"] = np.array(text)
+        arrays[f"{name}/alpha"] = np.array(alpha)
+        for algorithm in ALGORITHMS:
+            record = run_single(config, objective, wm, algorithm, alpha)
+            rows = [getattr(record, series) for series in SERIES]
+            arrays[f"{name}/{algorithm}"] = np.array([row for row in rows if row is not None])
+    return arrays
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    args = parser.parse_args(argv)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(args.output, **golden_arrays())
+    print(f"wrote {args.output} ({args.output.stat().st_size} bytes)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

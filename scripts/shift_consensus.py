@@ -4,8 +4,8 @@
 The 2p+1 agents hold scalar targets spaced along a ring of values; every
 step the assignment rotates, either by p+1 positions (violent per-agent
 jumps whose network average never moves) or by a single position (gentle
-drift). All requested methods are tuned on the shared grid, rerun at the
-tuned step, and written to per-run CSVs plus a summary table.
+drift). All requested methods are tuned on the shared grid, and each
+method's tuned run is written to a CSV, plus a summary table.
 
 Defaults are sized to finish in seconds; pass --p 1000 --horizon 4000 for
 a full-scale run.

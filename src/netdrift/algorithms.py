@@ -14,10 +14,22 @@ Four methods share one state container and one run harness:
 All step functions are pure: they take a state and return a new one, never
 mutating arrays in place. Mixing is applied through the sparse view of the
 weight matrix, so each update touches neighbor values only.
+
+Step-size lanes: ``run`` can advance one method at several step sizes in a
+single pass. Each step size is a lane, and the stacks hold the G lanes side
+by side in their columns, so a stack has shape (n, G*d) and columns
+g*d .. g*d+d-1 belong to lane g. The step functions then take ``alpha`` as a
+row of G*d per-column step sizes; mixing is one sparse product over all
+lanes and gradients broadcast over them. Every operation acts on each lane
+separately, and each recorded metric reduces over agents within one lane in
+the same order as a one-lane run, so lane g of a sweep is bitwise identical
+to a one-lane run at that step size. A lane that diverges fills with
+non-finite values without touching the others.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,7 +58,8 @@ class ShapeMismatchError(ValueError):
 class AlgorithmState:
     """Iterate stacks for one method at one time index.
 
-    ``x_stack`` holds one row per agent. The optional stacks are only
+    ``x_stack`` holds one row per agent, and the lanes of a multi-step-size
+    run side by side in its columns. The optional stacks are only
     populated by the methods that need them: ``y_stack`` is the tracker,
     ``prev_grad_stack`` holds the gradients evaluated at the previous
     objective/iterate pair, and ``prev_x_stack`` the previous iterates.
@@ -234,17 +247,59 @@ _STEPS = {
 }
 
 
+def _widen(state: AlgorithmState, lanes: int) -> AlgorithmState:
+    """Replicate a one-lane state across ``lanes`` column blocks."""
+    if lanes == 1:
+        return state
+
+    def tile(stack):
+        return None if stack is None else np.tile(stack, (1, lanes))
+
+    return replace(
+        state,
+        x_stack=tile(state.x_stack),
+        y_stack=tile(state.y_stack),
+        prev_grad_stack=tile(state.prev_grad_stack),
+        prev_x_stack=tile(state.prev_x_stack),
+    )
+
+
+def _lane_major(stack: NDArray[np.float64], lanes: int) -> NDArray[np.float64]:
+    # (n, G*d) -> contiguous (G, n, d): every reduction over agents then runs
+    # along rows laid out as in a one-lane run, so it sums in the same order.
+    n = stack.shape[0]
+    return np.ascontiguousarray(stack.reshape(n, lanes, -1).transpose(1, 0, 2))
+
+
+def _squared_norms(rows: NDArray[np.float64]) -> NDArray[np.float64]:
+    # One dot product per row, the same kernel np.linalg.norm uses on a vector.
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _identity_max(gaps: NDArray[np.float64]) -> float:
+    """Largest tracker-identity gap of a run; the last non-finite one if any."""
+    bad = np.flatnonzero(~np.isfinite(gaps))
+    return float(gaps[bad[-1]] if bad.size else gaps.max())
+
+
 def run(
     algorithm: str,
     objective: DynamicObjective,
     wm: WeightMatrix,
-    alpha: float,
+    alpha: float | Sequence[float],
     horizon: int,
     initial_state: AlgorithmState | None = None,
     seed: int = 0,
     scenario: str | None = None,
-) -> TrajectoryRecord:
+) -> TrajectoryRecord | tuple[TrajectoryRecord, ...]:
     """Run ``horizon`` steps and record the error series at every iterate.
+
+    ``alpha`` is one step size, which returns one record, or a 1-D sequence
+    of step sizes, which runs them all in one pass, one lane per step size,
+    and returns a tuple with one record per lane in the same order. Lane g
+    is bitwise identical to a one-lane run at ``alpha[g]``, and a lane that
+    diverges leaves the others unchanged. ``initial_state`` is a one-lane
+    state; every lane starts from it.
 
     The recorded series are, per iteration k: the root mean square distance
     of the agent iterates to the current optimum divided by the problem's
@@ -258,7 +313,10 @@ def run(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if alpha <= 0:
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise ValueError("alpha must be a step size or a nonempty 1-D sequence of them")
+    if not (alphas > 0).all():
         raise ValueError("step size must be positive")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -269,61 +327,77 @@ def run(
     state = initial_state if initial_state is not None else init_state(algorithm, objective, wm)
     _check_compatible(objective, wm, state.x_stack)
 
+    n, d, lanes = objective.n, objective.d, alphas.size
+    state = _widen(state, lanes)
+    alpha_row = np.repeat(alphas, d)
+    tracker = algorithm == "dgt"
     normalization = float(getattr(objective, "normalization", 1.0))
     length = horizon + 1
-    tracking = np.empty(length)
-    consensus = np.empty(length)
-    avg_error = np.empty(length)
-    y_dev = np.empty(length) if algorithm == "dgt" else None
-    identity_max = 0.0 if algorithm == "dgt" else None
+    # Deviations from the optimum, the network average and (tracking) the
+    # tracker average, one block per series; squared and summed per step.
+    deviations = np.empty((3 if tracker else 2, lanes, n, d))
+    sums = np.empty((length, len(deviations), lanes))
+    avg_sq = np.empty((length, lanes))
+    gaps = np.empty((length, lanes)) if tracker else None
 
     step = _STEPS[algorithm]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(length):
-            x = state.x_stack
+            x = _lane_major(state.x_stack, lanes)
             opt = objective.optimum(k)
-            diff = x - opt
-            tracking[k] = np.sqrt(np.mean(np.sum(diff**2, axis=1))) / normalization
-            x_bar = x.mean(axis=0)
-            centered = x - x_bar
-            consensus[k] = np.sqrt(np.mean(np.sum(centered**2, axis=1)))
-            avg_error[k] = np.linalg.norm(x_bar - opt)
-            if algorithm == "dgt":
-                y = state.y_stack
-                y_bar = y.mean(axis=0)
-                y_dev[k] = np.sqrt(np.mean(np.sum((y - y_bar) ** 2, axis=1)))
-                gap = np.linalg.norm(y_bar - state.prev_grad_stack.mean(axis=0))
-                if gap > identity_max or not np.isfinite(gap):
-                    identity_max = float(gap)
+            x_bar = np.add.reduce(x, axis=1, keepdims=True) / n
+            np.subtract(x, opt, out=deviations[0])
+            np.subtract(x, x_bar, out=deviations[1])
+            avg_sq[k] = _squared_norms(x_bar[:, 0] - opt)
+            if tracker:
+                y = _lane_major(state.y_stack, lanes)
+                y_bar = np.add.reduce(y, axis=1, keepdims=True) / n
+                np.subtract(y, y_bar, out=deviations[2])
+                g_bar = np.add.reduce(_lane_major(state.prev_grad_stack, lanes), axis=1) / n
+                gaps[k] = _squared_norms(y_bar[:, 0] - g_bar)
+            np.square(deviations, out=deviations)
+            # Sum over d column by column, in the order numpy sums a row
+            # shorter than 8; reducing the short axis loops once per agent.
+            per_agent = deviations[..., 0]
+            for j in range(1, d):
+                per_agent = per_agent + deviations[..., j]
+            sums[k] = np.add.reduce(per_agent, axis=2)
             if k == horizon:
                 break
             try:
                 if k == 0 and algorithm in _BOOTSTRAPS and state.prev_x_stack is None:
-                    state = _BOOTSTRAPS[algorithm](state, objective, wm, alpha)
+                    state = _BOOTSTRAPS[algorithm](state, objective, wm, alpha_row)
                 else:
-                    state = step(state, objective, wm, alpha, k)
+                    state = step(state, objective, wm, alpha_row, k)
             except Exception as exc:
                 raise StepError(f"{algorithm} step failed at iteration {k}") from exc
 
-    meta = RunMetadata(
-        algorithm=algorithm,
-        alpha=float(alpha),
-        beta=float(wm.beta),
-        scenario=scenario if scenario is not None else type(objective).__name__,
-        seed=int(seed),
-        n=int(objective.n),
-        d=int(objective.d),
-        horizon=int(horizon),
-        mu=float(objective.mu),
-        lipschitz=float(objective.lipschitz),
-        normalization=normalization,
-    )
-    return TrajectoryRecord(
-        metadata=meta,
-        iterations=np.arange(length, dtype=np.int64),
-        tracking_error=tracking,
-        consensus_dev=consensus,
-        avg_error=avg_error,
-        y_dev=y_dev,
-        tracker_identity_max=identity_max,
-    )
+    rms = np.sqrt(sums / n)
+    avg_error = np.sqrt(avg_sq)
+    records = []
+    for lane, lane_alpha in enumerate(alphas):
+        meta = RunMetadata(
+            algorithm=algorithm,
+            alpha=float(lane_alpha),
+            beta=float(wm.beta),
+            scenario=scenario if scenario is not None else type(objective).__name__,
+            seed=int(seed),
+            n=int(n),
+            d=int(d),
+            horizon=int(horizon),
+            mu=float(objective.mu),
+            lipschitz=float(objective.lipschitz),
+            normalization=normalization,
+        )
+        records.append(
+            TrajectoryRecord(
+                metadata=meta,
+                iterations=np.arange(length, dtype=np.int64),
+                tracking_error=rms[:, 0, lane] / normalization,
+                consensus_dev=rms[:, 1, lane].copy(),
+                avg_error=avg_error[:, lane].copy(),
+                y_dev=rms[:, 2, lane].copy() if tracker else None,
+                tracker_identity_max=_identity_max(np.sqrt(gaps[:, lane])) if tracker else None,
+            )
+        )
+    return records[0] if np.ndim(alpha) == 0 else tuple(records)

@@ -2,10 +2,10 @@
 
 A text config (``key = value`` lines) selects a scenario, a topology, a
 step-size grid, and the methods to compare. ``run_suite`` builds the network
-and the drifting objective, tunes each method's step size by tail error,
-reruns it at the tuned value, and persists one CSV per run plus a summary
-table. Everything is seeded, so identical configs produce byte-identical
-output trees.
+and the drifting objective, tunes each method's step size by tail error in
+one multi-lane pass over the whole grid, and persists the winning lane's
+record, one CSV per method, plus a summary table. Everything is seeded, so
+identical configs produce byte-identical output trees.
 
 Scenarios:
 
@@ -269,8 +269,12 @@ def select_best(grid, scores) -> float:
     return best_alpha
 
 
-def run_single(config, objective, wm, algorithm, alpha) -> TrajectoryRecord:
-    """One configured run of a method on a prebuilt objective and network."""
+def run_single(config, objective, wm, algorithm, alpha):
+    """One configured run of a method on a prebuilt objective and network.
+
+    Like ``algorithms.run``, a sequence of step sizes runs them all in one
+    pass and returns one record per step size.
+    """
     initial = None
     if config.init == "optimum":
         x0 = np.tile(objective.optimum(0), (objective.n, 1))
@@ -292,18 +296,19 @@ def tune_stepsize(
     algorithm: str,
     _context: tuple | None = None,
 ) -> tuple[float, TrajectoryRecord]:
-    """Sweep the grid with a shared seed; return the best step and its record."""
+    """Sweep the grid in one multi-lane run; return the best step and its record.
+
+    A step size whose run diverges scores as infinite.
+    """
     if _context is None:
         objective = build_objective(config)
         _, wm = build_network(config)
     else:
         objective, wm = _context
     grid = config.stepsizes or default_grid(config, objective.mu, objective.lipschitz)
+    records = run_single(config, objective, wm, algorithm, grid)
     scores = []
-    records = []
-    for alpha in grid:
-        record = run_single(config, objective, wm, algorithm, alpha)
-        records.append(record)
+    for record in records:
         try:
             scores.append(steady_state_error(record, config.tail_fraction))
         except DivergenceError:
@@ -337,7 +342,7 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
-    """Tune every requested method, rerun at the tuned step, persist, summarize.
+    """Tune every requested method, persist the tuned record, summarize.
 
     The summary's theory_bound column holds the steady-state bound divided by
     the problem's normalization constant, so it compares directly against the
@@ -353,8 +358,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     rows = []
     records = {}
     for algorithm in config.algorithms:
-        alpha, _ = tune_stepsize(config, algorithm, _context=(objective, wm))
-        record = run_single(config, objective, wm, algorithm, alpha)
+        alpha, record = tune_stepsize(config, algorithm, _context=(objective, wm))
         error = steady_state_error(record, config.tail_fraction)
         try:
             bound = steady_state_bound(

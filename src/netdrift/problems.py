@@ -75,13 +75,18 @@ class DynamicObjective(Protocol):
 
     def optimum(self, k: int) -> NDArray[np.float64]: ...
 
-    def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]: ...
+    def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Per-agent gradients at time k of an (n, d) stack.
+
+        A multi-step-size run passes an (n, G*d) stack holding G lanes side
+        by side in its columns and expects the gradients in the same layout.
+        """
 
 
 def _predict(coeff_k: NDArray[np.float64], x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
     # Shared arithmetic path for generation and evaluation, so the residual
-    # at the optimum is bitwise zero.
-    return np.einsum("nrd,nd->nr", coeff_k, x_stack)
+    # at the optimum is bitwise zero. x_stack is (n, d) or lanes (n, G, d).
+    return np.einsum("nrd,n...d->n...r", coeff_k, x_stack)
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,11 @@ class LeastSquaresStream:
         return self.trajectory.points[k]
 
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
-        residual = _predict(self.coefficients[k], x_stack) - self.measurements[k]
-        return np.einsum("nrd,nr->nd", self.coefficients[k], residual)
+        """Gradients at k of an (n, d) stack, or of an (n, G*d) stack of G lanes."""
+        lanes = x_stack.reshape(self.n, -1, self.d)
+        residual = _predict(self.coefficients[k], lanes) - self.measurements[k][:, None, :]
+        grads = np.einsum("nrd,ngr->ngd", self.coefficients[k], residual)
+        return grads.reshape(x_stack.shape)
 
     def gradient(self, i: int, k: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
         _check_indices(self, i, k)

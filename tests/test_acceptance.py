@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,13 +34,13 @@ from netdrift.analysis import (
     steady_state_bound,
 )
 from netdrift.experiment import (
-    DivergenceError,
     ExperimentConfig,
     build_network,
     build_objective,
     default_grid,
     run_single,
     steady_state_error,
+    tune_stepsize,
 )
 from netdrift.problems import drift_profile, least_squares_stream, shifting_consensus
 from netdrift.topology import build_cycle, uniform_neighbor_weights
@@ -67,22 +68,14 @@ def _admissible_cap(algorithm: str, mu: float, lipschitz: float, beta: float) ->
 def _tuned(config, objective, wm, algorithm):
     """Best (error, alpha, record) over the admissible-range tuning grid."""
     cap = _admissible_cap(algorithm, objective.mu, objective.lipschitz, wm.beta)
-    grid = [
+    grid = tuple(
         float(a)
         for a in default_grid(config, objective.mu, objective.lipschitz)
         if a <= cap * (1 + 1e-12)
-    ]
-    best_err, best_alpha, best_record = math.inf, None, None
-    for alpha in grid:
-        record = run_single(config, objective, wm, algorithm, alpha)
-        try:
-            err = steady_state_error(record, config.tail_fraction)
-        except DivergenceError:
-            continue
-        if err <= best_err:
-            best_err, best_alpha, best_record = err, alpha, record
-    assert best_alpha is not None, f"{algorithm}: every tuning step diverged"
-    return best_err, best_alpha, best_record
+    )
+    capped = replace(config, stepsizes=grid)
+    alpha, record = tune_stepsize(capped, algorithm, _context=(objective, wm))
+    return steady_state_error(record, config.tail_fraction), alpha, record
 
 
 @pytest.fixture(scope="session")

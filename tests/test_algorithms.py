@@ -6,10 +6,15 @@ optima via a least-squares solve, and the average-iterate / tracker-average
 identities are checked against independently recomputed gradients.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdrift.algorithms import (
+    ALGORITHMS,
     AlgorithmState,
     SequencingError,
     ShapeMismatchError,
@@ -23,8 +28,18 @@ from netdrift.algorithms import (
     init_state,
     run,
 )
+from netdrift.experiment import (
+    DivergenceError,
+    ExperimentConfig,
+    TuningError,
+    build_network,
+    build_objective,
+    run_single,
+    steady_state_error,
+    tune_stepsize,
+)
 from netdrift.problems import least_squares_stream, shifting_consensus
-from netdrift.records import read_record, write_record
+from netdrift.records import TrajectoryRecord, read_record, write_record
 from netdrift.topology import WeightMatrix, build_random, metropolis_weights
 
 
@@ -372,3 +387,89 @@ def test_record_round_trip_without_tracker(tmp_path):
     loaded = read_record(path)
     assert loaded.y_dev is None
     assert np.array_equal(loaded.avg_error, rec.avg_error)
+
+
+# ---------------------------------------------------------------------------
+# step-size lanes
+
+
+def test_run_returns_one_record_per_lane():
+    obj = Quadratic([[1.0], [-1.0]])
+    single = run("diffusion", obj, pair_weights(), alpha=0.1, horizon=5)
+    lanes = run("diffusion", obj, pair_weights(), alpha=[0.1, 0.2], horizon=5)
+    assert isinstance(single, TrajectoryRecord)
+    assert isinstance(lanes, tuple) and len(lanes) == 2
+    assert [rec.metadata.alpha for rec in lanes] == [0.1, 0.2]
+    assert len(run("diffusion", obj, pair_weights(), alpha=(0.1,), horizon=5)) == 1
+
+
+@pytest.mark.parametrize("alpha", [[], [[0.1, 0.2]], [0.1, 0.0], [0.1, -1.0]])
+def test_run_rejects_malformed_step_sizes(alpha):
+    obj = Quadratic([[1.0], [-1.0]])
+    with pytest.raises(ValueError):
+        run("diffusion", obj, pair_weights(), alpha=alpha, horizon=5)
+
+
+def _same_record(a, b) -> bool:
+    fields = ("iterations", "tracking_error", "consensus_dev", "avg_error", "y_dev",
+              "tracker_identity_max")
+    for name in fields:
+        x, y = getattr(a, name), getattr(b, name)
+        if (x is None) != (y is None) or (x is not None and not np.array_equal(x, y, equal_nan=True)):
+            return False
+    return a.metadata == b.metadata
+
+
+# Overflows within a few steps on every problem below, for every method.
+DIVERGENT_ALPHA = 1e60
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=12, deadline=None)
+@given(
+    scenario=st.sampled_from(["I", "II", "III", "static"]),
+    size=st.integers(min_value=1, max_value=5),
+    rows_per_agent=st.integers(min_value=1, max_value=3),
+    horizon=st.integers(min_value=10, max_value=30),
+    seed=st.integers(min_value=0, max_value=10_000),
+    init=st.sampled_from(["zeros", "optimum"]),
+    grid=st.lists(st.floats(min_value=1e-3, max_value=0.5), min_size=1, max_size=5, unique=True),
+)
+def test_lanes_match_one_lane_runs(algorithm, scenario, size, rows_per_agent, horizon, seed,
+                                   init, grid):
+    # Lane k of a sweep is bitwise a one-lane run at that step size, also
+    # when the grid's top lane diverges, and tuning never picks that lane.
+    grid = tuple(sorted(grid))
+    config = ExperimentConfig(
+        scenario=scenario,
+        topology="random",
+        edge_probability=0.6,
+        weight_rule="metropolis",
+        n=size + 2 if scenario == "I" else None,
+        p=None if scenario == "I" else size,
+        rows_per_agent=rows_per_agent,
+        horizon=horizon,
+        seed=seed,
+        init=init,
+        stepsizes=grid + (DIVERGENT_ALPHA,),
+    )
+    objective = build_objective(config)
+    _, wm = build_network(config)
+    records = run_single(config, objective, wm, algorithm, config.stepsizes)
+    assert len(records) == len(config.stepsizes)
+    for alpha, record in zip(config.stepsizes, records):
+        assert _same_record(record, run_single(config, objective, wm, algorithm, alpha)), alpha
+    with pytest.raises(DivergenceError):
+        steady_state_error(records[-1], config.tail_fraction)
+
+    context = (objective, wm)
+    trimmed = replace(config, stepsizes=grid)
+    try:
+        expected = tune_stepsize(trimmed, algorithm, _context=context)
+    except TuningError:  # every lane of the grid diverged as well
+        with pytest.raises(TuningError):
+            tune_stepsize(config, algorithm, _context=context)
+        return
+    alpha, record = tune_stepsize(config, algorithm, _context=context)
+    assert alpha == expected[0] and alpha != DIVERGENT_ALPHA
+    assert _same_record(record, expected[1])
