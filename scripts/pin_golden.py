@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Pin the golden traces that tests/test_golden.py compares against.
 
-Runs every method once on three small problems (least squares on a 5-agent
-cycle, scenario II with p=10 on a cycle, and the static problem) at a fixed
-step size and seed, and stores the recorded series in tests/data/golden.npz
-together with the config text and step size of each case, so the test can
-rebuild the cases from the file alone.
+Runs every method once on four small problems (least squares on a 5-agent
+and on a 20-agent cycle, scenario II with p=10 on a cycle, and the static
+problem) at a fixed step size and seed, and stores the recorded series in
+tests/data/golden.npz together with the config text and step size of each
+case, so the test can rebuild the cases from the file alone. The 20-agent
+case is there because numpy sums fewer than 8 values in plain order, so only
+a network of 8 or more agents tells a pairwise sum over agents from a
+sequential one.
 
 Rerun it only when the recorded outputs are meant to change:
 
@@ -26,6 +29,7 @@ SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
 # name -> (config text, step size)
 CASES = {
     "lsq_n5": ("scenario = I\ntopology = cycle\nn = 5\nhorizon = 30\nseed = 0\n", 0.01),
+    "lsq_n20": ("scenario = I\ntopology = cycle\nn = 20\nhorizon = 30\nseed = 0\n", 0.01),
     "rotation_p10": ("scenario = II\ntopology = cycle\np = 10\nhorizon = 30\nseed = 0\n", 0.1),
     "static_p2": ("scenario = static\ntopology = cycle\np = 2\nhorizon = 30\nseed = 0\n", 0.2),
 }

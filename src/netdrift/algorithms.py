@@ -25,6 +25,14 @@ separately, and each recorded metric reduces over agents within one lane in
 the same order as a one-lane run, so lane g of a sweep is bitwise identical
 to a one-lane run at that step size. A lane that diverges fills with
 non-finite values without touching the others.
+
+Summation order of the recorded series: numpy sums a one-lane (n, d) stack
+over its agents one agent after the other when d >= 2, and pairwise when
+d = 1. ``run`` keeps both orders. For d >= 2 it reduces the (n, G*d) stacks
+agents-leading, over axis 0, which also goes agent by agent; for d = 1 it
+sums each lane's column as one contiguous row of a lane-major (G, n) copy,
+pairwise. Either way the squared deviations of one lane are summed over d
+column by column and then over agents pairwise, per lane.
 """
 
 from __future__ import annotations
@@ -264,11 +272,9 @@ def _widen(state: AlgorithmState, lanes: int) -> AlgorithmState:
     )
 
 
-def _lane_major(stack: NDArray[np.float64], lanes: int) -> NDArray[np.float64]:
-    # (n, G*d) -> contiguous (G, n, d): every reduction over agents then runs
-    # along rows laid out as in a one-lane run, so it sums in the same order.
-    n = stack.shape[0]
-    return np.ascontiguousarray(stack.reshape(n, lanes, -1).transpose(1, 0, 2))
+def _lane_rows(stack: NDArray[np.float64]) -> NDArray[np.float64]:
+    # (n, G) -> contiguous (G, n), one row per lane of a d = 1 stack.
+    return np.ascontiguousarray(stack.T)
 
 
 def _squared_norms(rows: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -310,6 +316,11 @@ def run(
     analysis module apply to the recorded series without size factors.
     Overflow during divergent runs is recorded as non-finite values rather
     than raised.
+
+    The network averages sum over agents in the order of a one-lane run:
+    agent by agent (agents-leading) when the objective's dimension d >= 2,
+    and pairwise per lane when d = 1. Each squared deviation is summed over
+    d column by column and then pairwise over agents.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -333,35 +344,54 @@ def run(
     tracker = algorithm == "dgt"
     normalization = float(getattr(objective, "normalization", 1.0))
     length = horizon + 1
-    # Deviations from the optimum, the network average and (tracking) the
-    # tracker average, one block per series; squared and summed per step.
-    deviations = np.empty((3 if tracker else 2, lanes, n, d))
-    sums = np.empty((length, len(deviations), lanes))
+    # Squared deviations from the optimum, the network average and
+    # (tracking) the tracker average, one block per series, summed per lane
+    # and step into ``sums`` in a one-lane run's order (module docstring).
+    blocks = 3 if tracker else 2
+    if d > 1:
+        # Agents-leading: reducing an (n, G*d) stack over axis 0 also goes
+        # agent by agent, with one inner loop of G*d per agent.
+        axis = 0
+        rows = np.asarray  # the stacks as they are
+        deviations = np.empty((blocks, n, lanes * d))
+        per_lane = np.empty((blocks, lanes, n))
+        columns = [deviations.reshape(blocks, n, lanes, d)[..., j] for j in range(d)]
+        per_agent = per_lane.transpose(0, 2, 1)
+    else:
+        # Lane-major (G, n) copies: each lane's column becomes one
+        # contiguous row, which numpy sums pairwise.
+        axis = 1
+        rows = _lane_rows
+        deviations = per_lane = np.empty((blocks, lanes, n))
+    opt_columns = np.tile(np.arange(d), lanes)  # the optimum, once per lane
+    sums = np.empty((length, blocks, lanes))
     avg_sq = np.empty((length, lanes))
     gaps = np.empty((length, lanes)) if tracker else None
 
     step = _STEPS[algorithm]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(length):
-            x = _lane_major(state.x_stack, lanes)
-            opt = objective.optimum(k)
-            x_bar = np.add.reduce(x, axis=1, keepdims=True) / n
+            x = rows(state.x_stack)
+            x_bar = np.add.reduce(x, axis=axis, keepdims=True) / n
+            opt = objective.optimum(k)[opt_columns].reshape(x_bar.shape)
             np.subtract(x, opt, out=deviations[0])
             np.subtract(x, x_bar, out=deviations[1])
-            avg_sq[k] = _squared_norms(x_bar[:, 0] - opt)
+            avg_sq[k] = _squared_norms((x_bar - opt).reshape(lanes, d))
             if tracker:
-                y = _lane_major(state.y_stack, lanes)
-                y_bar = np.add.reduce(y, axis=1, keepdims=True) / n
+                y = rows(state.y_stack)
+                y_bar = np.add.reduce(y, axis=axis, keepdims=True) / n
                 np.subtract(y, y_bar, out=deviations[2])
-                g_bar = np.add.reduce(_lane_major(state.prev_grad_stack, lanes), axis=1) / n
-                gaps[k] = _squared_norms(y_bar[:, 0] - g_bar)
+                g_bar = np.add.reduce(rows(state.prev_grad_stack), axis=axis, keepdims=True) / n
+                gaps[k] = _squared_norms((y_bar - g_bar).reshape(lanes, d))
             np.square(deviations, out=deviations)
-            # Sum over d column by column, in the order numpy sums a row
-            # shorter than 8; reducing the short axis loops once per agent.
-            per_agent = deviations[..., 0]
-            for j in range(1, d):
-                per_agent = per_agent + deviations[..., j]
-            sums[k] = np.add.reduce(per_agent, axis=2)
+            if d > 1:
+                # Sum over d column by column, in the order numpy sums a row
+                # shorter than 8, into the lane-major rows of ``per_lane``.
+                np.add(columns[0], columns[1], out=per_agent)
+                for column in columns[2:]:
+                    np.add(per_agent, column, out=per_agent)
+            # Each lane's row of n agents sums pairwise, as in a one-lane run.
+            sums[k] = np.add.reduce(per_lane, axis=2)
             if k == horizon:
                 break
             try:

@@ -142,16 +142,6 @@ class LeastSquaresStream:
         coeff = self.coefficients[k, i - 1]
         return coeff.T @ (coeff @ np.asarray(x, dtype=np.float64) - self.measurements[k, i - 1])
 
-    def dump_text(self) -> str:
-        """Plain-text dump of the per-step data, one line per (time, agent)."""
-        lines = ["# k i coefficients... measurements..."]
-        for k in range(self.horizon + 1):
-            for i in range(self.n):
-                coeff = " ".join(repr(float(v)) for v in self.coefficients[k, i].ravel())
-                meas = " ".join(repr(float(v)) for v in self.measurements[k, i])
-                lines.append(f"{k} {i} {coeff} {meas}")
-        return "\n".join(lines) + "\n"
-
 
 def ls_trajectory(horizon: int) -> OptimalTrajectory:
     """Unit-circle optimum sweeping three quarter turns over the horizon."""

@@ -163,11 +163,11 @@ def build_random(n: int, edge_probability: float, seed: int, max_retries: int = 
         raise InvalidSizeError(f"a random graph needs at least 2 agents, got {n}")
     if not 0.0 < edge_probability <= 1.0:
         raise ValueError(f"edge probability must lie in (0, 1], got {edge_probability}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows, cols = np.triu_indices(n, 1)
     for child in np.random.SeedSequence(seed).spawn(max_retries):
         rng = np.random.default_rng(child)
-        mask = rng.random(len(pairs)) < edge_probability
-        edges = {pair for pair, keep in zip(pairs, mask) if keep}
+        mask = rng.random(rows.size) < edge_probability
+        edges = set(zip(rows[mask].tolist(), cols[mask].tolist()))
         g = _graph_from_edges(n, edges, kind="random")
         if is_connected(g):
             return g

@@ -1,6 +1,6 @@
 """Regression test against pinned traces (tests/data/golden.npz).
 
-The file holds every method's recorded series on three small problems at a
+The file holds every method's recorded series on four small problems at a
 fixed step size and seed, written by scripts/pin_golden.py. The series must
 reproduce bitwise, except avg_error, which may differ by 1e-12 relative: it
 is a norm taken through the BLAS dot kernel, whose rounding is up to the

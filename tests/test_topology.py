@@ -95,6 +95,18 @@ def test_build_random_deterministic():
     assert a.edges == b.edges
 
 
+def test_build_random_pinned_edges():
+    # Pinned from the pair-list implementation: one uniform draw per pair
+    # (i, j), i < j, in row-major order decides whether the edge is kept.
+    g = build_random(12, 0.3, seed=5)
+    assert sorted(g.edges) == [
+        (0, 3), (0, 4), (0, 5), (0, 7), (0, 10), (1, 4), (1, 5), (1, 9), (2, 3), (2, 4),
+        (2, 7), (2, 8), (3, 8), (3, 10), (4, 9), (4, 10), (5, 6), (5, 8), (6, 9), (6, 11),
+        (7, 8), (10, 11),
+    ]
+    assert all(type(i) is int for edge in g.edges for i in edge)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_build_random_connected(seed):
     g = build_random(30, 0.15, seed=seed)
