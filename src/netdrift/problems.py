@@ -9,12 +9,19 @@ and drift at a controllable rate).
 Drift is summarized by three constants: delta_x, the largest per-step move
 of the optimum; grad_bound, the largest scaled sum of gradient norms at the
 optimum; and grad_drift, the largest per-step change of those gradients.
+Both families hand out their gradients at the optimum for a block of steps
+at once (`optimal_gradients`), and `drift_profile` reduces them block by
+block, in the same per-step order as a one-step-at-a-time scan, so the
+constants are bitwise those of such a scan. Blocks of about 2^16 gradient
+entries, rather than the whole horizon at once, keep the peak memory of a
+large network where the simulation itself puts it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -22,6 +29,8 @@ from numpy.typing import NDArray
 
 _PD_FLOOR = 1e-12
 _RESAMPLE_BUDGET = 100
+# drift_profile evaluates about this many gradient entries per block of steps.
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -84,9 +93,16 @@ class DynamicObjective(Protocol):
 
 
 def _predict(coeff_k: NDArray[np.float64], x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Shared arithmetic path for generation and evaluation, so the residual
-    # at the optimum is bitwise zero. x_stack is (n, d) or lanes (n, G, d).
+    # Per-step evaluation; x_stack is (n, d) or lanes (n, G, d). With d = 2
+    # its sums are bitwise those of _predict_steps.
     return np.einsum("nrd,n...d->n...r", coeff_k, x_stack)
+
+
+def _predict_steps(coeff: NDArray[np.float64], points: NDArray[np.float64]) -> NDArray[np.float64]:
+    # Predictions of a block of steps, each at its own point. Shared by
+    # generation and optimal_gradients, so the residual at the optimum is
+    # bitwise zero.
+    return np.einsum("knrd,kd->knr", coeff, points)
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,12 @@ class LeastSquaresStream:
         grads = np.einsum("nrd,ngr->ngd", self.coefficients[k], residual)
         return grads.reshape(x_stack.shape)
 
+    def optimal_gradients(self, start: int, stop: int) -> NDArray[np.float64]:
+        """(stop-start, n, d) gradients at the optimum of steps start..stop-1."""
+        coeff = self.coefficients[start:stop]
+        residual = _predict_steps(coeff, self.trajectory.points[start:stop]) - self.measurements[start:stop]
+        return np.einsum("knrd,knr->knd", coeff, residual)
+
     def gradient(self, i: int, k: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
         _check_indices(self, i, k)
         coeff = self.coefficients[k, i - 1]
@@ -158,18 +180,19 @@ def least_squares_stream(
     horizon: int,
     seed: int,
     rows_per_agent: int = 1,
-    d: int = 2,
 ) -> LeastSquaresStream:
     """Generate the drifting least-squares family over a full horizon.
 
-    Coefficient rows are standard normal under the given seed. Any time step
-    whose aggregate Hessian fails positive definiteness is redrawn under a
-    derived seed (a probability-zero event, but guarded).
+    The optimum rides the unit circle, so the dimension is d = 2. Coefficient
+    rows are standard normal under the given seed. Any time step whose
+    aggregate Hessian fails positive definiteness is redrawn under a derived
+    seed (a probability-zero event, but guarded).
     """
-    if n < 1 or horizon < 2 or rows_per_agent < 1 or d < 1:
+    d = 2
+    if n < 1 or horizon < 2 or rows_per_agent < 1:
         raise ValueError("degenerate least-squares configuration")
     if n * rows_per_agent < d:
-        raise ValueError("aggregate system is underdetermined: need n * rows_per_agent >= d")
+        raise ValueError("aggregate system is underdetermined: need n * rows_per_agent >= 2")
     trajectory = ls_trajectory(horizon)
     master = np.random.SeedSequence(seed)
     bulk, respawn = master.spawn(2)
@@ -190,11 +213,7 @@ def least_squares_stream(
         else:
             raise RuntimeError(f"could not draw a positive definite step at k={k}")
 
-    measurements = np.empty((horizon + 1, n, rows_per_agent))
-    for k in range(horizon + 1):
-        x_stack = np.broadcast_to(trajectory.points[k], (n, d))
-        measurements[k] = _predict(coeff[k], x_stack)
-
+    measurements = _predict_steps(coeff, trajectory.points)
     avg_hessians = np.einsum("knrd,knre->kde", coeff, coeff) / n
     mu = float(np.linalg.eigvalsh(avg_hessians)[:, 0].min())
     if rows_per_agent == 1:
@@ -288,16 +307,35 @@ class ShiftingConsensus:
         t = self.shift % self.n
         return 2.0 * t * (self.n - t) * self.spacing_m / math.sqrt(self.n)
 
-    def targets(self, k: int) -> NDArray[np.float64]:
-        """Target vector y^k; entry j holds agent (j+1)'s current target."""
+    @cached_property
+    def _doubled_targets(self) -> NDArray[np.float64]:
+        # The initial targets twice over, read-only: every shifted target
+        # vector is a window of n consecutive entries.
         base = np.arange(1, self.n + 1, dtype=np.float64) * self.spacing_m
-        return np.roll(base, (k * self.shift) % self.n)
+        doubled = np.concatenate([base, base])
+        doubled.setflags(write=False)
+        return doubled
+
+    def _window_start(self, k):
+        # Rolling the targets by s puts y^k at entries n-s .. 2n-s-1.
+        return self.n - (k * (self.shift % self.n)) % self.n
+
+    def targets(self, k: int) -> NDArray[np.float64]:
+        """Target vector y^k, a read-only view; entry j holds agent (j+1)'s current target."""
+        start = self._window_start(k)
+        return self._doubled_targets[start : start + self.n]
 
     def optimum(self, k: int) -> NDArray[np.float64]:
         return np.array([(self.p + 1) * self.spacing_m])
 
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
         return x_stack - self.targets(k)[:, None]
+
+    def optimal_gradients(self, start: int, stop: int) -> NDArray[np.float64]:
+        """(stop-start, n, 1) gradients at the optimum of steps start..stop-1."""
+        windows = np.lib.stride_tricks.sliding_window_view(self._doubled_targets, self.n)
+        targets = windows[self._window_start(np.arange(start, stop))]
+        return ((self.p + 1) * self.spacing_m - targets)[:, :, None]
 
     def gradient(self, i: int, k: int, x):
         _check_indices(self, i, k)
@@ -321,30 +359,39 @@ def _check_indices(objective, i: int, k: int) -> None:
         raise IndexError(f"time index {k} outside 0..{objective.horizon}")
 
 
-def drift_profile(objective, trajectory: OptimalTrajectory | None = None) -> DriftProfile:
+def _largest_scaled_sum(stacks: NDArray[np.float64], scale: float) -> float:
+    # Per-agent norms of (steps, n, d) stacks, summed over agents: each
+    # contiguous row of n norms sums pairwise, as a 1-D sum of one step does.
+    sums = np.add.reduce(np.linalg.norm(stacks, axis=2), axis=1)
+    return float((scale * sums).max(initial=0.0))
+
+
+def drift_profile(objective) -> DriftProfile:
     """Measure (delta_x, grad_bound, grad_drift) by direct evaluation.
 
     Scans the full horizon, evaluating every agent's gradient at the exact
-    optimum. Analytic values are attached when the objective declares them;
-    measured values may never exceed the analytic ones.
+    optimum. The steps are taken in blocks of about 2^16 gradient entries,
+    each block after the first starting at the previous block's last step,
+    so every step difference is formed. Every step is reduced in the order
+    a one-step scan uses (norms over d, then a pairwise sum over agents), so
+    the constants are bitwise those of such a scan; blocks rather than the
+    whole horizon keep the peak memory of large networks down. Analytic
+    values are attached when the objective declares them; measured values
+    may never exceed the analytic ones.
     """
-    traj = trajectory if trajectory is not None else objective.trajectory
     n = objective.n
     scale = 1.0 / math.sqrt(n)
+    block = max(2, _BLOCK_ENTRIES // (n * objective.d))
+    steps = objective.horizon + 1
     grad_bound = 0.0
     grad_drift = 0.0
-    prev = None
-    for k in range(objective.horizon + 1):
-        x_stack = np.broadcast_to(traj.points[k], (n, objective.d))
-        grads = objective.gradient_stack(k, x_stack)
-        norms = np.linalg.norm(grads, axis=1)
-        grad_bound = max(grad_bound, scale * float(norms.sum()))
-        if prev is not None:
-            step_norms = np.linalg.norm(grads - prev, axis=1)
-            grad_drift = max(grad_drift, scale * float(step_norms.sum()))
-        prev = grads
+    for start in range(0, steps, block):
+        first = max(start - 1, 0)
+        grads = objective.optimal_gradients(first, min(start + block, steps))
+        grad_bound = max(grad_bound, _largest_scaled_sum(grads, scale))
+        grad_drift = max(grad_drift, _largest_scaled_sum(grads[1:] - grads[:-1], scale))
     return DriftProfile(
-        delta_x=traj.delta_x,
+        delta_x=objective.trajectory.delta_x,
         grad_bound=grad_bound,
         grad_drift=grad_drift,
         analytic_delta_x=getattr(objective, "analytic_delta_x", None),

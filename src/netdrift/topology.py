@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from numpy.typing import NDArray
@@ -184,7 +185,12 @@ def _validate_doubly_stochastic(entries: NDArray[np.float64], g: Graph) -> None:
     col_err = np.max(np.abs(entries.sum(axis=0) - 1.0))
     if max(row_err, col_err) > STOCHASTICITY_TOL:
         raise ValueError(f"weight matrix is not doubly stochastic (error {max(row_err, col_err):.3e})")
-    for i in range(g.n):
+    # A row has weights outside its neighbor set exactly when it has more
+    # nonzeros than its neighbor pattern holds; only such rows are examined.
+    rows = np.repeat(np.arange(g.n), [len(nbrs) for nbrs in g.neighbor_sets])
+    cols = np.fromiter(chain.from_iterable(g.neighbor_sets), dtype=np.intp, count=rows.size)
+    on_pattern = np.bincount(rows[entries[rows, cols] != 0.0], minlength=g.n)
+    for i in np.flatnonzero(np.count_nonzero(entries, axis=1) != on_pattern):
         outside = set(np.nonzero(entries[i])[0]) - set(g.neighbor_sets[i])
         if outside:
             raise ValueError(f"agent {i} has weights outside its neighbor set: {sorted(outside)}")

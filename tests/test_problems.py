@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from netdrift import problems
 from netdrift.problems import (
+    DriftProfile,
     LeastSquaresStream,
     OptimalTrajectory,
+    _predict,
     consensus_gradient,
     drift_profile,
     least_squares_stream,
@@ -30,6 +33,34 @@ def brute_force_targets(p: int, m: float, T: int, k: int) -> list[float]:
             new.append(y[idx - 1])
         y = new
     return y
+
+
+def per_step_drift_profile(objective) -> DriftProfile:
+    # Independent oracle: the one-step-at-a-time scan drift_profile replaced,
+    # evaluating gradient_stack at the optimum of every step in turn.
+    traj = objective.trajectory
+    n = objective.n
+    scale = 1.0 / math.sqrt(n)
+    grad_bound = 0.0
+    grad_drift = 0.0
+    prev = None
+    for k in range(objective.horizon + 1):
+        x_stack = np.broadcast_to(traj.points[k], (n, objective.d))
+        grads = objective.gradient_stack(k, x_stack)
+        norms = np.linalg.norm(grads, axis=1)
+        grad_bound = max(grad_bound, scale * float(norms.sum()))
+        if prev is not None:
+            step_norms = np.linalg.norm(grads - prev, axis=1)
+            grad_drift = max(grad_drift, scale * float(step_norms.sum()))
+        prev = grads
+    return DriftProfile(
+        delta_x=traj.delta_x,
+        grad_bound=grad_bound,
+        grad_drift=grad_drift,
+        analytic_delta_x=getattr(objective, "analytic_delta_x", None),
+        analytic_grad_bound=getattr(objective, "analytic_grad_bound", None),
+        analytic_grad_drift=getattr(objective, "analytic_grad_drift", None),
+    )
 
 
 # ---------------------------------------------------------------- trajectory
@@ -150,6 +181,30 @@ def test_least_squares_deterministic():
     assert a.measurements.tobytes() == b.measurements.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    horizon=st.integers(min_value=2, max_value=60),
+    rows_per_agent=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_measurements_match_per_step_prediction(n, horizon, rows_per_agent, seed):
+    assume(n * rows_per_agent >= 2)
+    stream = least_squares_stream(n=n, horizon=horizon, seed=seed, rows_per_agent=rows_per_agent)
+    for k in range(horizon + 1):
+        x_stack = np.broadcast_to(stream.trajectory.points[k], (n, 2))
+        expected = _predict(stream.coefficients[k], x_stack)
+        assert stream.measurements[k].tobytes() == expected.tobytes()
+
+
+def test_least_squares_stream_is_two_dimensional():
+    stream = least_squares_stream(n=2, horizon=5, seed=0)
+    assert stream.d == 2
+    assert stream.coefficients.shape == (6, 2, 1, 2)
+    with pytest.raises(ValueError, match="underdetermined"):
+        least_squares_stream(n=1, horizon=5, seed=0)
+
+
 def test_least_squares_normalization_is_one():
     stream = least_squares_stream(n=3, horizon=20, seed=4)
     assert stream.normalization == 1.0
@@ -198,6 +253,14 @@ def test_targets_match_brute_force_shift(p, T, k):
 def test_targets_remain_a_permutation(p, T, k):
     sc = shifting_consensus(p=p, spacing_m=0.5, shift=T, horizon=30)
     np.testing.assert_array_equal(np.sort(sc.targets(k)), sc.targets(0))
+
+
+def test_targets_are_read_only():
+    sc = shifting_consensus(p=3, spacing_m=1.0, shift=4, horizon=10)
+    targets = sc.targets(5)
+    with pytest.raises(ValueError):
+        targets[0] = 0.0
+    np.testing.assert_array_equal(sc.targets(5), np.array(brute_force_targets(3, 1.0, 4, 5)))
 
 
 def test_consensus_optimum_constant():
@@ -277,3 +340,49 @@ def test_drift_profile_attaches_analytic_values():
     assert profile.analytic_grad_bound is not None
     assert abs(profile.grad_bound - profile.analytic_grad_bound) <= 1e-9 * profile.analytic_grad_bound
     assert abs(profile.grad_drift - profile.analytic_grad_drift) <= 1e-9 * profile.analytic_grad_drift
+
+
+def assert_same_profile(got: DriftProfile, expected: DriftProfile) -> None:
+    for field in ("delta_x", "grad_bound", "grad_drift", "analytic_delta_x", "analytic_grad_bound",
+                  "analytic_grad_drift"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert (a is None) == (b is None), field
+        if a is not None:
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), (field, a, b)
+
+
+@pytest.mark.parametrize("shift", [1, 1001])
+def test_drift_profile_matches_per_step_scan_full_scale_consensus(shift):
+    # 2001 agents: blocks of 32 steps, so the horizon spans 19 blocks.
+    sc = shifting_consensus(p=1000, spacing_m=1.0, shift=shift, horizon=600)
+    assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
+
+
+@pytest.mark.parametrize("block_entries", [1, 50, None])
+@pytest.mark.parametrize("p", [1, 4, 10])
+def test_drift_profile_matches_per_step_scan_consensus(monkeypatch, block_entries, p):
+    # Small networks fit a long horizon into one default block, so smaller
+    # blocks (down to the two-step minimum) put many block edges in view.
+    if block_entries is not None:
+        monkeypatch.setattr(problems, "_BLOCK_ENTRIES", block_entries)
+    for shift in (0, 1, p + 1, 2 * p):
+        for horizon in (1, 2, 57, 300):
+            sc = shifting_consensus(p=p, spacing_m=0.7, shift=shift, horizon=horizon)
+            assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
+
+
+@pytest.mark.parametrize("rows_per_agent", [1, 3])
+def test_drift_profile_matches_per_step_scan_least_squares(rows_per_agent):
+    stream = least_squares_stream(n=100, horizon=1000, seed=5, rows_per_agent=rows_per_agent)
+    assert_same_profile(drift_profile(stream), per_step_drift_profile(stream))
+
+
+def test_optimal_gradients_blocks_match_gradient_stack():
+    sc = shifting_consensus(p=6, spacing_m=1.5, shift=8, horizon=40)
+    stream = least_squares_stream(n=7, horizon=40, seed=2, rows_per_agent=2)
+    for objective in (sc, stream):
+        block = objective.optimal_gradients(3, 29)
+        assert block.shape == (26, objective.n, objective.d)
+        for offset, k in enumerate(range(3, 29)):
+            x_stack = np.broadcast_to(objective.trajectory.points[k], (objective.n, objective.d))
+            assert block[offset].tobytes() == objective.gradient_stack(k, x_stack).tobytes()

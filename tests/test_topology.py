@@ -7,6 +7,7 @@ from netdrift.topology import (
     ConstructionError,
     InvalidSizeError,
     WeightRuleError,
+    _validate_doubly_stochastic,
     build_complete,
     build_cycle,
     build_grid,
@@ -187,6 +188,28 @@ def test_weight_support_matches_neighbor_sets():
     for i in range(g.n):
         support = set(np.nonzero(wm.entries[i])[0])
         assert support <= set(g.neighbor_sets[i])
+
+
+@pytest.mark.parametrize(
+    "graph, entries, message",
+    [
+        (
+            build_cycle(5),
+            np.full((5, 5), 0.2),
+            "agent 0 has weights outside its neighbor set: [np.int64(2), np.int64(3)]",
+        ),
+        (
+            # Swaps agents 1 and 3 of a 4-agent line: row 0 is inside, row 1 is the first outside.
+            build_line(4),
+            np.eye(4)[[0, 3, 2, 1]],
+            "agent 1 has weights outside its neighbor set: [np.int64(3)]",
+        ),
+    ],
+)
+def test_weight_outside_neighbor_set_message(graph, entries, message):
+    with pytest.raises(ValueError) as excinfo:
+        _validate_doubly_stochastic(entries, graph)
+    assert str(excinfo.value) == message
 
 
 def test_weight_construction_deterministic():
