@@ -1,6 +1,7 @@
 """Decentralized first-order iterations for drifting objectives.
 
-Four methods share one state container and one run harness:
+Four methods share one state container, one step function and one run
+harness:
 
 - ``diffusion``: adapt-then-combine; each agent takes a local gradient step
   against the newly revealed objective and averages with its neighbors.
@@ -8,17 +9,20 @@ Four methods share one state container and one run harness:
   stack ``y`` follows the network-average gradient, so the method removes
   the steady-state consensus bias that plain diffusion keeps paying for.
 - ``extra`` and ``exact_diffusion``: history-correction baselines that
-  difference consecutive gradients; both need one diffusion-style bootstrap
-  step before their two-term recursion is defined.
+  difference consecutive gradients. EXTRA's first step, taken before it has
+  a history, is a diffusion step. ``init_state`` seeds exact diffusion's
+  history with the starting iterates and zero gradients, so its first step
+  is ``(I+W)/2 (x - alpha g)``, with no separate bootstrap.
 
-All step functions are pure: they take a state and return a new one, never
-mutating arrays in place. Mixing is applied through the sparse view of the
-weight matrix, so each update touches neighbor values only.
+``step`` is pure: it takes a state and returns a new one, never mutating
+arrays in place. It makes one gradient call and one update per method, in
+that method's own order of operations. Mixing is applied through the sparse
+view of the weight matrix, so each update touches neighbor values only.
 
 Step-size lanes: ``run`` can advance one method at several step sizes in a
 single pass. Each step size is a lane, and the stacks hold the G lanes side
 by side in their columns, so a stack has shape (n, G*d) and columns
-g*d .. g*d+d-1 belong to lane g. The step functions then take ``alpha`` as a
+g*d .. g*d+d-1 belong to lane g. ``step`` then takes ``alpha`` as a
 row of G*d per-column step sizes; mixing is one sparse product over all
 lanes and gradients broadcast over them. Every operation acts on each lane
 separately, and each recorded metric reduces over agents within one lane in
@@ -38,7 +42,7 @@ column by column and then over agents pairwise, per lane.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,10 +56,6 @@ ALGORITHMS = ("diffusion", "dgt", "extra", "exact_diffusion")
 
 class StepError(RuntimeError):
     """A single iteration could not be executed."""
-
-
-class SequencingError(StepError):
-    """A two-term recursion was invoked before its history was bootstrapped."""
 
 
 class ShapeMismatchError(ValueError):
@@ -74,7 +74,6 @@ class AlgorithmState:
     """
 
     x_stack: NDArray[np.float64]
-    step_count: int
     y_stack: NDArray[np.float64] | None = None
     prev_grad_stack: NDArray[np.float64] | None = None
     prev_x_stack: NDArray[np.float64] | None = None
@@ -107,12 +106,11 @@ def init_state(
     _check_compatible(objective, wm, x0)
     if algorithm == "dgt":
         g0 = objective.gradient_stack(0, x0)
-        return AlgorithmState(x_stack=x0, step_count=0, y_stack=g0, prev_grad_stack=g0.copy())
-    return AlgorithmState(x_stack=x0, step_count=0)
-
-
-def _mix(wm: WeightMatrix, stack: NDArray[np.float64]) -> NDArray[np.float64]:
-    return wm.csr @ stack
+        return AlgorithmState(x_stack=x0, y_stack=g0, prev_grad_stack=g0.copy())
+    if algorithm == "exact_diffusion":
+        # 2*x0 - x0 == x0 and g - 0 == g exactly: the first step is (I+W)/2 (x0 - alpha g).
+        return AlgorithmState(x_stack=x0, prev_grad_stack=np.zeros_like(x0), prev_x_stack=x0)
+    return AlgorithmState(x_stack=x0)
 
 
 def _half_mix(wm: WeightMatrix, stack: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -120,155 +118,51 @@ def _half_mix(wm: WeightMatrix, stack: NDArray[np.float64]) -> NDArray[np.float6
     return 0.5 * (stack + wm.csr @ stack)
 
 
-def diffusion_step(
+def step(
+    algorithm: str,
     state: AlgorithmState,
     objective: DynamicObjective,
     wm: WeightMatrix,
-    alpha: float,
+    alpha: float | NDArray[np.float64],
     k: int,
 ) -> AlgorithmState:
-    """Adapt against the objective revealed at k+1, then combine."""
-    if state.y_stack is not None or state.prev_x_stack is not None:
-        raise StepError("diffusion state must not carry auxiliary stacks")
-    grads = objective.gradient_stack(k + 1, state.x_stack)
-    x_new = _mix(wm, state.x_stack - alpha * grads)
-    return replace(state, x_stack=x_new, step_count=state.step_count + 1)
+    """One iteration of ``algorithm`` against the objective revealed at k+1.
 
-
-def dgt_step(
-    state: AlgorithmState,
-    objective: DynamicObjective,
-    wm: WeightMatrix,
-    alpha: float,
-    k: int,
-) -> AlgorithmState:
-    """Descend along the tracker, combine, then refresh the tracker.
-
-    The tracker update adds the gradient innovation at the new iterate and
-    subtracts the one recorded at the old, which preserves the invariant
-    that the network average of ``y`` equals the network average of the
-    current local gradients.
+    dgt descends along its tracker, combines, and then refreshes the tracker
+    with the gradient innovation at the new iterate, which keeps the network
+    average of ``y`` equal to that of the current local gradients. The other
+    methods take their gradient at the current iterate: diffusion (and
+    EXTRA before it has a history) combines ``x - alpha g``; EXTRA mixes the
+    current and half-mixes the previous iterates; exact diffusion half-mixes
+    ``2x - x_prev`` less the step along the gradient difference.
     """
-    if state.y_stack is None or state.prev_grad_stack is None:
-        raise StepError("tracking step requires y_stack and prev_grad_stack")
-    x_new = _mix(wm, state.x_stack - alpha * state.y_stack)
-    g_new = objective.gradient_stack(k + 1, x_new)
-    y_new = _mix(wm, state.y_stack) + g_new - state.prev_grad_stack
-    return AlgorithmState(
-        x_stack=x_new,
-        step_count=state.step_count + 1,
-        y_stack=y_new,
-        prev_grad_stack=g_new,
-    )
-
-
-def extra_bootstrap(
-    state: AlgorithmState,
-    objective: DynamicObjective,
-    wm: WeightMatrix,
-    alpha: float,
-) -> AlgorithmState:
-    """One diffusion-style step that seeds the two-term recursion."""
-    grads = objective.gradient_stack(1, state.x_stack)
-    x_new = _mix(wm, state.x_stack - alpha * grads)
-    return AlgorithmState(
-        x_stack=x_new,
-        step_count=state.step_count + 1,
-        prev_grad_stack=grads,
-        prev_x_stack=state.x_stack,
-    )
-
-
-def extra_step(
-    state: AlgorithmState,
-    objective: DynamicObjective,
-    wm: WeightMatrix,
-    alpha: float,
-    k: int,
-) -> AlgorithmState:
-    """Gradient-difference correction with mixed current and half-mixed past iterates."""
-    if state.prev_x_stack is None or state.prev_grad_stack is None:
-        raise SequencingError("extra_step called before extra_bootstrap seeded the history")
-    grads = objective.gradient_stack(k + 1, state.x_stack)
-    x_new = (
-        state.x_stack
-        + _mix(wm, state.x_stack)
-        - _half_mix(wm, state.prev_x_stack)
-        - alpha * (grads - state.prev_grad_stack)
-    )
-    return AlgorithmState(
-        x_stack=x_new,
-        step_count=state.step_count + 1,
-        prev_grad_stack=grads,
-        prev_x_stack=state.x_stack,
-    )
-
-
-def exact_diffusion_bootstrap(
-    state: AlgorithmState,
-    objective: DynamicObjective,
-    wm: WeightMatrix,
-    alpha: float,
-) -> AlgorithmState:
-    grads = objective.gradient_stack(1, state.x_stack)
-    x_new = _half_mix(wm, state.x_stack - alpha * grads)
-    return AlgorithmState(
-        x_stack=x_new,
-        step_count=state.step_count + 1,
-        prev_grad_stack=grads,
-        prev_x_stack=state.x_stack,
-    )
-
-
-def exact_diffusion_step(
-    state: AlgorithmState,
-    objective: DynamicObjective,
-    wm: WeightMatrix,
-    alpha: float,
-    k: int,
-) -> AlgorithmState:
-    """Adapt-correct-combine written with the correction variable eliminated."""
-    if state.prev_x_stack is None or state.prev_grad_stack is None:
-        raise SequencingError(
-            "exact_diffusion_step called before exact_diffusion_bootstrap seeded the history"
-        )
-    grads = objective.gradient_stack(k + 1, state.x_stack)
-    inner = (
-        2.0 * state.x_stack
-        - state.prev_x_stack
-        - alpha * (grads - state.prev_grad_stack)
-    )
-    return AlgorithmState(
-        x_stack=_half_mix(wm, inner),
-        step_count=state.step_count + 1,
-        prev_grad_stack=grads,
-        prev_x_stack=state.x_stack,
-    )
-
-
-_BOOTSTRAPS = {"extra": extra_bootstrap, "exact_diffusion": exact_diffusion_bootstrap}
-_STEPS = {
-    "diffusion": diffusion_step,
-    "dgt": dgt_step,
-    "extra": extra_step,
-    "exact_diffusion": exact_diffusion_step,
-}
+    x, x_prev, g_prev, mix = state.x_stack, state.prev_x_stack, state.prev_grad_stack, wm.csr
+    if algorithm == "dgt":
+        x_new = mix @ (x - alpha * state.y_stack)
+        g_new = objective.gradient_stack(k + 1, x_new)
+        y_new = mix @ state.y_stack + g_new - g_prev
+        return AlgorithmState(x_stack=x_new, y_stack=y_new, prev_grad_stack=g_new)
+    grads = objective.gradient_stack(k + 1, x)
+    if algorithm == "diffusion" or (algorithm == "extra" and x_prev is None):
+        x_new = mix @ (x - alpha * grads)
+    elif algorithm == "extra":
+        x_new = x + mix @ x - _half_mix(wm, x_prev) - alpha * (grads - g_prev)
+    elif algorithm == "exact_diffusion":
+        x_new = _half_mix(wm, 2.0 * x - x_prev - alpha * (grads - g_prev))
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if algorithm == "diffusion":
+        return AlgorithmState(x_stack=x_new)
+    return AlgorithmState(x_stack=x_new, prev_grad_stack=grads, prev_x_stack=x)
 
 
 def _widen(state: AlgorithmState, lanes: int) -> AlgorithmState:
     """Replicate a one-lane state across ``lanes`` column blocks."""
     if lanes == 1:
         return state
-
-    def tile(stack):
-        return None if stack is None else np.tile(stack, (1, lanes))
-
-    return replace(
-        state,
-        x_stack=tile(state.x_stack),
-        y_stack=tile(state.y_stack),
-        prev_grad_stack=tile(state.prev_grad_stack),
-        prev_x_stack=tile(state.prev_x_stack),
+    return AlgorithmState(
+        **{name: None if stack is None else np.tile(stack, (1, lanes))
+           for name, stack in vars(state).items()}
     )
 
 
@@ -342,6 +236,8 @@ def run(
     state = _widen(state, lanes)
     alpha_row = np.repeat(alphas, d)
     tracker = algorithm == "dgt"
+    if tracker and state.y_stack is None:
+        raise StepError("a dgt run needs a tracker state; build it with init_state")
     normalization = float(getattr(objective, "normalization", 1.0))
     length = horizon + 1
     # Squared deviations from the optimum, the network average and
@@ -368,7 +264,6 @@ def run(
     avg_sq = np.empty((length, lanes))
     gaps = np.empty((length, lanes)) if tracker else None
 
-    step = _STEPS[algorithm]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(length):
             x = rows(state.x_stack)
@@ -395,10 +290,7 @@ def run(
             if k == horizon:
                 break
             try:
-                if k == 0 and algorithm in _BOOTSTRAPS and state.prev_x_stack is None:
-                    state = _BOOTSTRAPS[algorithm](state, objective, wm, alpha_row)
-                else:
-                    state = step(state, objective, wm, alpha_row, k)
+                state = step(algorithm, state, objective, wm, alpha_row, k)
             except Exception as exc:
                 raise StepError(f"{algorithm} step failed at iteration {k}") from exc
 

@@ -274,14 +274,13 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _violation_entry(name, lhs, rhs, enforced=True) -> AuditEntry:
+def _violation_entry(name, lhs, rhs) -> AuditEntry:
     excess = lhs - rhs - AUDIT_SLACK * (1 + rhs)
     worst = int(np.argmax(excess))
     return AuditEntry(
         name=name,
         max_violation=float(excess[worst]),
         worst_iteration=worst + 1,
-        enforced=enforced,
     )
 
 
@@ -294,10 +293,7 @@ def audit_recursions(
     """Replay the per-step inequalities of the contraction model on a record.
 
     The recorded series are stacked norms divided by sqrt(n), so the model
-    is built with n=1 and applies to them verbatim. For tracking runs the
-    squared-average variant of the tracker inequality is also evaluated and
-    reported, but never enforced: it is dimensionally inconsistent with the
-    linear recursion and kept for reference only.
+    is built with n=1 and applies to them verbatim.
     """
     meta = record.metadata
     algorithm = algorithm if algorithm is not None else meta.algorithm
@@ -338,24 +334,8 @@ def audit_recursions(
 
     lhs = series[:, 1:]
     rhs = model.A @ series[:, :-1] + model.b[:, None]
-    entries = [_violation_entry(name, lhs[i], rhs[i]) for i, name in enumerate(names)]
-
-    if algorithm == "dgt":
-        # reference-only variant with the squared average error in the
-        # tracker row; the sqrt(n) restores the stacked-norm square
-        t, c, a = series[0, :-1], series[1, :-1], series[2, :-1]
-        root_n = math.sqrt(meta.n)
-        rhs_sq = (
-            (1 + meta.beta) / 2 * t
-            + 5 * meta.lipschitz * c
-            + 3 * meta.lipschitz * root_n * a**2
-            + model.b[0]
-        )
-        entries.append(
-            _violation_entry("tracker_step_squared_variant", lhs[0], rhs_sq, enforced=False)
-        )
-
-    report = AuditReport(algorithm=algorithm, entries=tuple(entries))
+    entries = tuple(_violation_entry(name, lhs[i], rhs[i]) for i, name in enumerate(names))
+    report = AuditReport(algorithm=algorithm, entries=entries)
     if strict:
         offenders = [e for e in report.entries if e.enforced and e.max_violation > 0]
         if offenders:

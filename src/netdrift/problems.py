@@ -159,11 +159,6 @@ class LeastSquaresStream:
         residual = _predict_steps(coeff, self.trajectory.points[start:stop]) - self.measurements[start:stop]
         return np.einsum("knrd,knr->knd", coeff, residual)
 
-    def gradient(self, i: int, k: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        _check_indices(self, i, k)
-        coeff = self.coefficients[k, i - 1]
-        return coeff.T @ (coeff @ np.asarray(x, dtype=np.float64) - self.measurements[k, i - 1])
-
 
 def ls_trajectory(horizon: int) -> OptimalTrajectory:
     """Unit-circle optimum sweeping three quarter turns over the horizon."""
@@ -234,11 +229,6 @@ def least_squares_stream(
         mu=mu,
         lipschitz=lipschitz,
     )
-
-
-def ls_gradient(stream: LeastSquaresStream, i: int, k: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Gradient of agent i's least-squares term at time k: C^T (C x - r)."""
-    return stream.gradient(i, k, x)
 
 
 @dataclass(frozen=True)
@@ -337,26 +327,10 @@ class ShiftingConsensus:
         targets = windows[self._window_start(np.arange(start, stop))]
         return ((self.p + 1) * self.spacing_m - targets)[:, :, None]
 
-    def gradient(self, i: int, k: int, x):
-        _check_indices(self, i, k)
-        return x - self.targets(k)[i - 1]
-
 
 def shifting_consensus(p: int, spacing_m: float, shift: int, horizon: int) -> ShiftingConsensus:
     """Build the shifting-consensus family; shift=0 gives the static case."""
     return ShiftingConsensus(p=p, spacing_m=spacing_m, shift=shift, horizon=horizon)
-
-
-def consensus_gradient(sc: ShiftingConsensus, i: int, k: int, x):
-    """Gradient of agent i's quadratic at time k: x - y_i^k."""
-    return sc.gradient(i, k, x)
-
-
-def _check_indices(objective, i: int, k: int) -> None:
-    if not 1 <= i <= objective.n:
-        raise IndexError(f"agent index {i} outside 1..{objective.n}")
-    if not 0 <= k <= objective.horizon:
-        raise IndexError(f"time index {k} outside 0..{objective.horizon}")
 
 
 def _largest_scaled_sum(stacks: NDArray[np.float64], scale: float) -> float:

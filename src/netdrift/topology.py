@@ -191,7 +191,7 @@ def _validate_doubly_stochastic(entries: NDArray[np.float64], g: Graph) -> None:
     cols = np.fromiter(chain.from_iterable(g.neighbor_sets), dtype=np.intp, count=rows.size)
     on_pattern = np.bincount(rows[entries[rows, cols] != 0.0], minlength=g.n)
     for i in np.flatnonzero(np.count_nonzero(entries, axis=1) != on_pattern):
-        outside = set(np.nonzero(entries[i])[0]) - set(g.neighbor_sets[i])
+        outside = set(np.flatnonzero(entries[i]).tolist()) - set(g.neighbor_sets[i])
         if outside:
             raise ValueError(f"agent {i} has weights outside its neighbor set: {sorted(outside)}")
 
@@ -363,46 +363,3 @@ def calibrate_beta(
         raise ValueError(f"calibration missed target beta {target_beta} (closest {wm.beta:.4f} at p={prob:.4f})")
     return prob, g, wm
 
-
-def graph_to_text(g: Graph) -> str:
-    """One row per agent: index followed by its neighbors (self-loop implicit)."""
-    lines = []
-    for i, nbrs in enumerate(g.neighbor_sets):
-        others = [str(j) for j in nbrs if j != i]
-        lines.append(" ".join([str(i)] + others))
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    n = len(rows)
-    edges: set[tuple[int, int]] = set()
-    for row in rows:
-        i = int(row[0])
-        for tok in row[1:]:
-            j = int(tok)
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-    return _graph_from_edges(n, edges, kind="custom")
-
-
-def weights_to_text(wm: WeightMatrix) -> str:
-    """One row per agent: index followed by neighbor:weight pairs."""
-    lines = []
-    for i in range(wm.n):
-        cols = np.nonzero(wm.entries[i])[0]
-        pairs = [f"{j}:{float(wm.entries[i, j])!r}" for j in cols]
-        lines.append(" ".join([str(i)] + pairs))
-    return "\n".join(lines) + "\n"
-
-
-def weights_from_text(text: str) -> WeightMatrix:
-    rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    n = len(rows)
-    entries = np.zeros((n, n))
-    for row in rows:
-        i = int(row[0])
-        for tok in row[1:]:
-            j, value = tok.split(":")
-            entries[i, int(j)] = float(value)
-    return WeightMatrix(entries=entries, beta=spectral_gap(entries))

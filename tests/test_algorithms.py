@@ -16,17 +16,11 @@ from hypothesis import strategies as st
 from netdrift.algorithms import (
     ALGORITHMS,
     AlgorithmState,
-    SequencingError,
     ShapeMismatchError,
     StepError,
-    dgt_step,
-    diffusion_step,
-    exact_diffusion_bootstrap,
-    exact_diffusion_step,
-    extra_bootstrap,
-    extra_step,
     init_state,
     run,
+    step,
 )
 from netdrift.experiment import (
     DivergenceError,
@@ -76,16 +70,15 @@ def pair_weights() -> WeightMatrix:
 def test_diffusion_single_agent_is_gradient_descent():
     obj = Quadratic([[1.0]])
     state = init_state("diffusion", obj, single_node_weights())
-    out = diffusion_step(state, obj, single_node_weights(), alpha=0.5, k=0)
+    out = step("diffusion", state, obj, single_node_weights(), alpha=0.5, k=0)
     # x+ = x - 0.5 * (x - 1) with x = 0
     assert out.x_stack[0, 0] == 0.5
-    assert out.step_count == 1
 
 
 def test_diffusion_two_agents_opposing_gradients_average_to_zero():
     obj = Quadratic([[1.0], [-1.0]])
     state = init_state("diffusion", obj, pair_weights())
-    out = diffusion_step(state, obj, pair_weights(), alpha=0.1, k=0)
+    out = step("diffusion", state, obj, pair_weights(), alpha=0.1, k=0)
     assert np.array_equal(out.x_stack, np.zeros((2, 1)))
 
 
@@ -93,16 +86,9 @@ def test_diffusion_fixed_point_at_shared_optimum():
     obj = Quadratic([[2.0, -1.0], [2.0, -1.0], [2.0, -1.0]])
     wm = WeightMatrix(entries=np.full((3, 3), 1.0 / 3.0), beta=0.0)
     x0 = np.tile(obj.optimum(0), (3, 1))
-    state = AlgorithmState(x_stack=x0, step_count=0)
-    out = diffusion_step(state, obj, wm, alpha=0.3, k=0)
+    state = AlgorithmState(x_stack=x0)
+    out = step("diffusion", state, obj, wm, alpha=0.3, k=0)
     assert np.allclose(out.x_stack, x0, atol=1e-15)
-
-
-def test_diffusion_rejects_states_with_tracker_fields():
-    obj = Quadratic([[1.0]])
-    state = AlgorithmState(x_stack=np.zeros((1, 1)), step_count=0, y_stack=np.zeros((1, 1)))
-    with pytest.raises(StepError):
-        diffusion_step(state, obj, single_node_weights(), alpha=0.1, k=0)
 
 
 def test_diffusion_average_iterate_recursion():
@@ -114,11 +100,11 @@ def test_diffusion_average_iterate_recursion():
     alpha = 0.05
     state = init_state("diffusion", stream, wm)
     rng = np.random.default_rng(0)
-    state = AlgorithmState(x_stack=rng.normal(size=(5, 2)), step_count=0)
+    state = AlgorithmState(x_stack=rng.normal(size=(5, 2)))
     for k in range(60):
         grads = stream.gradient_stack(k + 1, state.x_stack)
         expected = state.x_stack.mean(axis=0) - alpha * grads.mean(axis=0)
-        state = diffusion_step(state, stream, wm, alpha=alpha, k=k)
+        state = step("diffusion", state, stream, wm, alpha=alpha, k=k)
         assert np.linalg.norm(state.x_stack.mean(axis=0) - expected) <= 1e-12
 
 
@@ -134,8 +120,8 @@ def test_diffusion_update_is_local():
     assert outside, "graph too dense for the locality check"
     x_perturbed = x0.copy()
     x_perturbed[outside[0]] += 7.5
-    base = diffusion_step(AlgorithmState(x_stack=x0, step_count=0), obj, wm, 0.1, 0)
-    pert = diffusion_step(AlgorithmState(x_stack=x_perturbed, step_count=0), obj, wm, 0.1, 0)
+    base = step("diffusion", AlgorithmState(x_stack=x0), obj, wm, 0.1, 0)
+    pert = step("diffusion", AlgorithmState(x_stack=x_perturbed), obj, wm, 0.1, 0)
     assert np.array_equal(base.x_stack[agent], pert.x_stack[agent])
 
 
@@ -155,20 +141,19 @@ def test_dgt_fixed_point_at_shared_optimum():
     x0 = np.full((2, 1), 4.0)
     state = AlgorithmState(
         x_stack=x0,
-        step_count=0,
         y_stack=np.zeros((2, 1)),
         prev_grad_stack=np.zeros((2, 1)),
     )
-    out = dgt_step(state, obj, pair_weights(), alpha=0.2, k=0)
+    out = step("dgt", state, obj, pair_weights(), alpha=0.2, k=0)
     assert np.allclose(out.x_stack, x0, atol=1e-15)
     assert np.allclose(out.y_stack, 0.0, atol=1e-15)
 
 
 def test_dgt_requires_tracker_state():
     obj = Quadratic([[1.0]])
-    bare = AlgorithmState(x_stack=np.zeros((1, 1)), step_count=0)
+    bare = AlgorithmState(x_stack=np.zeros((1, 1)))
     with pytest.raises(StepError):
-        dgt_step(bare, obj, single_node_weights(), alpha=0.1, k=0)
+        run("dgt", obj, single_node_weights(), alpha=0.1, horizon=1, initial_state=bare)
 
 
 def test_dgt_tracker_average_equals_gradient_average():
@@ -182,7 +167,7 @@ def test_dgt_tracker_average_equals_gradient_average():
         grads = sc.gradient_stack(k, state.x_stack)
         gap = np.linalg.norm(state.y_stack.mean(axis=0) - grads.mean(axis=0))
         assert gap <= 1e-10
-        state = dgt_step(state, sc, wm, alpha=0.1, k=k)
+        state = step("dgt", state, sc, wm, alpha=0.1, k=k)
 
 
 def test_dgt_static_pair_converges_to_least_squares_solution():
@@ -193,7 +178,7 @@ def test_dgt_static_pair_converges_to_least_squares_solution():
     oracle = np.linalg.lstsq(design, targets, rcond=None)[0].ravel()
     state = init_state("dgt", obj, pair_weights())
     for k in range(500):
-        state = dgt_step(state, obj, pair_weights(), alpha=0.1, k=k)
+        state = step("dgt", state, obj, pair_weights(), alpha=0.1, k=k)
     assert np.abs(state.x_stack - oracle).max() < 1e-10
 
 
@@ -201,26 +186,17 @@ def test_dgt_static_pair_converges_to_least_squares_solution():
 # history-correction baselines
 
 
-def test_extra_requires_bootstrap():
-    obj = Quadratic([[1.0], [-1.0]])
-    state = init_state("extra", obj, pair_weights())
-    with pytest.raises(SequencingError):
-        extra_step(state, obj, pair_weights(), alpha=0.1, k=0)
-    with pytest.raises(SequencingError):
-        exact_diffusion_step(state, obj, pair_weights(), alpha=0.1, k=0)
-
-
 def test_extra_single_agent_hand_recursion():
     obj = Quadratic([[2.0]])
     wm = single_node_weights()
     alpha = 0.3
     state = init_state("extra", obj, wm)
-    state = extra_bootstrap(state, obj, wm, alpha)
+    state = step("extra", state, obj, wm, alpha, 0)
     # by hand: x0 = 0, g(x) = x - 2
     x_prev, x_cur = 0.0, 0.0 - alpha * (0.0 - 2.0)
     assert state.x_stack[0, 0] == pytest.approx(x_cur, abs=1e-15)
     for k in range(1, 8):
-        state = extra_step(state, obj, wm, alpha, k)
+        state = step("extra", state, obj, wm, alpha, k)
         x_next = 2 * x_cur - x_prev - alpha * ((x_cur - 2.0) - (x_prev - 2.0))
         x_prev, x_cur = x_cur, x_next
         assert state.x_stack[0, 0] == pytest.approx(x_cur, abs=1e-13)
@@ -233,11 +209,11 @@ def test_exact_diffusion_single_agent_is_gradient_descent():
     wm = single_node_weights()
     alpha = 0.25
     state = init_state("exact_diffusion", obj, wm)
-    state = exact_diffusion_bootstrap(state, obj, wm, alpha)
+    state = step("exact_diffusion", state, obj, wm, alpha, 0)
     x_gd = 0.0 - alpha * (0.0 - 2.0)
     assert state.x_stack[0, 0] == pytest.approx(x_gd, abs=1e-15)
     for k in range(1, 10):
-        state = exact_diffusion_step(state, obj, wm, alpha, k)
+        state = step("exact_diffusion", state, obj, wm, alpha, k)
         x_gd = x_gd - alpha * (x_gd - 2.0)
         assert state.x_stack[0, 0] == pytest.approx(x_gd, abs=1e-12)
 
@@ -250,11 +226,8 @@ def test_history_methods_static_pair_exact(algorithm):
     oracle = np.linalg.lstsq(design, targets, rcond=None)[0].ravel()
     wm = pair_weights()
     state = init_state(algorithm, obj, wm)
-    boot = extra_bootstrap if algorithm == "extra" else exact_diffusion_bootstrap
-    step = extra_step if algorithm == "extra" else exact_diffusion_step
-    state = boot(state, obj, wm, 0.1)
-    for k in range(1, 500):
-        state = step(state, obj, wm, 0.1, k)
+    for k in range(500):
+        state = step(algorithm, state, obj, wm, 0.1, k)
     assert np.abs(state.x_stack - oracle).max() < 1e-10
 
 
@@ -264,12 +237,10 @@ def test_history_methods_fixed_point(algorithm):
     x_star = np.full((2, 1), 3.0)
     state = AlgorithmState(
         x_stack=x_star,
-        step_count=1,
         prev_x_stack=x_star,
         prev_grad_stack=np.zeros((2, 1)),
     )
-    step = extra_step if algorithm == "extra" else exact_diffusion_step
-    out = step(state, obj, pair_weights(), alpha=0.2, k=1)
+    out = step(algorithm, state, obj, pair_weights(), alpha=0.2, k=1)
     assert np.allclose(out.x_stack, x_star, atol=1e-15)
 
 
@@ -306,7 +277,7 @@ def test_run_series_match_manual_stepping():
             np.mean(np.sum((state.y_stack - y_bar) ** 2, axis=1))
         )
         if k < 40:
-            state = dgt_step(state, sc, wm, alpha=0.15, k=k)
+            state = step("dgt", state, sc, wm, alpha=0.15, k=k)
     assert rec.tracker_identity_max is not None
     assert rec.tracker_identity_max <= 1e-10
 

@@ -282,7 +282,7 @@ def test_audit_clean_on_shifting_tracking_run():
     assert set(enforced) == {"tracker_step", "consensus_step", "avg_error_step"}
     assert all(e.max_violation <= 0 for e in enforced.values())
     extra = [e for e in report.entries if not e.enforced]
-    assert [e.name for e in extra] == ["tracker_step_squared_variant"]
+    assert extra == []
     text = report.to_text()
     assert "tracker_step" in text and "max_violation" in text
 

@@ -11,10 +11,8 @@ from netdrift.problems import (
     LeastSquaresStream,
     OptimalTrajectory,
     _predict,
-    consensus_gradient,
     drift_profile,
     least_squares_stream,
-    ls_gradient,
     ls_trajectory,
     shifting_consensus,
 )
@@ -112,16 +110,15 @@ def test_ls_gradient_hand_case():
         mu=1.0,
         lipschitz=1.0,
     )
-    grad = ls_gradient(stream, 1, 0, np.array([2.0, 5.0]))
-    np.testing.assert_array_equal(grad, np.array([2.0, 0.0]))
+    grad = stream.gradient_stack(0, np.array([[2.0, 5.0]]))
+    np.testing.assert_array_equal(grad, np.array([[2.0, 0.0]]))
 
 
 def test_ls_gradient_zero_at_optimum():
     stream = least_squares_stream(n=6, horizon=40, seed=3)
     for k in (0, 17, 40):
-        x_star = stream.trajectory.points[k]
-        for i in (1, 3, 6):
-            assert np.all(ls_gradient(stream, i, k, x_star) == 0.0)
+        x_star = np.tile(stream.trajectory.points[k], (stream.n, 1))
+        assert np.all(stream.gradient_stack(k, x_star) == 0.0)
 
 
 def test_ls_gradient_matches_finite_differences():
@@ -134,26 +131,18 @@ def test_ls_gradient_matches_finite_differences():
         r = stream.measurements[k, i - 1]
         return 0.5 * float(np.sum((C @ x - r) ** 2))
 
-    for _ in range(100):
-        i = int(rng.integers(1, 6))
+    for _ in range(20):
         k = int(rng.integers(0, 31))
-        x = rng.standard_normal(2) * 3.0
-        grad = ls_gradient(stream, i, k, x)
-        fd = np.array(
-            [
-                (objective_value(i, k, x + h * e) - objective_value(i, k, x - h * e)) / (2 * h)
-                for e in np.eye(2)
-            ]
-        )
-        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
-
-
-def test_ls_gradient_index_errors():
-    stream = least_squares_stream(n=4, horizon=10, seed=1)
-    x = np.zeros(2)
-    for i, k in [(0, 0), (5, 0), (1, -1), (1, 11)]:
-        with pytest.raises(IndexError):
-            ls_gradient(stream, i, k, x)
+        x_stack = rng.standard_normal((5, 2)) * 3.0
+        grads = stream.gradient_stack(k, x_stack)
+        for i, x in enumerate(x_stack, start=1):
+            fd = np.array(
+                [
+                    (objective_value(i, k, x + h * e) - objective_value(i, k, x - h * e)) / (2 * h)
+                    for e in np.eye(2)
+                ]
+            )
+            np.testing.assert_allclose(grads[i - 1], fd, rtol=1e-6, atol=1e-6)
 
 
 def test_least_squares_constants_match_direct_eigen_scan():
@@ -215,21 +204,20 @@ def test_least_squares_normalization_is_one():
 
 def test_consensus_gradient_zero_at_target():
     sc = shifting_consensus(p=2, spacing_m=1.0, shift=3, horizon=10)
-    y_2_0 = 2.0
-    assert consensus_gradient(sc, 2, 0, y_2_0) == 0.0
+    # Agent 2's target at k = 0 is 2.0.
+    assert sc.gradient_stack(0, np.full((sc.n, 1), 2.0))[1, 0] == 0.0
 
 
 def test_consensus_gradient_hand_case():
     sc = shifting_consensus(p=1, spacing_m=1.0, shift=2, horizon=5)
-    assert consensus_gradient(sc, 2, 0, 5.0) == 3.0
+    assert sc.gradient_stack(0, np.full((sc.n, 1), 5.0))[1, 0] == 3.0
 
 
 def test_consensus_network_average_gradient_zero_at_optimum():
     sc = shifting_consensus(p=4, spacing_m=1.0, shift=5, horizon=20)
     x_opt = float(sc.optimum(0)[0])
     for k in (0, 7, 20):
-        total = sum(consensus_gradient(sc, i, k, x_opt) for i in range(1, sc.n + 1))
-        assert total == 0.0
+        assert sc.gradient_stack(k, np.full((sc.n, 1), x_opt)).sum() == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -268,13 +256,6 @@ def test_consensus_optimum_constant():
     for k in range(16):
         np.testing.assert_array_equal(sc.optimum(k), np.array([8.0]))
     assert sc.normalization == 64.0
-
-
-def test_consensus_index_errors():
-    sc = shifting_consensus(p=2, spacing_m=1.0, shift=1, horizon=10)
-    for i, k in [(0, 0), (6, 0), (1, -1), (1, 11)]:
-        with pytest.raises(IndexError):
-            consensus_gradient(sc, i, k, 0.0)
 
 
 # ---------------------------------------------------------------- drift profiles

@@ -14,14 +14,10 @@ from netdrift.topology import (
     build_line,
     build_random,
     calibrate_beta,
-    graph_from_text,
-    graph_to_text,
     is_connected,
     metropolis_weights,
     spectral_gap,
     uniform_neighbor_weights,
-    weights_from_text,
-    weights_to_text,
 )
 
 
@@ -196,13 +192,13 @@ def test_weight_support_matches_neighbor_sets():
         (
             build_cycle(5),
             np.full((5, 5), 0.2),
-            "agent 0 has weights outside its neighbor set: [np.int64(2), np.int64(3)]",
+            "agent 0 has weights outside its neighbor set: [2, 3]",
         ),
         (
             # Swaps agents 1 and 3 of a 4-agent line: row 0 is inside, row 1 is the first outside.
             build_line(4),
             np.eye(4)[[0, 3, 2, 1]],
-            "agent 1 has weights outside its neighbor set: [np.int64(3)]",
+            "agent 1 has weights outside its neighbor set: [3]",
         ),
     ],
 )
@@ -258,20 +254,3 @@ def test_calibrate_beta_near_target():
     assert abs(wm.beta - 0.89) <= 0.02
     assert is_connected(g)
 
-
-# ---------------------------------------------------------------- serialization
-
-
-def test_graph_text_round_trip():
-    g = build_random(15, 0.3, seed=4)
-    restored = graph_from_text(graph_to_text(g))
-    assert restored.n == g.n
-    assert restored.edges == g.edges
-    assert restored.neighbor_sets == g.neighbor_sets
-
-
-def test_weights_text_round_trip():
-    wm = metropolis_weights(build_random(12, 0.4, seed=8))
-    restored = weights_from_text(weights_to_text(wm))
-    assert np.array_equal(restored.entries, wm.entries)
-    assert abs(restored.beta - wm.beta) <= 1e-9
