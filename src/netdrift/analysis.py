@@ -64,44 +64,6 @@ def _validate_stepsize(alpha: float, limit: float, description: str) -> None:
         )
 
 
-def _rho_2x2(A: NDArray[np.float64]) -> float:
-    # nonnegative 2x2: discriminant >= 0, both eigenvalues real
-    tr = A[0, 0] + A[1, 1]
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    root = math.sqrt(max(tr * tr - 4 * det, 0.0))
-    return max(abs(tr + root), abs(tr - root)) / 2
-
-
-def _rho_3x3(A: NDArray[np.float64]) -> float:
-    tr = A[0, 0] + A[1, 1] + A[2, 2]
-    minors = (
-        A[0, 0] * A[1, 1]
-        - A[0, 1] * A[1, 0]
-        + A[0, 0] * A[2, 2]
-        - A[0, 2] * A[2, 0]
-        + A[1, 1] * A[2, 2]
-        - A[1, 2] * A[2, 1]
-    )
-    det = float(np.linalg.det(A))
-    coeffs = (-tr, minors, -det)
-    roots = np.roots([1.0, *coeffs])
-    real = roots.real[np.abs(roots.imag) <= 1e-8 * (1 + np.abs(roots.real))]
-    if real.size == 0:
-        return float(np.abs(roots).max())
-    # the dominant eigenvalue of a nonnegative matrix is real; polish it
-    x = float(real.max())
-    for _ in range(50):
-        p = ((x + coeffs[0]) * x + coeffs[1]) * x + coeffs[2]
-        dp = (3 * x + 2 * coeffs[0]) * x + coeffs[1]
-        if dp == 0:
-            break
-        step = p / dp
-        x -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(x)):
-            break
-    return x
-
-
 def diffusion_contraction(
     alpha: float,
     mu: float,
@@ -128,7 +90,7 @@ def diffusion_contraction(
             alpha * beta * lipschitz * root_n * delta_x + alpha * beta * root_n * grad_bound,
         ]
     )
-    return ContractionModel(A=A, b=b, rho=_rho_2x2(A))
+    return ContractionModel(A=A, b=b, rho=float(np.abs(np.linalg.eigvals(A)).max()))
 
 
 def dgt_contraction(
@@ -159,7 +121,7 @@ def dgt_contraction(
             root_n * delta_x,
         ]
     )
-    return ContractionModel(A=A, b=b, rho=_rho_3x3(A))
+    return ContractionModel(A=A, b=b, rho=float(np.abs(np.linalg.eigvals(A)).max()))
 
 
 def max_stepsize(algorithm: str, mu: float, lipschitz: float, beta: float) -> float:

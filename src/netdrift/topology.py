@@ -1,9 +1,13 @@
 """Network graphs, doubly stochastic mixing matrices, and their spectral gaps.
 
 Agents sit on the nodes of an undirected connected graph and exchange
-information only with neighbors. Mixing is done with a doubly stochastic
-weight matrix W whose second-largest eigenvalue magnitude beta measures how
-well connected the network is (beta near 1 means slow information flow).
+information only with neighbors. Mixing is done with a symmetric doubly
+stochastic weight matrix W, held in CSR form and built straight from the
+neighbor sets, so no dense n x n array is ever formed. Its second-largest
+eigenvalue magnitude beta measures how well connected the network is (beta
+near 1 means slow information flow); it comes in closed form for cycles and
+complete graphs and otherwise from ARPACK's Lanczos method
+(``scipy.sparse.linalg.eigsh``).
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from scipy import sparse
 
 STOCHASTICITY_TOL = 1e-12
 
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 100_000
+# Rows per dense block when the Metropolis diagonal is summed.
+_ROW_BLOCK = 64
 
 
 class InvalidSizeError(ValueError):
@@ -37,14 +41,6 @@ class ConstructionError(RuntimeError):
 
 class WeightRuleError(ValueError):
     """The requested weight rule does not apply to the given graph."""
-
-
-class NumericError(RuntimeError):
-    """An iterative numeric routine failed to converge."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -64,33 +60,17 @@ class Graph:
             if i not in nbrs:
                 raise ValueError(f"agent {i} missing from its own neighbor set")
 
-    def degree(self, i: int) -> int:
-        """Neighbor count of agent i, excluding the self-loop."""
-        return len(self.neighbor_sets[i]) - 1
 
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Doubly stochastic mixing matrix with its spectral gap beta = |lambda_2|."""
+    """Doubly stochastic mixing matrix in CSR form with its spectral gap beta = |lambda_2|."""
 
-    entries: NDArray[np.float64]
+    csr: sparse.csr_matrix
     beta: float
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        self.entries.setflags(write=False)
-        self._csr = None
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def csr(self) -> sparse.csr_matrix:
-        """Sparse view used for neighbor-local matrix application."""
-        if self._csr is None:
-            self._csr = sparse.csr_matrix(self.entries)
-        return self._csr
+        return self.csr.shape[0]
 
 
 def _graph_from_edges(n: int, edges: set[tuple[int, int]], kind: str) -> Graph:
@@ -178,22 +158,41 @@ def build_random(n: int, edge_probability: float, seed: int, max_retries: int = 
     )
 
 
-def _validate_doubly_stochastic(entries: NDArray[np.float64], g: Graph) -> None:
-    if np.any(entries < 0.0):
+def _pattern(g: Graph) -> tuple[NDArray[np.intp], ...]:
+    """Neighbor-set sizes and the CSR pattern (rows, columns, row pointer) of the neighbor sets."""
+    sizes = np.fromiter(map(len, g.neighbor_sets), dtype=np.intp, count=g.n)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    indices = np.fromiter(chain.from_iterable(g.neighbor_sets), dtype=np.intp, count=indptr[-1])
+    return sizes, np.repeat(np.arange(g.n), sizes), indices, indptr
+
+
+def _find(sorted_keys: NDArray[np.intp], keys: NDArray[np.intp]) -> tuple[NDArray, NDArray[np.bool_]]:
+    """Position of each key in a sorted key array, and whether it is there."""
+    pos = np.searchsorted(sorted_keys, keys).clip(max=sorted_keys.size - 1)
+    return pos, sorted_keys[pos] == keys
+
+
+def _validate_doubly_stochastic(w: sparse.csr_matrix, g: Graph) -> None:
+    # In place and value-preserving: sorted indices and no stored zeros, so
+    # the keys i*n + j of the nonzeros (i, j) below are sorted.
+    w.sum_duplicates()
+    w.eliminate_zeros()
+    if (w.data < 0.0).any():
         raise ValueError("weight matrix has negative entries")
-    row_err = np.max(np.abs(entries.sum(axis=1) - 1.0))
-    col_err = np.max(np.abs(entries.sum(axis=0) - 1.0))
-    if max(row_err, col_err) > STOCHASTICITY_TOL:
-        raise ValueError(f"weight matrix is not doubly stochastic (error {max(row_err, col_err):.3e})")
-    # A row has weights outside its neighbor set exactly when it has more
-    # nonzeros than its neighbor pattern holds; only such rows are examined.
-    rows = np.repeat(np.arange(g.n), [len(nbrs) for nbrs in g.neighbor_sets])
-    cols = np.fromiter(chain.from_iterable(g.neighbor_sets), dtype=np.intp, count=rows.size)
-    on_pattern = np.bincount(rows[entries[rows, cols] != 0.0], minlength=g.n)
-    for i in np.flatnonzero(np.count_nonzero(entries, axis=1) != on_pattern):
-        outside = set(np.flatnonzero(entries[i]).tolist()) - set(g.neighbor_sets[i])
-        if outside:
-            raise ValueError(f"agent {i} has weights outside its neighbor set: {sorted(outside)}")
+    rows, cols = np.repeat(np.arange(g.n), np.diff(w.indptr)), w.indices.astype(np.intp)
+    err = max(np.abs(np.bincount(axis, w.data, g.n) - 1.0).max() for axis in (rows, cols))
+    if err > STOCHASTICITY_TOL:
+        raise ValueError(f"weight matrix is not doubly stochastic (error {err:.3e})")
+    keys = rows * g.n + cols
+    mirror, found = _find(keys, cols * g.n + rows)
+    if not (found.all() and np.array_equal(w.data[mirror], w.data)):
+        raise ValueError("weight matrix is not symmetric")
+    _, pattern_rows, pattern_cols, _ = _pattern(g)
+    _, inside = _find(pattern_rows * g.n + pattern_cols, keys)
+    if not inside.all():
+        i = rows[~inside][0]
+        outside = cols[~inside & (rows == i)].tolist()
+        raise ValueError(f"agent {i} has weights outside its neighbor set: {outside}")
 
 
 def _cycle_beta(n: int) -> float:
@@ -210,82 +209,61 @@ def uniform_neighbor_weights(g: Graph) -> WeightMatrix:
     """
     if not is_connected(g):
         raise ValueError("weight matrices require a connected graph")
-    sizes = {len(nbrs) for nbrs in g.neighbor_sets}
-    if len(sizes) != 1:
+    sizes, rows, indices, indptr = _pattern(g)
+    if (sizes != sizes[0]).any():
         raise WeightRuleError(
             "uniform neighbor weights need a regular graph; use metropolis_weights for irregular graphs"
         )
-    entries = np.zeros((g.n, g.n))
-    for i, nbrs in enumerate(g.neighbor_sets):
-        entries[i, list(nbrs)] = 1.0 / len(nbrs)
-    _validate_doubly_stochastic(entries, g)
+    w = sparse.csr_matrix((1.0 / sizes[rows], indices, indptr), shape=(g.n, g.n))
+    _validate_doubly_stochastic(w, g)
     if g.kind == "cycle":
         beta = _cycle_beta(g.n)
     elif g.kind == "complete":
         beta = 0.0
     else:
-        beta = spectral_gap(entries)
-    return WeightMatrix(entries=entries, beta=beta)
+        beta = spectral_gap(w)
+    return WeightMatrix(csr=w, beta=beta)
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
     """Symmetric doubly stochastic rule W_ij = 1/(1 + max(deg_i, deg_j))."""
     if not is_connected(g):
         raise ValueError("weight matrices require a connected graph")
-    entries = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        entries[i, j] = entries[j, i] = 1.0 / (1.0 + max(g.degree(i), g.degree(j)))
-    # Diagonal absorbs the slack, keeping every row sum at exactly one.
-    np.fill_diagonal(entries, 1.0 - entries.sum(axis=1))
-    _validate_doubly_stochastic(entries, g)
-    return WeightMatrix(entries=entries, beta=spectral_gap(entries))
+    sizes, rows, indices, indptr = _pattern(g)
+    diagonal = rows == indices
+    # deg excludes the self-loop, so 1 + max(deg_i, deg_j) = max(|N_i|, |N_j|).
+    data = np.where(diagonal, 0.0, 1.0 / np.maximum(sizes[rows], sizes[indices]))
+    w = sparse.csr_matrix((data, indices, indptr), shape=(g.n, g.n))
+    # The diagonal absorbs the slack, keeping every row sum at exactly one.
+    # Rows are summed as dense blocks, in numpy's pairwise order over all n
+    # columns, so W is bitwise the matrix a dense construction gives.
+    row_sums = [w[s : s + _ROW_BLOCK].toarray().sum(axis=1) for s in range(0, g.n, _ROW_BLOCK)]
+    w.data[diagonal] = 1.0 - np.concatenate(row_sums)
+    _validate_doubly_stochastic(w, g)
+    return WeightMatrix(csr=w, beta=spectral_gap(w))
 
 
-def spectral_gap(w: WeightMatrix | NDArray[np.float64]) -> float:
-    """Magnitude of the second-largest eigenvalue of W.
+def spectral_gap(w: sparse.spmatrix | NDArray[np.float64]) -> float:
+    """Magnitude of the second-largest eigenvalue of a symmetric doubly stochastic W.
 
-    Runs power iteration on the deflated matrix W - (1/n) 11^T, whose
-    spectral radius equals |lambda_2(W)| for doubly stochastic W. Stops when
-    a geometric tail estimate of the remaining error falls below 1e-10.
+    The deflated operator v -> Wv - mean(v), that is W - (1/n) 11^T, has
+    spectral radius |lambda_2(W)|. One ARPACK Lanczos call (``eigsh``, k=1,
+    largest magnitude) finds it to machine precision. The start vector is
+    drawn from a fixed seed, so beta does not depend on earlier calls.
     """
-    entries = w.entries if isinstance(w, WeightMatrix) else np.asarray(w, dtype=np.float64)
-    n = entries.shape[0]
-    mat = sparse.csr_matrix(entries)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v -= v.mean()
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.zeros(n)
-        v[0], v[-1] = 1.0, -1.0
-        norm = np.linalg.norm(v)
-    v /= norm
-    est_prev = math.inf
-    diff_prev = math.inf
-    settled = 0
-    for iteration in range(1, _POWER_MAX_ITER + 1):
-        bv = mat.dot(v)
-        bv -= bv.mean()
-        est = float(np.linalg.norm(bv))
-        if est == 0.0:
-            return 0.0
-        v = bv / est
-        diff = abs(est - est_prev)
-        # Geometric tail bound: remaining error ~ diff * q / (1 - q).
-        q = diff / diff_prev if diff_prev > 0.0 else 0.0
-        tail = diff * q / (1.0 - q) if 0.0 < q < 1.0 else diff
-        tol = _POWER_TOL * max(1.0, est)
-        if diff <= tol and tail <= tol:
-            settled += 1
-            if settled >= 3:
-                return est
-        else:
-            settled = 0
-        est_prev, diff_prev = est, diff
-    raise NumericError(
-        f"power iteration did not converge within {_POWER_MAX_ITER} iterations",
-        iterations=_POWER_MAX_ITER,
-    )
+    # Imported on first use: it adds about 10 MB that cycle-only runs never need.
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    mat = sparse.csr_matrix(w)
+    n = mat.shape[0]
+    deflated = LinearOperator((n, n), matvec=lambda v: mat @ v - v.mean(), dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    # ARPACK cannot start from a vector the operator annihilates; that
+    # happens for the averaging matrix, whose beta is zero.
+    if not deflated.matvec(v0).any():
+        return 0.0
+    (lam,) = eigsh(deflated, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    return float(abs(lam))
 
 
 def calibrate_beta(

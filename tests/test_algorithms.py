@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from netdrift.algorithms import (
     ALGORITHMS,
@@ -56,11 +57,11 @@ class Quadratic:
 
 
 def single_node_weights() -> WeightMatrix:
-    return WeightMatrix(entries=np.ones((1, 1)), beta=0.0)
+    return WeightMatrix(csr=sparse.csr_matrix(np.ones((1, 1))), beta=0.0)
 
 
 def pair_weights() -> WeightMatrix:
-    return WeightMatrix(entries=np.full((2, 2), 0.5), beta=0.0)
+    return WeightMatrix(csr=sparse.csr_matrix(np.full((2, 2), 0.5)), beta=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ def test_diffusion_two_agents_opposing_gradients_average_to_zero():
 
 def test_diffusion_fixed_point_at_shared_optimum():
     obj = Quadratic([[2.0, -1.0], [2.0, -1.0], [2.0, -1.0]])
-    wm = WeightMatrix(entries=np.full((3, 3), 1.0 / 3.0), beta=0.0)
+    wm = WeightMatrix(csr=sparse.csr_matrix(np.full((3, 3), 1.0 / 3.0)), beta=0.0)
     x0 = np.tile(obj.optimum(0), (3, 1))
     state = AlgorithmState(x_stack=x0)
     out = step("diffusion", state, obj, wm, alpha=0.3, k=0)
@@ -308,7 +309,7 @@ def test_run_rejects_network_size_mismatch():
 
 def test_run_rejects_horizon_beyond_objective():
     sc = shifting_consensus(p=1, spacing_m=1.0, shift=1, horizon=10)
-    wm = WeightMatrix(entries=np.full((3, 3), 1.0 / 3.0), beta=0.0)
+    wm = WeightMatrix(csr=sparse.csr_matrix(np.full((3, 3), 1.0 / 3.0)), beta=0.0)
     with pytest.raises(ValueError):
         run("dgt", sc, wm, alpha=0.1, horizon=11)
 

@@ -8,6 +8,8 @@ the suite output against independent re-reads of the persisted CSVs.
 import csv
 import math
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from netdrift.experiment import (
     TuningError,
     build_network,
     build_objective,
+    load_config,
     parse_config,
     run_suite,
     select_best,
@@ -303,6 +306,35 @@ def test_run_suite_honors_output_root_env(tmp_path, monkeypatch):
     config = _static_config(horizon=200, output_dir="nested/demo")
     result = run_suite(config)
     assert result.directory == tmp_path / "nested" / "demo"
+    assert (result.directory / "summary.csv").exists()
+
+
+def test_run_suite_on_long_metropolis_line(tmp_path):
+    # 501 agents on a line: beta is within 2e-5 of one.
+    config = ExperimentConfig(
+        scenario="static",
+        topology="line",
+        weight_rule="metropolis",
+        p=250,
+        horizon=10,
+        seed=0,
+        output_dir=str(tmp_path / "line"),
+    )
+    result = run_suite(config)
+    assert [row.n for row in result.rows] == [501] * len(config.algorithms)
+    assert all(0.99998 < row.beta < 1.0 for row in result.rows)
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_run(path, tmp_path):
+    config = replace(load_config(path), horizon=20, output_dir=str(tmp_path / path.stem))
+    graph, wm = build_network(config)
+    assert graph.n == wm.n == config.network_size
+    result = run_suite(config)
+    assert [row.algorithm for row in result.rows] == list(config.algorithms)
     assert (result.directory / "summary.csv").exists()
 
 

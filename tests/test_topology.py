@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 from netdrift.topology import (
     ConstructionError,
@@ -27,10 +29,35 @@ def cycle_beta_closed_form(n: int) -> float:
     return float(np.max(np.abs((1.0 + 2.0 * np.cos(2.0 * np.pi * j / n)) / 3.0)))
 
 
-def eig_beta(entries: np.ndarray) -> float:
+def eig_beta(w) -> float:
     # Independent oracle: full symmetric eigensolve, second largest magnitude.
-    mags = np.sort(np.abs(np.linalg.eigvalsh(entries)))
+    dense = w.toarray() if sparse.issparse(w) else w
+    mags = np.sort(np.abs(np.linalg.eigvalsh(dense)))
     return float(mags[-2])
+
+
+def dense_metropolis(g) -> sparse.csr_matrix:
+    # The former dense construction: edge loop, diagonal from dense row sums, then CSR.
+    entries = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        deg_i, deg_j = len(g.neighbor_sets[i]) - 1, len(g.neighbor_sets[j]) - 1
+        entries[i, j] = entries[j, i] = 1.0 / (1.0 + max(deg_i, deg_j))
+    np.fill_diagonal(entries, 1.0 - entries.sum(axis=1))
+    return sparse.csr_matrix(entries)
+
+
+def dense_uniform(g) -> sparse.csr_matrix:
+    entries = np.zeros((g.n, g.n))
+    for i, nbrs in enumerate(g.neighbor_sets):
+        entries[i, list(nbrs)] = 1.0 / len(nbrs)
+    return sparse.csr_matrix(entries)
+
+
+def assert_same_csr(a: sparse.csr_matrix, b: sparse.csr_matrix) -> None:
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
 
 
 # ---------------------------------------------------------------- builders
@@ -135,7 +162,7 @@ def test_uniform_cycle_beta_matches_closed_form(n):
 
 def test_uniform_complete_is_averaging_matrix():
     wm = uniform_neighbor_weights(build_complete(6))
-    np.testing.assert_allclose(wm.entries, np.full((6, 6), 1.0 / 6.0), atol=1e-15)
+    np.testing.assert_allclose(wm.csr.toarray(), np.full((6, 6), 1.0 / 6.0), atol=1e-15)
     assert wm.beta == 0.0
 
 
@@ -153,13 +180,13 @@ def test_metropolis_path3_hand_values():
             [0.0, 1.0 / 3.0, 2.0 / 3.0],
         ]
     )
-    np.testing.assert_allclose(wm.entries, expected, atol=1e-15)
-    np.testing.assert_allclose(wm.entries.sum(axis=1), 1.0, atol=1e-15)
+    np.testing.assert_allclose(wm.csr.toarray(), expected, atol=1e-15)
+    np.testing.assert_allclose(wm.csr.toarray().sum(axis=1), 1.0, atol=1e-15)
 
 
 def test_metropolis_complete3_uniform():
     wm = metropolis_weights(build_complete(3))
-    np.testing.assert_allclose(wm.entries, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
+    np.testing.assert_allclose(wm.csr.toarray(), np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,10 +198,11 @@ def test_metropolis_complete3_uniform():
 def test_metropolis_doubly_stochastic(n, p, seed):
     g = build_random(n, p, seed=seed)
     wm = metropolis_weights(g)
-    assert np.all(wm.entries >= 0.0)
-    np.testing.assert_allclose(wm.entries, wm.entries.T, atol=1e-15)
-    assert np.max(np.abs(wm.entries.sum(axis=0) - 1.0)) <= 1e-12
-    assert np.max(np.abs(wm.entries.sum(axis=1) - 1.0)) <= 1e-12
+    entries = wm.csr.toarray()
+    assert np.all(entries >= 0.0)
+    np.testing.assert_allclose(entries, entries.T, atol=1e-15)
+    assert np.max(np.abs(entries.sum(axis=0) - 1.0)) <= 1e-12
+    assert np.max(np.abs(entries.sum(axis=1) - 1.0)) <= 1e-12
     assert wm.beta < 1.0
 
 
@@ -182,7 +210,7 @@ def test_weight_support_matches_neighbor_sets():
     g = build_random(20, 0.3, seed=5)
     wm = metropolis_weights(g)
     for i in range(g.n):
-        support = set(np.nonzero(wm.entries[i])[0])
+        support = set(np.nonzero(wm.csr.toarray()[i])[0])
         assert support <= set(g.neighbor_sets[i])
 
 
@@ -204,14 +232,47 @@ def test_weight_support_matches_neighbor_sets():
 )
 def test_weight_outside_neighbor_set_message(graph, entries, message):
     with pytest.raises(ValueError) as excinfo:
-        _validate_doubly_stochastic(entries, graph)
+        _validate_doubly_stochastic(sparse.csr_matrix(entries), graph)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (-np.eye(3), "weight matrix has negative entries"),
+        (0.5 * np.eye(3), "weight matrix is not doubly stochastic (error 5.000e-01)"),
+        # Rows and columns sum to one, but W_10 != W_01.
+        (
+            np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.25, 0.0, 0.75]]),
+            "weight matrix is not symmetric",
+        ),
+    ],
+)
+def test_invalid_weight_matrix_messages(entries, message):
+    with pytest.raises(ValueError) as excinfo:
+        _validate_doubly_stochastic(sparse.csr_matrix(entries), build_line(3))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [build_line(9), build_grid(30, 30)] + [build_random(2001, 0.0055, seed=s) for s in range(3)],
+    ids=["line9", "grid30x30", "random2001_s0", "random2001_s1", "random2001_s2"],
+)
+def test_metropolis_csr_is_bitwise_the_dense_construction(graph):
+    assert_same_csr(metropolis_weights(graph).csr, dense_metropolis(graph))
+
+
+@pytest.mark.parametrize("n", [5, 21, 100])
+def test_uniform_csr_is_bitwise_the_dense_construction(n):
+    g = build_cycle(n)
+    assert_same_csr(uniform_neighbor_weights(g).csr, dense_uniform(g))
 
 
 def test_weight_construction_deterministic():
     a = metropolis_weights(build_random(30, 0.2, seed=9))
     b = metropolis_weights(build_random(30, 0.2, seed=9))
-    assert a.entries.tobytes() == b.entries.tobytes()
+    assert_same_csr(a.csr, b.csr)
     assert a.beta == b.beta
 
 
@@ -228,10 +289,10 @@ def test_spectral_gap_identity_is_one():
 
 
 def test_spectral_gap_cycle_closed_form_generic_path():
-    # Bypass the builder shortcut: feed the raw entries to the power iteration.
+    # Bypass the builder shortcut: feed the matrix to the eigensolver.
     for n in (12, 100):
         wm = uniform_neighbor_weights(build_cycle(n))
-        assert abs(spectral_gap(wm.entries) - cycle_beta_closed_form(n)) <= 1e-9
+        assert abs(spectral_gap(wm.csr) - cycle_beta_closed_form(n)) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -244,8 +305,26 @@ def test_spectral_gap_cycle_closed_form_generic_path():
     ],
 )
 def test_spectral_gap_matches_dense_eigensolve(wm):
-    assert abs(wm.beta - eig_beta(wm.entries)) <= 1e-9
-    assert abs(spectral_gap(wm) - eig_beta(wm.entries)) <= 1e-9
+    assert abs(wm.beta - eig_beta(wm.csr)) <= 1e-12
+    assert abs(spectral_gap(wm.csr) - eig_beta(wm.csr)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [build_line(500), build_grid(30, 30), build_random(2001, 0.0055, seed=0)],
+    ids=["line500", "grid30x30", "random2001"],
+)
+def test_metropolis_beta_matches_dense_eigensolve_on_poorly_connected_graphs(graph):
+    wm = metropolis_weights(graph)
+    assert abs(wm.beta - eig_beta(wm.csr)) <= 1e-12
+
+
+def test_spectral_gap_is_independent_of_earlier_eigensolves():
+    w = metropolis_weights(build_random(300, 0.03, seed=4)).csr
+    before = spectral_gap(w)
+    # An unrelated ARPACK call without a start vector moves ARPACK's own random state.
+    eigsh(sparse.diags(np.linspace(1.0, 2.0, 50)), k=1, which="LM")
+    assert spectral_gap(w) == before
 
 
 def test_calibrate_beta_near_target():
