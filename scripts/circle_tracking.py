@@ -35,7 +35,7 @@ def tuned(config: ExperimentConfig, objective, wm, algorithm: str) -> tuple[floa
     cap = admissible_cap(algorithm, objective.mu, objective.lipschitz, wm.beta)
     capped = tuple(a for a in grid if a <= cap)
     per_method = replace(config, stepsizes=capped, algorithms=(algorithm,))
-    alpha, record = tune_stepsize(per_method, algorithm, _context=(objective, wm))
+    alpha, record = tune_stepsize(per_method, algorithm, objective, wm)
     return alpha, steady_state_error(record, config.tail_fraction)
 
 

@@ -32,6 +32,7 @@ from .records import TrajectoryRecord, read_record, write_record
 from .topology import (
     Graph,
     WeightMatrix,
+    WeightRuleError,
     build_complete,
     build_cycle,
     build_grid,
@@ -128,9 +129,16 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ConfigError(f"unknown algorithms {unknown}; expected among {ALGORITHMS}")
+        if self.rows_per_agent < 1:
+            raise ConfigError(f"rows_per_agent must be at least 1, got {self.rows_per_agent}")
         if self.scenario == "I":
             if self.n is None:
                 raise ConfigError("scenario I needs n, the number of agents")
+            minimum = 3 if self.topology == "cycle" else 2
+            if self.n < minimum:
+                raise ConfigError(
+                    f"n must be at least {minimum} for a {self.topology} topology, got {self.n}"
+                )
         else:
             if self.p is None or self.p < 1:
                 raise ConfigError("scenarios II/III/static need p >= 1")
@@ -216,7 +224,11 @@ def build_network(config: ExperimentConfig) -> tuple[Graph, WeightMatrix]:
             )
         graph = build_grid(config.rows, config.cols)
     rule = uniform_neighbor_weights if config.weight_rule == "uniform" else metropolis_weights
-    return graph, rule(graph)
+    try:
+        return graph, rule(graph)
+    except WeightRuleError as exc:
+        message = f"weight_rule {config.weight_rule!r} does not apply to a {config.topology} network: {exc}"
+        raise ConfigError(message) from exc
 
 
 def build_objective(config: ExperimentConfig):
@@ -292,19 +304,13 @@ def run_single(config, objective, wm, algorithm, alpha):
 
 
 def tune_stepsize(
-    config: ExperimentConfig,
-    algorithm: str,
-    _context: tuple | None = None,
+    config: ExperimentConfig, algorithm: str, objective, wm: WeightMatrix
 ) -> tuple[float, TrajectoryRecord]:
-    """Sweep the grid in one multi-lane run; return the best step and its record.
+    """Sweep the grid in one multi-lane run on a prebuilt objective and network.
 
-    A step size whose run diverges scores as infinite.
+    Returns the best step and its record. A step size whose run diverges
+    scores as infinite.
     """
-    if _context is None:
-        objective = build_objective(config)
-        _, wm = build_network(config)
-    else:
-        objective, wm = _context
     grid = config.stepsizes or default_grid(config, objective.mu, objective.lipschitz)
     records = run_single(config, objective, wm, algorithm, grid)
     scores = []
@@ -358,7 +364,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     rows = []
     records = {}
     for algorithm in config.algorithms:
-        alpha, record = tune_stepsize(config, algorithm, _context=(objective, wm))
+        alpha, record = tune_stepsize(config, algorithm, objective, wm)
         error = steady_state_error(record, config.tail_fraction)
         try:
             bound = steady_state_bound(

@@ -1,30 +1,24 @@
 """Network graphs, doubly stochastic mixing matrices, and their spectral gaps.
 
-Agents sit on the nodes of an undirected connected graph and exchange
-information only with neighbors. Mixing is done with a symmetric doubly
-stochastic weight matrix W, held in CSR form and built straight from the
-neighbor sets, so no dense n x n array is ever formed. Its second-largest
-eigenvalue magnitude beta measures how well connected the network is (beta
-near 1 means slow information flow); it comes in closed form for cycles and
-complete graphs and otherwise from ARPACK's Lanczos method
+A graph is its symmetric CSR adjacency pattern: row i is agent i's neighbor
+set, agent i included, and agents exchange information only along it. The
+mixing matrix W is symmetric, doubly stochastic and built on that pattern, so
+no dense n x n array is ever formed. Its second-largest eigenvalue magnitude
+beta (near 1 means slow mixing) comes in closed form for cycles and complete
+graphs and otherwise from ARPACK's Lanczos method
 (``scipy.sparse.linalg.eigsh``).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy import sparse
 
 STOCHASTICITY_TOL = 1e-12
-
-# Rows per dense block when the Metropolis diagonal is summed.
-_ROW_BLOCK = 64
 
 
 class InvalidSizeError(ValueError):
@@ -43,22 +37,21 @@ class WeightRuleError(ValueError):
     """The requested weight rule does not apply to the given graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected agent network; every neighbor set contains the agent itself."""
+    """Undirected network as a symmetric CSR adjacency; row i is agent i's neighbor set, i included."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    neighbor_sets: tuple[tuple[int, ...], ...]
-    kind: str = field(default="custom", compare=False)
+    adjacency: sparse.csr_matrix
+    kind: str = "custom"
 
     def __post_init__(self):
-        for i, j in self.edges:
-            if not 0 <= i < j < self.n:
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-        for i, nbrs in enumerate(self.neighbor_sets):
-            if i not in nbrs:
-                raise ValueError(f"agent {i} missing from its own neighbor set")
+        missing = np.flatnonzero(self.adjacency.diagonal() == 0)
+        if missing.size:
+            raise ValueError(f"agent {missing[0]} missing from its own neighbor set")
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,69 +66,57 @@ class WeightMatrix:
         return self.csr.shape[0]
 
 
-def _graph_from_edges(n: int, edges: set[tuple[int, int]], kind: str) -> Graph:
-    neighbors: list[set[int]] = [{i} for i in range(n)]
-    for i, j in edges:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    return Graph(
-        n=n,
-        edges=frozenset(edges),
-        neighbor_sets=tuple(tuple(sorted(s)) for s in neighbors),
-        kind=kind,
-    )
+def _graph(n: int, heads: NDArray[np.intp], tails: NDArray[np.intp], kind: str) -> Graph:
+    """Graph on the edges (heads[k], tails[k]), stored in both directions, plus every self-loop."""
+    loops = np.arange(n)
+    rows, cols = np.concatenate((heads, tails, loops)), np.concatenate((tails, heads, loops))
+    # COO to CSR sorts every row's column indices.
+    adjacency = sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
+    return Graph(adjacency, kind)
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first check that the graph has a single component."""
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in g.neighbor_sets[i]:
-            if j not in seen:
-                seen.add(j)
+    """Breadth-first search from agent 0 over the adjacency rows; true if it reaches every agent."""
+    indptr, indices = g.adjacency.indptr.tolist(), g.adjacency.indices.tolist()
+    seen = [True] + [False] * (g.n - 1)
+    queue = [0]
+    for i in queue:  # the loop also visits the agents appended while it runs
+        for j in indices[indptr[i] : indptr[i + 1]]:
+            if not seen[j]:
+                seen[j] = True
                 queue.append(j)
-    return len(seen) == g.n
+    return len(queue) == g.n
 
 
 def build_cycle(n: int) -> Graph:
     """Ring of n agents; every neighbor set has exactly 3 members."""
     if n < 3:
         raise InvalidSizeError(f"a cycle needs at least 3 agents, got {n}")
-    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
-    return _graph_from_edges(n, edges, kind="cycle")
+    return _graph(n, np.arange(n), np.arange(1, n + 1) % n, kind="cycle")
 
 
 def build_line(n: int) -> Graph:
     """Path of n agents; endpoints have neighbor sets of size 2."""
     if n < 2:
         raise InvalidSizeError(f"a line needs at least 2 agents, got {n}")
-    edges = {(i, i + 1) for i in range(n - 1)}
-    return _graph_from_edges(n, edges, kind="line")
+    return _graph(n, np.arange(n - 1), np.arange(1, n), kind="line")
 
 
 def build_grid(rows: int, cols: int) -> Graph:
     """rows x cols lattice with 4-neighbor connectivity."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise InvalidSizeError(f"degenerate grid shape ({rows}, {cols})")
-    edges: set[tuple[int, int]] = set()
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges.add((i, i + 1))
-            if r + 1 < rows:
-                edges.add((i, i + cols))
-    return _graph_from_edges(rows * cols, edges, kind="grid")
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    heads = np.concatenate((ids[:, :-1].ravel(), ids[:-1, :].ravel()))
+    tails = np.concatenate((ids[:, 1:].ravel(), ids[1:, :].ravel()))
+    return _graph(rows * cols, heads, tails, kind="grid")
 
 
 def build_complete(n: int) -> Graph:
     """All agent pairs connected."""
     if n < 2:
         raise InvalidSizeError(f"a complete graph needs at least 2 agents, got {n}")
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    return _graph_from_edges(n, edges, kind="complete")
+    return _graph(n, *np.triu_indices(n, 1), kind="complete")
 
 
 def build_random(n: int, edge_probability: float, seed: int, max_retries: int = 50) -> Graph:
@@ -148,22 +129,16 @@ def build_random(n: int, edge_probability: float, seed: int, max_retries: int = 
     for child in np.random.SeedSequence(seed).spawn(max_retries):
         rng = np.random.default_rng(child)
         mask = rng.random(rows.size) < edge_probability
-        edges = set(zip(rows[mask].tolist(), cols[mask].tolist()))
-        g = _graph_from_edges(n, edges, kind="random")
+        g = _graph(n, rows[mask], cols[mask], kind="random")
         if is_connected(g):
             return g
-    raise ConstructionError(
-        f"no connected graph with n={n}, p={edge_probability} in {max_retries} attempts",
-        attempts=max_retries,
-    )
+    message = f"no connected graph with n={n}, p={edge_probability} in {max_retries} attempts"
+    raise ConstructionError(message, attempts=max_retries)
 
 
-def _pattern(g: Graph) -> tuple[NDArray[np.intp], ...]:
-    """Neighbor-set sizes and the CSR pattern (rows, columns, row pointer) of the neighbor sets."""
-    sizes = np.fromiter(map(len, g.neighbor_sets), dtype=np.intp, count=g.n)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    indices = np.fromiter(chain.from_iterable(g.neighbor_sets), dtype=np.intp, count=indptr[-1])
-    return sizes, np.repeat(np.arange(g.n), sizes), indices, indptr
+def _rows(m: sparse.csr_matrix) -> NDArray[np.intp]:
+    """Row index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
 
 
 def _find(sorted_keys: NDArray[np.intp], keys: NDArray[np.intp]) -> tuple[NDArray, NDArray[np.bool_]]:
@@ -179,7 +154,7 @@ def _validate_doubly_stochastic(w: sparse.csr_matrix, g: Graph) -> None:
     w.eliminate_zeros()
     if (w.data < 0.0).any():
         raise ValueError("weight matrix has negative entries")
-    rows, cols = np.repeat(np.arange(g.n), np.diff(w.indptr)), w.indices.astype(np.intp)
+    rows, cols = _rows(w), w.indices.astype(np.intp)
     err = max(np.abs(np.bincount(axis, w.data, g.n) - 1.0).max() for axis in (rows, cols))
     if err > STOCHASTICITY_TOL:
         raise ValueError(f"weight matrix is not doubly stochastic (error {err:.3e})")
@@ -187,18 +162,11 @@ def _validate_doubly_stochastic(w: sparse.csr_matrix, g: Graph) -> None:
     mirror, found = _find(keys, cols * g.n + rows)
     if not (found.all() and np.array_equal(w.data[mirror], w.data)):
         raise ValueError("weight matrix is not symmetric")
-    _, pattern_rows, pattern_cols, _ = _pattern(g)
-    _, inside = _find(pattern_rows * g.n + pattern_cols, keys)
+    _, inside = _find(_rows(g.adjacency) * g.n + g.adjacency.indices, keys)
     if not inside.all():
         i = rows[~inside][0]
         outside = cols[~inside & (rows == i)].tolist()
         raise ValueError(f"agent {i} has weights outside its neighbor set: {outside}")
-
-
-def _cycle_beta(n: int) -> float:
-    # Circulant eigenvalues of (I + S + S^T)/3.
-    j = np.arange(1, n)
-    return float(np.max(np.abs((1.0 + 2.0 * np.cos(2.0 * np.pi * j / n)) / 3.0)))
 
 
 def uniform_neighbor_weights(g: Graph) -> WeightMatrix:
@@ -209,35 +177,38 @@ def uniform_neighbor_weights(g: Graph) -> WeightMatrix:
     """
     if not is_connected(g):
         raise ValueError("weight matrices require a connected graph")
-    sizes, rows, indices, indptr = _pattern(g)
+    adj, sizes = g.adjacency, np.diff(g.adjacency.indptr)
     if (sizes != sizes[0]).any():
         raise WeightRuleError(
             "uniform neighbor weights need a regular graph; use metropolis_weights for irregular graphs"
         )
-    w = sparse.csr_matrix((1.0 / sizes[rows], indices, indptr), shape=(g.n, g.n))
+    # Copies: validation edits W's arrays in place and must not edit the graph.
+    data = np.repeat(1.0 / sizes, sizes)
+    w = sparse.csr_matrix((data, adj.indices.copy(), adj.indptr.copy()), shape=adj.shape)
     _validate_doubly_stochastic(w, g)
-    if g.kind == "cycle":
-        beta = _cycle_beta(g.n)
-    elif g.kind == "complete":
-        beta = 0.0
-    else:
-        beta = spectral_gap(w)
-    return WeightMatrix(csr=w, beta=beta)
+    if g.kind == "complete":
+        return WeightMatrix(csr=w, beta=0.0)
+    if g.kind != "cycle":
+        return WeightMatrix(csr=w, beta=spectral_gap(w))
+    # Circulant eigenvalues of (I + S + S^T)/3.
+    eigenvalues = (1.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(1, g.n) / g.n)) / 3.0
+    return WeightMatrix(csr=w, beta=float(np.abs(eigenvalues).max()))
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
     """Symmetric doubly stochastic rule W_ij = 1/(1 + max(deg_i, deg_j))."""
     if not is_connected(g):
         raise ValueError("weight matrices require a connected graph")
-    sizes, rows, indices, indptr = _pattern(g)
-    diagonal = rows == indices
+    adj = g.adjacency
+    sizes, rows = np.diff(adj.indptr), _rows(adj)
+    diagonal = rows == adj.indices
     # deg excludes the self-loop, so 1 + max(deg_i, deg_j) = max(|N_i|, |N_j|).
-    data = np.where(diagonal, 0.0, 1.0 / np.maximum(sizes[rows], sizes[indices]))
-    w = sparse.csr_matrix((data, indices, indptr), shape=(g.n, g.n))
+    data = np.where(diagonal, 0.0, 1.0 / np.maximum(sizes[rows], sizes[adj.indices]))
+    w = sparse.csr_matrix((data, adj.indices.copy(), adj.indptr.copy()), shape=adj.shape)
     # The diagonal absorbs the slack, keeping every row sum at exactly one.
-    # Rows are summed as dense blocks, in numpy's pairwise order over all n
-    # columns, so W is bitwise the matrix a dense construction gives.
-    row_sums = [w[s : s + _ROW_BLOCK].toarray().sum(axis=1) for s in range(0, g.n, _ROW_BLOCK)]
+    # Rows are summed as dense blocks of 64, in numpy's pairwise order over all
+    # n columns, so W is bitwise the matrix a dense construction gives.
+    row_sums = [w[s : s + 64].toarray().sum(axis=1) for s in range(0, g.n, 64)]
     w.data[diagonal] = 1.0 - np.concatenate(row_sums)
     _validate_doubly_stochastic(w, g)
     return WeightMatrix(csr=w, beta=spectral_gap(w))
@@ -255,9 +226,8 @@ def spectral_gap(w: sparse.spmatrix | NDArray[np.float64]) -> float:
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     mat = sparse.csr_matrix(w)
-    n = mat.shape[0]
-    deflated = LinearOperator((n, n), matvec=lambda v: mat @ v - v.mean(), dtype=np.float64)
-    v0 = np.random.default_rng(0).standard_normal(n)
+    deflated = LinearOperator(mat.shape, matvec=lambda v: mat @ v - v.mean(), dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(mat.shape[0])
     # ARPACK cannot start from a vector the operator annihilates; that
     # happens for the averaging matrix, whose beta is zero.
     if not deflated.matvec(v0).any():

@@ -74,7 +74,7 @@ def _tuned(config, objective, wm, algorithm):
         if a <= cap * (1 + 1e-12)
     )
     capped = replace(config, stepsizes=grid)
-    alpha, record = tune_stepsize(capped, algorithm, _context=(objective, wm))
+    alpha, record = tune_stepsize(capped, algorithm, objective, wm)
     return steady_state_error(record, config.tail_fraction), alpha, record
 
 

@@ -117,7 +117,7 @@ def test_diffusion_update_is_local():
     rng = np.random.default_rng(1)
     x0 = rng.normal(size=(10, 1))
     agent = 0
-    outside = [j for j in range(10) if j not in graph.neighbor_sets[agent]]
+    outside = [j for j in range(10) if j not in graph.adjacency[agent].indices]
     assert outside, "graph too dense for the locality check"
     x_perturbed = x0.copy()
     x_perturbed[outside[0]] += 7.5
@@ -437,14 +437,13 @@ def test_lanes_match_one_lane_runs(algorithm, scenario, size, rows_per_agent, ho
     with pytest.raises(DivergenceError):
         steady_state_error(records[-1], config.tail_fraction)
 
-    context = (objective, wm)
     trimmed = replace(config, stepsizes=grid)
     try:
-        expected = tune_stepsize(trimmed, algorithm, _context=context)
+        expected = tune_stepsize(trimmed, algorithm, objective, wm)
     except TuningError:  # every lane of the grid diverged as well
         with pytest.raises(TuningError):
-            tune_stepsize(config, algorithm, _context=context)
+            tune_stepsize(config, algorithm, objective, wm)
         return
-    alpha, record = tune_stepsize(config, algorithm, _context=context)
+    alpha, record = tune_stepsize(config, algorithm, objective, wm)
     assert alpha == expected[0] and alpha != DIVERGENT_ALPHA
     assert _same_record(record, expected[1])

@@ -8,12 +8,16 @@ the suite output against independent re-reads of the persisted CSVs.
 import csv
 import math
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netdrift
 from netdrift import cli
 from netdrift.analysis import max_stepsize
 from netdrift.experiment import (
@@ -32,6 +36,7 @@ from netdrift.experiment import (
 )
 from netdrift.problems import LeastSquaresStream, ShiftingConsensus
 from netdrift.records import RunMetadata, TrajectoryRecord, read_record, write_record
+from netdrift.topology import WeightRuleError
 
 
 def uniform_cycle_beta_5() -> float:
@@ -86,24 +91,33 @@ def test_parse_config_applies_defaults():
     assert config.init == "zeros"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "scenario = static\np = 1\nwidget = 3\n",
-        "scenario = IV\np = 1\n",
-        "scenario = static\np = 1\ntail_fraction = 0.7\n",
-        "scenario = static\np = 1\ntail_fraction = 0\n",
-        "scenario = static\np = 1\nhorizon = 9\n",
-        "scenario = static\np = 1\nstepsizes = 0.1, 0.01\n",
-        "scenario = static\np = 1\nstepsizes = -0.1, 0.01\n",
-        "scenario = static\np = 1\nalgorithms = sneaky\n",
-        "scenario = static\np = 1\ninit = warm\n",
-        "scenario = I\nhorizon = 50\n",
-    ],
-)
-def test_parse_config_rejects_invalid(text):
-    with pytest.raises(ConfigError):
+# (config text, pinned message or None)
+REJECTED_CONFIGS = [
+    ("scenario = static\np = 1\nwidget = 3\n", None),
+    ("scenario = IV\np = 1\n", None),
+    ("scenario = static\np = 1\ntail_fraction = 0.7\n", None),
+    ("scenario = static\np = 1\ntail_fraction = 0\n", None),
+    ("scenario = static\np = 1\nhorizon = 9\n", None),
+    ("scenario = static\np = 1\nstepsizes = 0.1, 0.01\n", None),
+    ("scenario = static\np = 1\nstepsizes = -0.1, 0.01\n", None),
+    ("scenario = static\np = 1\nalgorithms = sneaky\n", None),
+    ("scenario = static\np = 1\ninit = warm\n", None),
+    ("scenario = I\nhorizon = 50\n", None),
+    ("scenario = I\nn = 2\n", "n must be at least 3 for a cycle topology, got 2"),
+    ("scenario = I\nn = 1\ntopology = line\n", "n must be at least 2 for a line topology, got 1"),
+    ("scenario = I\nn = 1\ntopology = random\nedge_probability = 0.5\n",
+     "n must be at least 2 for a random topology, got 1"),
+    ("scenario = I\nn = 5\nrows_per_agent = 0\n", "rows_per_agent must be at least 1, got 0"),
+    ("scenario = static\np = 1\nrows_per_agent = -2\n", "rows_per_agent must be at least 1, got -2"),
+]
+
+
+@pytest.mark.parametrize("text, message", REJECTED_CONFIGS, ids=[text for text, _ in REJECTED_CONFIGS])
+def test_parse_config_rejects_invalid(text, message):
+    with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
+    if message is not None:
+        assert str(excinfo.value) == message
 
 
 def test_builders_resolve_scenarios():
@@ -130,6 +144,35 @@ def test_build_network_matches_scenario_size():
     mismatch = parse_config("scenario = II\np = 2\nhorizon = 40\ntopology = grid\nrows = 2\ncols = 2\n")
     with pytest.raises(ConfigError):
         build_network(mismatch)
+
+
+def test_cycle_network_imports_neither_sparse_linalg_nor_csgraph():
+    # A cycle's beta is closed form. Importing scipy.sparse.linalg or
+    # scipy.sparse.csgraph adds about 10 MB of resident memory to a run.
+    code = (
+        "import sys\n"
+        "from netdrift.experiment import build_network, parse_config\n"
+        "build_network(parse_config('scenario = I\\ntopology = cycle\\nn = 100\\n'))\n"
+        "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])\n"
+    )
+    src = str(Path(netdrift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_build_network_names_weight_rule():
+    config = parse_config("scenario = I\nn = 4\nhorizon = 40\ntopology = line\n")
+    with pytest.raises(ConfigError) as excinfo:
+        build_network(config)
+    assert str(excinfo.value) == (
+        "weight_rule 'uniform' does not apply to a line network: uniform neighbor weights need a "
+        "regular graph; use metropolis_weights for irregular graphs"
+    )
+    assert isinstance(excinfo.value.__cause__, WeightRuleError)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +252,12 @@ def _static_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def _tune(config, algorithm):
+    """tune_stepsize on the objective and network the config builds."""
+    _, wm = build_network(config)
+    return tune_stepsize(config, algorithm, build_objective(config), wm)
+
+
 def test_select_best_tie_breaks_toward_larger_stepsize():
     assert select_best((0.1, 0.5, 1.0), (3.0, 1.0, 1.0)) == 1.0
     assert select_best((0.1, 0.5, 1.0), (1.0, 2.0, math.inf)) == 0.1
@@ -218,7 +267,7 @@ def test_select_best_tie_breaks_toward_larger_stepsize():
 
 def test_tune_single_element_grid():
     config = _static_config(stepsizes=(0.05,))
-    alpha, record = tune_stepsize(config, "dgt")
+    alpha, record = _tune(config, "dgt")
     assert alpha == 0.05
     assert record.metadata.alpha == 0.05
 
@@ -227,21 +276,21 @@ def test_tune_picks_fastest_contraction_in_transient_regime():
     # none of these step sizes reaches the convergence floor within the
     # horizon, so the tail mean decreases monotonically with the step size
     config = _static_config(stepsizes=(0.002, 0.005, 0.01))
-    alpha, record = tune_stepsize(config, "dgt")
+    alpha, record = _tune(config, "dgt")
     assert alpha == 0.01
     assert steady_state_error(record, config.tail_fraction) < 1e-2
 
 
 def test_tune_scores_divergent_runs_as_infinite():
     config = _static_config(stepsizes=(0.05, 5.0))
-    alpha, _ = tune_stepsize(config, "diffusion")
+    alpha, _ = _tune(config, "diffusion")
     assert alpha == 0.05
 
 
 def test_tune_raises_when_every_stepsize_diverges():
     config = _static_config(stepsizes=(5.0, 8.0))
     with pytest.raises(TuningError, match="5.0"):
-        tune_stepsize(config, "diffusion")
+        _tune(config, "diffusion")
 
 
 # ---------------------------------------------------------------------------

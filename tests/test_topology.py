@@ -7,6 +7,7 @@ from scipy.sparse.linalg import eigsh
 
 from netdrift.topology import (
     ConstructionError,
+    Graph,
     InvalidSizeError,
     WeightRuleError,
     _validate_doubly_stochastic,
@@ -36,20 +37,31 @@ def eig_beta(w) -> float:
     return float(mags[-2])
 
 
+def edges(g) -> list[tuple[int, int]]:
+    # Each undirected edge once, as (i, j) with i < j, read off the adjacency's upper triangle.
+    upper = sparse.triu(g.adjacency, 1).tocoo()
+    return sorted(zip(upper.row.tolist(), upper.col.tolist()))
+
+
+def neighbor_counts(g) -> list[int]:
+    # |N_i| per agent, agent i included: the stored entries of adjacency row i.
+    return np.diff(g.adjacency.indptr).tolist()
+
+
 def dense_metropolis(g) -> sparse.csr_matrix:
     # The former dense construction: edge loop, diagonal from dense row sums, then CSR.
     entries = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        deg_i, deg_j = len(g.neighbor_sets[i]) - 1, len(g.neighbor_sets[j]) - 1
-        entries[i, j] = entries[j, i] = 1.0 / (1.0 + max(deg_i, deg_j))
+    deg = [count - 1 for count in neighbor_counts(g)]
+    for i, j in edges(g):
+        entries[i, j] = entries[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(entries, 1.0 - entries.sum(axis=1))
     return sparse.csr_matrix(entries)
 
 
 def dense_uniform(g) -> sparse.csr_matrix:
     entries = np.zeros((g.n, g.n))
-    for i, nbrs in enumerate(g.neighbor_sets):
-        entries[i, list(nbrs)] = 1.0 / len(nbrs)
+    for i, count in enumerate(neighbor_counts(g)):
+        entries[i, g.adjacency[i].indices] = 1.0 / count
     return sparse.csr_matrix(entries)
 
 
@@ -67,9 +79,9 @@ def assert_same_csr(a: sparse.csr_matrix, b: sparse.csr_matrix) -> None:
 def test_build_cycle_neighbor_counts(n):
     g = build_cycle(n)
     assert g.n == n
-    assert len(g.edges) == n
-    assert all(len(nbrs) == 3 for nbrs in g.neighbor_sets)
-    assert all(i in g.neighbor_sets[i] for i in range(n))
+    assert len(edges(g)) == n
+    assert neighbor_counts(g) == [3] * n
+    assert (g.adjacency.diagonal() != 0).all()
     assert is_connected(g)
 
 
@@ -81,25 +93,69 @@ def test_build_cycle_rejects_small(n):
 
 def test_build_line_endpoints():
     g = build_line(4)
-    assert len(g.neighbor_sets[0]) == 2
-    assert len(g.neighbor_sets[3]) == 2
-    assert len(g.neighbor_sets[1]) == 3
+    assert neighbor_counts(g) == [2, 3, 3, 2]
+    assert edges(g) == [(0, 1), (1, 2), (2, 3)]
     assert is_connected(g)
 
 
 def test_build_grid_corner_degrees():
     g = build_grid(3, 3)
     assert g.n == 9
-    corners = [0, 2, 6, 8]
-    assert all(len(g.neighbor_sets[c]) == 3 for c in corners)
-    assert len(g.neighbor_sets[4]) == 5
+    assert neighbor_counts(g) == [3, 4, 3, 4, 5, 4, 3, 4, 3]
+    assert edges(g) == [
+        (0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 6), (4, 5), (4, 7), (5, 8), (6, 7), (7, 8),
+    ]
     assert is_connected(g)
 
 
 def test_build_complete_all_pairs():
     g = build_complete(4)
-    assert len(g.edges) == 6
-    assert all(len(nbrs) == 4 for nbrs in g.neighbor_sets)
+    assert len(edges(g)) == 6
+    assert neighbor_counts(g) == [4] * 4
+
+
+def test_build_complete_stores_every_pair():
+    # n^2 stored entries: every ordered pair plus the n self-loops.
+    assert build_complete(1000).adjacency.nnz == 1000**2
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_cycle(7), build_line(6), build_grid(4, 5), build_complete(5), build_random(30, 0.2, seed=1)],
+    ids=["cycle", "line", "grid", "complete", "random"],
+)
+def test_adjacency_is_symmetric_sorted_with_self_loops(g):
+    adj = g.adjacency
+    assert isinstance(adj, sparse.csr_matrix) and adj.has_sorted_indices
+    assert (adj != adj.T).nnz == 0
+    assert (adj.diagonal() != 0).all()
+    assert adj.nnz == g.n + 2 * len(edges(g))
+
+
+@pytest.mark.parametrize(
+    "g, pairs",
+    [
+        (build_cycle(7), {(min(i, (i + 1) % 7), max(i, (i + 1) % 7)) for i in range(7)}),
+        (build_line(6), {(i, i + 1) for i in range(5)}),
+        (
+            build_grid(3, 5),
+            {(r * 5 + c, r * 5 + c + 1) for r in range(3) for c in range(4)}
+            | {(r * 5 + c, (r + 1) * 5 + c) for r in range(2) for c in range(5)},
+        ),
+        (build_complete(6), {(i, j) for i in range(6) for j in range(i + 1, 6)}),
+    ],
+    ids=["cycle", "line", "grid", "complete"],
+)
+def test_builder_edges_match_pair_loops(g, pairs):
+    # Reference: the pair-set loops the builders used before they made index arrays.
+    assert edges(g) == sorted(pairs)
+
+
+def test_graph_rejects_missing_self_loop():
+    adjacency = sparse.csr_matrix(np.array([[1, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool))
+    with pytest.raises(ValueError) as excinfo:
+        Graph(adjacency)
+    assert str(excinfo.value) == "agent 2 missing from its own neighbor set"
 
 
 @pytest.mark.parametrize("build, args", [(build_line, (1,)), (build_grid, (0, 3)), (build_complete, (1,)), (build_grid, (1, 1))])
@@ -110,25 +166,24 @@ def test_degenerate_sizes_rejected(build, args):
 
 def test_build_random_full_probability_is_complete():
     g = build_random(10, 1.0, seed=3)
-    assert g.edges == build_complete(10).edges
+    assert edges(g) == edges(build_complete(10))
 
 
 def test_build_random_deterministic():
     a = build_random(40, 0.2, seed=11)
     b = build_random(40, 0.2, seed=11)
-    assert a.edges == b.edges
+    assert edges(a) == edges(b)
 
 
 def test_build_random_pinned_edges():
     # Pinned from the pair-list implementation: one uniform draw per pair
     # (i, j), i < j, in row-major order decides whether the edge is kept.
     g = build_random(12, 0.3, seed=5)
-    assert sorted(g.edges) == [
+    assert edges(g) == [
         (0, 3), (0, 4), (0, 5), (0, 7), (0, 10), (1, 4), (1, 5), (1, 9), (2, 3), (2, 4),
         (2, 7), (2, 8), (3, 8), (3, 10), (4, 9), (4, 10), (5, 6), (5, 8), (6, 9), (6, 11),
         (7, 8), (10, 11),
     ]
-    assert all(type(i) is int for edge in g.edges for i in edge)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -211,7 +266,7 @@ def test_weight_support_matches_neighbor_sets():
     wm = metropolis_weights(g)
     for i in range(g.n):
         support = set(np.nonzero(wm.csr.toarray()[i])[0])
-        assert support <= set(g.neighbor_sets[i])
+        assert support <= set(g.adjacency[i].indices.tolist())
 
 
 @pytest.mark.parametrize(
@@ -267,6 +322,17 @@ def test_metropolis_csr_is_bitwise_the_dense_construction(graph):
 def test_uniform_csr_is_bitwise_the_dense_construction(n):
     g = build_cycle(n)
     assert_same_csr(uniform_neighbor_weights(g).csr, dense_uniform(g))
+
+
+@pytest.mark.parametrize("rule", [uniform_neighbor_weights, metropolis_weights])
+def test_weights_leave_the_graph_pattern_untouched(rule):
+    # Validation edits W's arrays in place, so W must not share them with the graph.
+    g = build_complete(6)
+    before = g.adjacency.copy()
+    wm = rule(g)
+    assert not np.shares_memory(wm.csr.indices, g.adjacency.indices)
+    assert not np.shares_memory(wm.csr.indptr, g.adjacency.indptr)
+    assert_same_csr(g.adjacency, before)
 
 
 def test_weight_construction_deterministic():
