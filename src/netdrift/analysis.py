@@ -131,11 +131,7 @@ def max_stepsize(algorithm: str, mu: float, lipschitz: float, beta: float) -> fl
     if algorithm == "diffusion":
         return mu * gap / (10 * lipschitz**2)
     if algorithm == "dgt":
-        return min(
-            3 * gap**2 / (80 * lipschitz),
-            gap / (2 * mu),
-            gap**2 * mu / (768 * lipschitz**2),
-        )
+        return gap**2 * mu / (768 * lipschitz**2)
     raise ValueError(f"no step-size certificate for algorithm {algorithm!r}")
 
 
@@ -164,7 +160,6 @@ def diffusion_bound(
     grad_bound: float,
 ) -> float:
     """Steady-state tracking-error bound for diffusion, per-agent scale."""
-    _validate_constants(mu, lipschitz, beta)
     _validate_stepsize(
         alpha, max_stepsize("diffusion", mu, lipschitz, beta), "mu(1 - beta)/(10 L^2)"
     )
@@ -183,11 +178,10 @@ def dgt_bound(
     grad_drift: float,
 ) -> float:
     """Steady-state tracking-error bound for gradient tracking, per-agent scale."""
-    _validate_constants(mu, lipschitz, beta)
-    gap = 1 - beta
     _validate_stepsize(
-        alpha, gap**2 * mu / (768 * lipschitz**2), "(1 - beta)^2 mu/(768 L^2)"
+        alpha, max_stepsize("dgt", mu, lipschitz, beta), "(1 - beta)^2 mu/(768 L^2)"
     )
+    gap = 1 - beta
     return (4 / (alpha * mu) + 40 * beta * lipschitz / (gap**2 * mu)) * delta_x + (
         16 * alpha * beta * lipschitz / (gap**2 * mu)
     ) * grad_drift
@@ -224,8 +218,13 @@ class AuditReport:
     algorithm: str
     entries: tuple[AuditEntry, ...]
 
+    def worst(self) -> AuditEntry | None:
+        """The enforced entry with the largest positive excess, or None if all hold; nan counts as positive."""
+        offenders = [e for e in self.entries if e.enforced and not e.max_violation <= 0]
+        return max(offenders, key=lambda e: e.max_violation, default=None)
+
     def clean(self) -> bool:
-        return all(e.max_violation <= 0 for e in self.entries if e.enforced)
+        return self.worst() is None
 
     def to_text(self) -> str:
         lines = [
@@ -298,12 +297,10 @@ def audit_recursions(
     rhs = model.A @ series[:, :-1] + model.b[:, None]
     entries = tuple(_violation_entry(name, lhs[i], rhs[i]) for i, name in enumerate(names))
     report = AuditReport(algorithm=algorithm, entries=entries)
-    if strict:
-        offenders = [e for e in report.entries if e.enforced and e.max_violation > 0]
-        if offenders:
-            worst = max(offenders, key=lambda e: e.max_violation)
-            raise AuditViolation(
-                f"{worst.name} inequality violated at iteration "
-                f"{worst.worst_iteration} by {worst.max_violation:.3e}"
-            )
+    worst = report.worst()
+    if strict and worst is not None:
+        raise AuditViolation(
+            f"{worst.name} inequality violated at iteration "
+            f"{worst.worst_iteration} by {worst.max_violation:.3e}"
+        )
     return report

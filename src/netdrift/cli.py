@@ -80,12 +80,9 @@ def _cmd_audit(args) -> int:
         print(f"audit not applicable to this record: {exc}", file=sys.stderr)
         return 2
     print(report.to_text())
-    if report.clean():
+    worst = report.worst()
+    if worst is None:
         return 0
-    worst = max(
-        (e for e in report.entries if e.enforced and e.max_violation > 0),
-        key=lambda e: e.max_violation,
-    )
     print(
         f"audit violated: {worst.name} at iteration {worst.worst_iteration}",
         file=sys.stderr,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .analysis import RegimeError, steady_state_bound
 from .problems import DriftProfile, drift_profile, least_squares_stream, shifting_consensus
 from .records import TrajectoryRecord, read_record, write_record
 from .topology import (
+    ConstructionError,
     Graph,
     WeightMatrix,
     WeightRuleError,
@@ -129,6 +130,10 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ConfigError(f"unknown algorithms {unknown}; expected among {ALGORITHMS}")
+        if self.edge_probability is not None and not 0 < self.edge_probability <= 1:
+            raise ConfigError(f"edge_probability must lie in (0, 1], got {self.edge_probability}")
+        if self.target_beta is not None and not 0 < self.target_beta < 1:
+            raise ConfigError(f"target_beta must lie in (0, 1), got {self.target_beta}")
         if self.rows_per_agent < 1:
             raise ConfigError(f"rows_per_agent must be at least 1, got {self.rows_per_agent}")
         if self.scenario == "I":
@@ -158,8 +163,6 @@ class ExperimentConfig:
 
 _INT_KEYS = {"n", "rows", "cols", "horizon", "seed", "p", "shift", "grid_points", "rows_per_agent"}
 _FLOAT_KEYS = {"edge_probability", "target_beta", "spacing_m", "tail_fraction"}
-_STR_KEYS = {"scenario", "topology", "weight_rule", "output_dir", "init"}
-_LIST_KEYS = {"stepsizes", "algorithms"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -204,11 +207,19 @@ def build_network(config: ExperimentConfig) -> tuple[Graph, WeightMatrix]:
     size = config.network_size
     if config.topology == "random":
         if config.target_beta is not None:
-            _, graph, wm = calibrate_beta(size, config.target_beta, config.seed)
+            try:
+                _, graph, wm = calibrate_beta(size, config.target_beta, config.seed)
+            except ValueError as exc:
+                message = f"target_beta {config.target_beta} is out of reach for {size} agents: {exc}"
+                raise ConfigError(message) from exc
             return graph, wm
         if config.edge_probability is None:
             raise ConfigError("random topology needs edge_probability or target_beta")
-        graph = build_random(size, config.edge_probability, config.seed)
+        try:
+            graph = build_random(size, config.edge_probability, config.seed)
+        except ConstructionError as exc:
+            message = f"edge_probability {config.edge_probability} is too small for {size} agents: {exc}"
+            raise ConfigError(message) from exc
     elif config.topology == "cycle":
         graph = build_cycle(size)
     elif config.topology == "line":
@@ -337,7 +348,6 @@ class SummaryRow:
 class SuiteResult:
     directory: Path
     rows: tuple[SummaryRow, ...]
-    records: dict = field(default_factory=dict)
 
 
 def resolve_output_dir(config: ExperimentConfig) -> Path:
@@ -362,7 +372,6 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     drift = drift_profile(objective)
 
     rows = []
-    records = {}
     for algorithm in config.algorithms:
         alpha, record = tune_stepsize(config, algorithm, objective, wm)
         error = steady_state_error(record, config.tail_fraction)
@@ -385,7 +394,6 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
         )
         record = replace(record, metadata=meta)
         write_record(record, directory / f"{algorithm}.csv")
-        records[algorithm] = record
         rows.append(
             SummaryRow(
                 algorithm=algorithm,
@@ -398,7 +406,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
         )
 
     _write_summary(rows, directory / "summary.csv")
-    return SuiteResult(directory=directory, rows=tuple(rows), records=records)
+    return SuiteResult(directory=directory, rows=tuple(rows))
 
 
 def _write_summary(rows, path: Path) -> None:

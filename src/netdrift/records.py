@@ -3,14 +3,15 @@
 A record captures everything needed to audit a finished run from disk: the
 CSV holds the per-iteration series (header `k,tracking_error,consensus_dev,
 avg_error,y_dev`), and a JSON sidecar next to it holds the metadata (the
-constants of the problem and network, the step size, and the seed).
+constants of the problem and network, the step size, and the seed). Records
+move column by column: each series is formatted once and written in one
+``writerows`` call, and a record is read back in one numpy parse.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 CSV_HEADER = ["k", "tracking_error", "consensus_dev", "avg_error", "y_dev"]
+_ROW = np.dtype([("k", np.int64)] + [(name, np.float64) for name in CSV_HEADER[1:]])
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,8 @@ class TrajectoryRecord:
     tracker_identity_max: float | None = None
 
     def __post_init__(self):
-        length = len(self.iterations)
-        for series in (self.tracking_error, self.consensus_dev, self.avg_error):
-            if len(series) != length:
-                raise ValueError("record series lengths disagree")
-        if self.y_dev is not None and len(self.y_dev) != length:
+        series = (self.tracking_error, self.consensus_dev, self.avg_error, self.y_dev)
+        if any(s is not None and len(s) != len(self.iterations) for s in series):
             raise ValueError("record series lengths disagree")
 
     def __len__(self) -> int:
@@ -82,20 +81,14 @@ def write_record(record: TrajectoryRecord, csv_path: Path) -> None:
     """Persist the CSV series and the JSON metadata sidecar."""
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
+    # tolist() gives Python floats, so each value is written as repr(float(x)).
+    floats = (record.tracking_error, record.consensus_dev, record.avg_error)
+    y_dev = [""] * len(record) if record.y_dev is None else map(repr, record.y_dev.tolist())
+    columns = (record.iterations.tolist(), *(map(repr, s.tolist()) for s in floats), y_dev)
     with open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        for idx in range(len(record)):
-            y_val = "" if record.y_dev is None else repr(float(record.y_dev[idx]))
-            writer.writerow(
-                [
-                    int(record.iterations[idx]),
-                    repr(float(record.tracking_error[idx])),
-                    repr(float(record.consensus_dev[idx])),
-                    repr(float(record.avg_error[idx])),
-                    y_val,
-                ]
-            )
+        writer.writerows(zip(*columns))
     payload = {
         "metadata": asdict(record.metadata),
         "tracker_identity_max": record.tracker_identity_max,
@@ -104,29 +97,27 @@ def write_record(record: TrajectoryRecord, csv_path: Path) -> None:
 
 
 def read_record(csv_path: Path) -> TrajectoryRecord:
-    """Load a record written by :func:`write_record`."""
+    """Load a record written by :func:`write_record`, parsing its rows in one ``np.loadtxt``."""
     csv_path = Path(csv_path)
-    iterations: list[int] = []
-    columns: dict[str, list[float]] = {name: [] for name in CSV_HEADER[1:]}
     with open(csv_path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
+        header = next(csv.reader(handle), [])
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
-        for row in reader:
-            iterations.append(int(row[0]))
-            for name, value in zip(CSV_HEADER[1:], row[1:]):
-                columns[name].append(float(value) if value != "" else math.nan)
+        # A non-integer k, a non-numeric value or a ragged row raises ValueError.
+        empty_as_nan = {4: lambda value: float(value) if value else np.nan}
+        table = np.loadtxt(
+            handle, dtype=_ROW, delimiter=",", comments=None, ndmin=1, converters=empty_as_nan
+        )
+    # Structured fields are strided views; contiguous copies make every later
+    # reduction sum in the order it does on the arrays that were written.
+    k, tracking, consensus, avg, y_dev = (np.ascontiguousarray(table[c]) for c in CSV_HEADER)
     payload = json.loads(sidecar_path(csv_path).read_text())
-    meta = RunMetadata(**payload["metadata"])
-    y_raw = np.array(columns["y_dev"])
-    y_dev = None if np.isnan(y_raw).all() else y_raw
     return TrajectoryRecord(
-        metadata=meta,
-        iterations=np.array(iterations, dtype=np.int64),
-        tracking_error=np.array(columns["tracking_error"]),
-        consensus_dev=np.array(columns["consensus_dev"]),
-        avg_error=np.array(columns["avg_error"]),
-        y_dev=y_dev,
+        metadata=RunMetadata(**payload["metadata"]),
+        iterations=k,
+        tracking_error=tracking,
+        consensus_dev=consensus,
+        avg_error=avg,
+        y_dev=None if np.isnan(y_dev).all() else y_dev,
         tracker_identity_max=payload.get("tracker_identity_max"),
     )

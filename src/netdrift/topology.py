@@ -125,11 +125,15 @@ def build_random(n: int, edge_probability: float, seed: int, max_retries: int = 
         raise InvalidSizeError(f"a random graph needs at least 2 agents, got {n}")
     if not 0.0 < edge_probability <= 1.0:
         raise ValueError(f"edge probability must lie in (0, 1], got {edge_probability}")
-    rows, cols = np.triu_indices(n, 1)
+    # Pair q is the q-th (i, j), i < j, in row-major order; row i starts at
+    # pair i(2n-i-1)/2. Only the kept pairs are mapped back to (i, j).
+    i = np.arange(n)
+    starts = i * (2 * n - i - 1) // 2
     for child in np.random.SeedSequence(seed).spawn(max_retries):
         rng = np.random.default_rng(child)
-        mask = rng.random(rows.size) < edge_probability
-        g = _graph(n, rows[mask], cols[mask], kind="random")
+        kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < edge_probability)
+        heads = np.searchsorted(starts, kept, side="right") - 1
+        g = _graph(n, heads, kept - starts[heads] + heads + 1, kind="random")
         if is_connected(g):
             return g
     message = f"no connected graph with n={n}, p={edge_probability} in {max_retries} attempts"
@@ -228,9 +232,9 @@ def spectral_gap(w: sparse.spmatrix | NDArray[np.float64]) -> float:
     mat = sparse.csr_matrix(w)
     deflated = LinearOperator(mat.shape, matvec=lambda v: mat @ v - v.mean(), dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(mat.shape[0])
-    # ARPACK cannot start from a vector the operator annihilates; that
-    # happens for the averaging matrix, whose beta is zero.
-    if not deflated.matvec(v0).any():
+    # W equal to the averaging matrix up to rounding has beta zero. ARPACK
+    # would return process-dependent noise there, or fail if Wv0 = mean(v0).
+    if np.linalg.norm(deflated.matvec(v0)) <= mat.shape[0] * np.finfo(float).eps * np.linalg.norm(v0):
         return 0.0
     (lam,) = eigsh(deflated, k=1, which="LM", v0=v0, return_eigenvectors=False)
     return float(abs(lam))

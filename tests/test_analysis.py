@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdrift.analysis import (
+    AuditEntry,
+    AuditReport,
     AuditViolation,
     RegimeError,
     audit_recursions,
@@ -200,7 +202,8 @@ def test_max_stepsize_reference_values():
 
 @pytest.mark.parametrize("mu,L,beta", GRID)
 def test_dgt_max_stepsize_is_the_curvature_term(mu, L, beta):
-    # with mu <= L the third term of the minimum is always active
+    # 3(1-beta)^2/(80L) and (1-beta)/(2mu), the other two terms of the paper's
+    # minimum, exceed this one whenever 0 < mu <= L
     assert max_stepsize("dgt", mu, L, beta) == (1 - beta) ** 2 * mu / (768 * L**2)
 
 
@@ -347,6 +350,24 @@ def test_audit_flags_planted_jump():
     flagged = {e.name: e for e in report.entries}["avg_error_step"]
     assert flagged.max_violation > 0
     assert flagged.worst_iteration == 1
+
+
+def test_audit_report_worst_is_the_largest_enforced_excess():
+    entries = (
+        AuditEntry("small", 0.5, 3),
+        AuditEntry("large", 2.0, 7),
+        AuditEntry("unenforced", 9.0, 1, enforced=False),
+        AuditEntry("holds", -1.0, 2),
+    )
+    report = AuditReport("diffusion", entries)
+    assert report.worst() is entries[1]
+    assert not report.clean()
+    holding = AuditReport("diffusion", entries[2:])
+    assert holding.worst() is None
+    assert holding.clean()
+    undecided = AuditReport("diffusion", (AuditEntry("nan", math.nan, 1),) + entries[2:])
+    assert undecided.worst() is undecided.entries[0]
+    assert not undecided.clean()
 
 
 def test_audit_accepts_drift_slack():

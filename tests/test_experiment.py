@@ -36,7 +36,7 @@ from netdrift.experiment import (
 )
 from netdrift.problems import LeastSquaresStream, ShiftingConsensus
 from netdrift.records import RunMetadata, TrajectoryRecord, read_record, write_record
-from netdrift.topology import WeightRuleError
+from netdrift.topology import ConstructionError, WeightRuleError
 
 
 def uniform_cycle_beta_5() -> float:
@@ -109,6 +109,14 @@ REJECTED_CONFIGS = [
      "n must be at least 2 for a random topology, got 1"),
     ("scenario = I\nn = 5\nrows_per_agent = 0\n", "rows_per_agent must be at least 1, got 0"),
     ("scenario = static\np = 1\nrows_per_agent = -2\n", "rows_per_agent must be at least 1, got -2"),
+    ("scenario = II\np = 1\ntopology = random\nedge_probability = 1.5\n",
+     "edge_probability must lie in (0, 1], got 1.5"),
+    ("scenario = II\np = 1\ntopology = random\nedge_probability = 0\n",
+     "edge_probability must lie in (0, 1], got 0.0"),
+    ("scenario = II\np = 1\ntopology = random\ntarget_beta = 1\n",
+     "target_beta must lie in (0, 1), got 1.0"),
+    ("scenario = II\np = 1\ntopology = random\ntarget_beta = -0.2\n",
+     "target_beta must lie in (0, 1), got -0.2"),
 ]
 
 
@@ -173,6 +181,29 @@ def test_build_network_names_weight_rule():
         "regular graph; use metropolis_weights for irregular graphs"
     )
     assert isinstance(excinfo.value.__cause__, WeightRuleError)
+
+
+def test_build_network_names_edge_probability():
+    config = parse_config("scenario = II\np = 1\ntopology = random\nedge_probability = 1e-9\n")
+    with pytest.raises(ConfigError) as excinfo:
+        build_network(config)
+    assert str(excinfo.value) == (
+        "edge_probability 1e-09 is too small for 3 agents: no connected graph with n=3, "
+        "p=1e-09 in 50 attempts"
+    )
+    assert isinstance(excinfo.value.__cause__, ConstructionError)
+
+
+def test_build_network_names_target_beta():
+    # Three agents offer beta 2/3 (a line) or 0 (complete), nothing near 0.89.
+    config = parse_config("scenario = II\np = 1\ntopology = random\ntarget_beta = 0.89\n")
+    with pytest.raises(ConfigError) as excinfo:
+        build_network(config)
+    assert str(excinfo.value) == (
+        "target_beta 0.89 is out of reach for 3 agents: calibration missed target beta 0.89 "
+        "(closest 0.6667 at p=0.4394)"
+    )
+    assert type(excinfo.value.__cause__) is ValueError
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,121 @@
+"""Tests for the trajectory record CSV format.
+
+Oracle: the per-row writer and reader that records.py used before it moved
+records column by column, copied here. The column-wise code must write the
+same bytes and read back the same arrays.
+"""
+
+import csv
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from netdrift.algorithms import run
+from netdrift.problems import shifting_consensus
+from netdrift.records import CSV_HEADER, read_record, write_record
+from netdrift.topology import build_cycle, uniform_neighbor_weights
+
+SERIES = ("iterations", "tracking_error", "consensus_dev", "avg_error", "y_dev")
+
+
+def per_row_write(record, csv_path):
+    with open(csv_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_HEADER)
+        for idx in range(len(record)):
+            y_val = "" if record.y_dev is None else repr(float(record.y_dev[idx]))
+            writer.writerow(
+                [
+                    int(record.iterations[idx]),
+                    repr(float(record.tracking_error[idx])),
+                    repr(float(record.consensus_dev[idx])),
+                    repr(float(record.avg_error[idx])),
+                    y_val,
+                ]
+            )
+
+
+def per_row_read(csv_path):
+    iterations = []
+    columns = {name: [] for name in CSV_HEADER[1:]}
+    with open(csv_path, newline="") as handle:
+        reader = csv.reader(handle)
+        assert next(reader) == CSV_HEADER
+        for row in reader:
+            iterations.append(int(row[0]))
+            for name, value in zip(CSV_HEADER[1:], row[1:]):
+                columns[name].append(float(value) if value != "" else math.nan)
+    y_raw = np.array(columns["y_dev"])
+    return {
+        "iterations": np.array(iterations, dtype=np.int64),
+        "tracking_error": np.array(columns["tracking_error"]),
+        "consensus_dev": np.array(columns["consensus_dev"]),
+        "avg_error": np.array(columns["avg_error"]),
+        "y_dev": None if np.isnan(y_raw).all() else y_raw,
+    }
+
+
+def _record(algorithm, alpha, horizon):
+    sc = shifting_consensus(p=2, spacing_m=1.0, shift=1, horizon=max(horizon, 1))
+    return run(algorithm, sc, uniform_neighbor_weights(build_cycle(5)), alpha=alpha, horizon=horizon)
+
+
+RECORDS = {
+    "no_tracker": lambda: _record("diffusion", 0.1, 40),
+    "tracker": lambda: _record("dgt", 0.1, 40),
+    "diverged": lambda: _record("dgt", 50.0, 400),
+    "one_row": lambda: _record("dgt", 0.1, 0),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_column_writer_and_reader_match_the_per_row_oracle(name, tmp_path):
+    record = RECORDS[name]()
+    if name == "diverged":
+        values = np.concatenate([record.tracking_error, record.y_dev])
+        assert np.isnan(values).any() and np.isinf(values).any()
+    path, oracle_path = tmp_path / "run.csv", tmp_path / "oracle.csv"
+    write_record(record, path)
+    per_row_write(record, oracle_path)
+    assert path.read_bytes() == oracle_path.read_bytes()
+
+    loaded, expected = read_record(path), per_row_read(path)
+    assert (loaded.y_dev is None) == (name == "no_tracker")
+    for series in SERIES:
+        got, want = getattr(loaded, series), expected[series]
+        if want is None:
+            assert got is None
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape, series
+        assert got.tobytes() == want.tobytes(), series
+        assert got.flags.c_contiguous, series
+    assert loaded.metadata == record.metadata
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        (0, lambda fields: fields[:-1], "unexpected CSV header"),
+        (1, lambda fields: ["1.5"] + fields[1:], None),
+        (2, lambda fields: fields[:-1], None),
+        (2, lambda fields: fields[:2] + ["abc"] + fields[3:], None),
+    ],
+    ids=["wrong_header", "fractional_k", "ragged_row", "non_numeric"],
+)
+def test_read_record_rejects_malformed_csv(line, edit, message, tmp_path):
+    path = tmp_path / "run.csv"
+    write_record(_record("dgt", 0.1, 5), path)
+    lines = path.read_text().splitlines()
+    lines[line] = ",".join(edit(lines[line].split(",")))
+    path.write_text("\r\n".join(lines) + "\r\n")
+    with pytest.raises(ValueError, match=message):
+        read_record(path)
+
+
+@pytest.mark.parametrize("short", ["tracking_error", "y_dev"])
+def test_record_rejects_series_of_unequal_length(short):
+    record = _record("dgt", 0.1, 5)
+    with pytest.raises(ValueError, match="record series lengths disagree"):
+        replace(record, **{short: getattr(record, short)[:-1]})

@@ -65,6 +65,21 @@ def dense_uniform(g) -> sparse.csr_matrix:
     return sparse.csr_matrix(entries)
 
 
+def triu_random(n: int, p: float, seed: int, max_retries: int = 50) -> sparse.csr_matrix:
+    # Independent oracle: draw over every pair that np.triu_indices(n, 1) lists,
+    # under the same child seeds, and keep the first connected draw.
+    rows, cols = np.triu_indices(n, 1)
+    loops = np.arange(n)
+    for child in np.random.SeedSequence(seed).spawn(max_retries):
+        mask = np.random.default_rng(child).random(rows.size) < p
+        heads = np.concatenate((rows[mask], cols[mask], loops))
+        tails = np.concatenate((cols[mask], rows[mask], loops))
+        adjacency = sparse.csr_matrix((np.ones(heads.size, dtype=bool), (heads, tails)), shape=(n, n))
+        if is_connected(Graph(adjacency)):
+            return adjacency
+    raise AssertionError("oracle found no connected draw")
+
+
 def assert_same_csr(a: sparse.csr_matrix, b: sparse.csr_matrix) -> None:
     for name in ("data", "indices", "indptr"):
         x, y = getattr(a, name), getattr(b, name)
@@ -184,6 +199,15 @@ def test_build_random_pinned_edges():
         (2, 7), (2, 8), (3, 8), (3, 10), (4, 9), (4, 10), (5, 6), (5, 8), (6, 9), (6, 11),
         (7, 8), (10, 11),
     ]
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [(2, 1.0, 0), (9, 0.4, 3), (30, 0.1, 3), (101, 0.05, 2), (400, 0.02, 5)],
+)
+def test_build_random_matches_all_pairs_oracle(n, p, seed):
+    # (30, 0.1, 3) keeps the tenth draw, so the retries are covered too.
+    assert_same_csr(build_random(n, p, seed).adjacency, triu_random(n, p, seed))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -348,6 +372,21 @@ def test_weight_construction_deterministic():
 def test_spectral_gap_averaging_matrix_is_zero():
     n = 7
     assert spectral_gap(np.full((n, n), 1.0 / n)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "wm",
+    [
+        metropolis_weights(build_complete(3)),
+        metropolis_weights(build_complete(200)),
+        uniform_neighbor_weights(build_random(10, 1.0, seed=3)),
+    ],
+    ids=["metropolis_complete3", "metropolis_complete200", "uniform_random10_full"],
+)
+def test_spectral_gap_is_zero_within_rounding_of_the_averaging_matrix(wm):
+    # W equals 11^T/n up to rounding; an eigensolve would return noise near 1e-16.
+    assert wm.beta == 0.0
+    assert spectral_gap(wm.csr) == 0.0
 
 
 def test_spectral_gap_identity_is_one():
