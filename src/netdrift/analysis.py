@@ -2,17 +2,22 @@
 
 The one-step behaviour of each method is summarized by a small nonnegative
 matrix recursion z+ <= A z + b coupling the average-iterate error, the
-consensus deviation, and (for tracking) the tracker deviation, all measured
-as stacked norms. The spectral radius of A certifies geometric decay of the
-transient, and the resolvent (I - A)^{-1} applied to b yields the
-steady-state bounds. ``audit_recursions`` replays the inequalities row by
-row against a recorded trajectory.
+consensus deviation, and (for tracking) the tracker deviation, all per-agent
+norms as the records store them. The spectral radius of A certifies
+geometric decay of the transient, and the resolvent (I - A)^{-1} applied to
+b yields the steady-state bounds.
+
+``_AUDITED`` holds all that differs between the two analysed methods: the
+builder, the bound, the drift constant both take besides delta_x (diffusion
+pays for the size of the optimal gradients, tracking for their drift) and
+the audited rows. ``contraction_model``, ``steady_state_bound`` and
+``audit_recursions``, which replays the rows against a record, read it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,9 +61,10 @@ def _validate_constants(mu: float, lipschitz: float, beta: float) -> None:
 
 
 def _validate_stepsize(alpha: float, limit: float, description: str) -> None:
-    if alpha <= 0:
+    # written as negations so that a nan step size fails both
+    if not alpha > 0:
         raise RegimeError(f"step size must be positive, got {alpha}")
-    if alpha > limit * (1 + _REGIME_RTOL):
+    if not alpha <= limit * (1 + _REGIME_RTOL):
         raise RegimeError(
             f"step size {alpha} exceeds the admissible {description} = {limit}"
         )
@@ -71,9 +77,8 @@ def diffusion_contraction(
     beta: float,
     delta_x: float = 0.0,
     grad_bound: float = 0.0,
-    n: int = 1,
 ) -> ContractionModel:
-    """2x2 recursion for diffusion over [avg_error, consensus_dev] stacked norms."""
+    """2x2 recursion for diffusion over [avg_error, consensus_dev] per-agent norms."""
     _validate_constants(mu, lipschitz, beta)
     _validate_stepsize(alpha, 2 / (mu + lipschitz), "2/(mu + L)")
     contraction = 1 - alpha * mu / 2
@@ -83,11 +88,10 @@ def diffusion_contraction(
             [alpha * beta * lipschitz, beta],
         ]
     )
-    root_n = math.sqrt(n)
     b = np.array(
         [
-            contraction * root_n * delta_x,
-            alpha * beta * lipschitz * root_n * delta_x + alpha * beta * root_n * grad_bound,
+            contraction * delta_x,
+            alpha * beta * lipschitz * delta_x + alpha * beta * grad_bound,
         ]
     )
     return ContractionModel(A=A, b=b, rho=float(np.abs(np.linalg.eigvals(A)).max()))
@@ -100,9 +104,8 @@ def dgt_contraction(
     beta: float,
     delta_x: float = 0.0,
     grad_drift: float = 0.0,
-    n: int = 1,
 ) -> ContractionModel:
-    """3x3 recursion for tracking over [y_dev, consensus_dev, avg_error] stacked norms."""
+    """3x3 recursion for tracking over [y_dev, consensus_dev, avg_error] per-agent norms."""
     _validate_constants(mu, lipschitz, beta)
     _validate_stepsize(alpha, (1 - beta) / (2 * lipschitz), "(1 - beta)/(2L)")
     _validate_stepsize(alpha, 2 / (mu + lipschitz), "2/(mu + L)")
@@ -113,14 +116,7 @@ def dgt_contraction(
             [0.0, alpha * lipschitz, 1 - alpha * mu / 2],
         ]
     )
-    root_n = math.sqrt(n)
-    b = np.array(
-        [
-            lipschitz * root_n * delta_x + root_n * grad_drift,
-            0.0,
-            root_n * delta_x,
-        ]
-    )
+    b = np.array([lipschitz * delta_x + grad_drift, 0.0, delta_x])
     return ContractionModel(A=A, b=b, rho=float(np.abs(np.linalg.eigvals(A)).max()))
 
 
@@ -187,6 +183,41 @@ def dgt_bound(
     ) * grad_drift
 
 
+class _Audited(NamedTuple):
+    contraction: Callable[..., ContractionModel]
+    bound: Callable[..., float]
+    drift: str  # the DriftProfile field both take after delta_x
+    rows: tuple[tuple[str, str], ...]  # (audit row, record series) in state order
+
+
+_AUDITED = {
+    "diffusion": _Audited(diffusion_contraction, diffusion_bound, "grad_bound",
+                          (("avg_error_step", "avg_error"), ("consensus_step", "consensus_dev"))),
+    "dgt": _Audited(dgt_contraction, dgt_bound, "grad_drift",
+                    (("tracker_step", "y_dev"), ("consensus_step", "consensus_dev"),
+                     ("avg_error_step", "avg_error"))),
+}
+
+
+def _audited(algorithm: str, what: str) -> _Audited:
+    if algorithm not in _AUDITED:
+        raise ValueError(f"no {what} for algorithm {algorithm!r}")
+    return _AUDITED[algorithm]
+
+
+def contraction_model(
+    algorithm: str,
+    alpha: float,
+    mu: float,
+    lipschitz: float,
+    beta: float,
+    drift: DriftProfile,
+) -> ContractionModel:
+    """The method's one-step recursion with the measured drift."""
+    entry = _audited(algorithm, "contraction model")
+    return entry.contraction(alpha, mu, lipschitz, beta, drift.delta_x, getattr(drift, entry.drift))
+
+
 def steady_state_bound(
     algorithm: str,
     alpha: float,
@@ -195,12 +226,9 @@ def steady_state_bound(
     beta: float,
     drift: DriftProfile,
 ) -> float:
-    """Dispatch to the method's steady-state bound with the measured drift."""
-    if algorithm == "diffusion":
-        return diffusion_bound(alpha, mu, lipschitz, beta, drift.delta_x, drift.grad_bound)
-    if algorithm == "dgt":
-        return dgt_bound(alpha, mu, lipschitz, beta, drift.delta_x, drift.grad_drift)
-    raise ValueError(f"no steady-state bound for algorithm {algorithm!r}")
+    """The method's steady-state bound with the measured drift."""
+    entry = _audited(algorithm, "steady-state bound")
+    return entry.bound(alpha, mu, lipschitz, beta, drift.delta_x, getattr(drift, entry.drift))
 
 
 @dataclass(frozen=True)
@@ -246,57 +274,31 @@ def _violation_entry(name, lhs, rhs) -> AuditEntry:
 
 
 def audit_recursions(
-    record: TrajectoryRecord,
-    drift: DriftProfile,
-    algorithm: str | None = None,
-    strict: bool = True,
+    record: TrajectoryRecord, drift: DriftProfile, strict: bool = True
 ) -> AuditReport:
-    """Replay the per-step inequalities of the contraction model on a record.
+    """Replay the per-step inequalities of the record's method on its series.
 
-    The recorded series are stacked norms divided by sqrt(n), so the model
-    is built with n=1 and applies to them verbatim.
+    The recorded series are per-agent norms, the scale the contraction
+    models are written in, so the inequalities apply to them verbatim.
     """
     meta = record.metadata
-    algorithm = algorithm if algorithm is not None else meta.algorithm
-    if algorithm not in ("diffusion", "dgt"):
-        raise ValueError(f"no audited recursion for algorithm {algorithm!r}")
+    entry = _audited(meta.algorithm, "audited recursion")
     if len(record) < 2:
         raise ValueError("record too short to audit: need at least one step")
-
-    if algorithm == "diffusion":
-        model = diffusion_contraction(
-            meta.alpha,
-            meta.mu,
-            meta.lipschitz,
-            meta.beta,
-            delta_x=drift.delta_x,
-            grad_bound=drift.grad_bound,
-            n=1,
-        )
-        names = ("avg_error_step", "consensus_step")
-        series = np.vstack([record.avg_error, record.consensus_dev])
-    else:
-        if record.y_dev is None:
-            raise ValueError("tracker series missing: record was not produced by dgt")
-        model = dgt_contraction(
-            meta.alpha,
-            meta.mu,
-            meta.lipschitz,
-            meta.beta,
-            delta_x=drift.delta_x,
-            grad_drift=drift.grad_drift,
-            n=1,
-        )
-        names = ("tracker_step", "consensus_step", "avg_error_step")
-        series = np.vstack([record.y_dev, record.consensus_dev, record.avg_error])
-
+    rows = [getattr(record, series) for _, series in entry.rows]
+    if any(row is None for row in rows):
+        raise ValueError("tracker series missing: record was not produced by dgt")
+    model = contraction_model(meta.algorithm, meta.alpha, meta.mu, meta.lipschitz, meta.beta, drift)
+    series = np.vstack(rows)
     if not np.isfinite(series).all():
         raise ValueError("record contains non-finite values; audit requires finite series")
 
     lhs = series[:, 1:]
     rhs = model.A @ series[:, :-1] + model.b[:, None]
-    entries = tuple(_violation_entry(name, lhs[i], rhs[i]) for i, name in enumerate(names))
-    report = AuditReport(algorithm=algorithm, entries=entries)
+    entries = tuple(
+        _violation_entry(name, lhs[i], rhs[i]) for i, (name, _) in enumerate(entry.rows)
+    )
+    report = AuditReport(algorithm=meta.algorithm, entries=entries)
     worst = report.worst()
     if strict and worst is not None:
         raise AuditViolation(

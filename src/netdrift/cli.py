@@ -10,13 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import (
-    RegimeError,
-    audit_recursions,
-    dgt_contraction,
-    diffusion_contraction,
-    steady_state_bound,
-)
+from .analysis import RegimeError, audit_recursions, contraction_model, steady_state_bound
 from .experiment import audit_record_file, load_config, run_suite
 from .problems import DriftProfile
 
@@ -29,9 +23,6 @@ def _add_run(sub) -> None:
 def _add_audit(sub) -> None:
     p = sub.add_parser("audit", help="replay per-step inequalities on a stored record")
     p.add_argument("--record", required=True, help="path to a trajectory CSV")
-    p.add_argument("--dx", type=float, default=None, help="override per-step optimum drift")
-    p.add_argument("--D", type=float, default=None, help="override gradient dispersion bound")
-    p.add_argument("--dg", type=float, default=None, help="override average gradient drift")
 
 
 def _add_bounds(sub) -> None:
@@ -68,12 +59,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_audit(args) -> int:
     record, drift = audit_record_file(args.record)
-    if any(v is not None for v in (args.dx, args.D, args.dg)):
-        drift = DriftProfile(
-            delta_x=drift.delta_x if args.dx is None else args.dx,
-            grad_bound=drift.grad_bound if args.D is None else args.D,
-            grad_drift=drift.grad_drift if args.dg is None else args.dg,
-        )
     try:
         report = audit_recursions(record, drift, strict=False)
     except RegimeError as exc:
@@ -92,24 +77,15 @@ def _cmd_audit(args) -> int:
 
 def _cmd_bounds(args) -> int:
     drift = DriftProfile(delta_x=args.dx, grad_bound=args.D, grad_drift=args.dg)
-    contractions = {"diffusion": diffusion_contraction, "dgt": dgt_contraction}
-    drift_args = {
-        "diffusion": {"delta_x": args.dx, "grad_bound": args.D},
-        "dgt": {"delta_x": args.dx, "grad_drift": args.dg},
-    }
+    constants = (args.alpha, args.mu, args.lipschitz, args.beta, drift)
     for algorithm in ("diffusion", "dgt"):
         try:
-            model = contractions[algorithm](
-                args.alpha, args.mu, args.lipschitz, args.beta, **drift_args[algorithm]
-            )
-            rho_text = f"rho(A) = {model.rho:.6f}"
+            rho_text = f"rho(A) = {contraction_model(algorithm, *constants).rho:.6f}"
         except RegimeError as exc:
             print(f"{algorithm}: out of regime for the contraction model ({exc})")
             continue
         try:
-            bound = steady_state_bound(
-                algorithm, args.alpha, args.mu, args.lipschitz, args.beta, drift
-            )
+            bound = steady_state_bound(algorithm, *constants)
             print(f"{algorithm}: steady-state bound = {bound:.6g}  {rho_text}")
         except RegimeError as exc:
             print(f"{algorithm}: bound out of regime ({exc})  {rho_text}")

@@ -149,6 +149,10 @@ class ExperimentConfig:
                 raise ConfigError("scenarios II/III/static need p >= 1")
             if self.scenario == "static" and self.shift not in (None, 0):
                 raise ConfigError("the static scenario has shift 0 by definition")
+            if self.shift is not None and self.shift < 0:
+                raise ConfigError(f"shift must be nonnegative, got {self.shift}")
+            if not (math.isfinite(self.spacing_m) and self.spacing_m > 0):
+                raise ConfigError(f"spacing_m must be positive and finite, got {self.spacing_m}")
 
     @property
     def network_size(self) -> int:
@@ -231,7 +235,7 @@ def build_network(config: ExperimentConfig) -> tuple[Graph, WeightMatrix]:
             raise ConfigError("grid topology needs rows and cols")
         if config.rows * config.cols != size:
             raise ConfigError(
-                f"grid {config.rows}x{config.cols} does not hold {size} agents"
+                f"grid rows x cols = {config.rows}x{config.cols} does not hold {size} agents"
             )
         graph = build_grid(config.rows, config.cols)
     rule = uniform_neighbor_weights if config.weight_rule == "uniform" else metropolis_weights
@@ -330,7 +334,11 @@ def tune_stepsize(
             scores.append(steady_state_error(record, config.tail_fraction))
         except DivergenceError:
             scores.append(math.inf)
-    best = select_best(grid, scores)
+    try:
+        best = select_best(grid, scores)
+    except TuningError as exc:
+        key = "stepsizes" if config.stepsizes else "grid_points"
+        raise TuningError(f"{exc}; the grid comes from {key}") from None
     return float(best), records[list(grid).index(best)]
 
 

@@ -19,6 +19,9 @@ from numpy.typing import NDArray
 from scipy import sparse
 
 STOCHASTICITY_TOL = 1e-12
+_RANDOM_ATTEMPTS = 50  # seeds build_random tries before ConstructionError
+_CALIBRATION_TOL = 0.02  # largest |beta - target| calibrate_beta accepts
+_CALIBRATION_STEPS = 40  # most bisection steps calibrate_beta takes
 
 
 class InvalidSizeError(ValueError):
@@ -119,7 +122,7 @@ def build_complete(n: int) -> Graph:
     return _graph(n, *np.triu_indices(n, 1), kind="complete")
 
 
-def build_random(n: int, edge_probability: float, seed: int, max_retries: int = 50) -> Graph:
+def build_random(n: int, edge_probability: float, seed: int) -> Graph:
     """Erdos-Renyi style graph, retried under derived seeds until connected."""
     if n < 2:
         raise InvalidSizeError(f"a random graph needs at least 2 agents, got {n}")
@@ -129,15 +132,15 @@ def build_random(n: int, edge_probability: float, seed: int, max_retries: int = 
     # pair i(2n-i-1)/2. Only the kept pairs are mapped back to (i, j).
     i = np.arange(n)
     starts = i * (2 * n - i - 1) // 2
-    for child in np.random.SeedSequence(seed).spawn(max_retries):
+    for child in np.random.SeedSequence(seed).spawn(_RANDOM_ATTEMPTS):
         rng = np.random.default_rng(child)
         kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < edge_probability)
         heads = np.searchsorted(starts, kept, side="right") - 1
         g = _graph(n, heads, kept - starts[heads] + heads + 1, kind="random")
         if is_connected(g):
             return g
-    message = f"no connected graph with n={n}, p={edge_probability} in {max_retries} attempts"
-    raise ConstructionError(message, attempts=max_retries)
+    message = f"no connected graph with n={n}, p={edge_probability} in {_RANDOM_ATTEMPTS} attempts"
+    raise ConstructionError(message, attempts=_RANDOM_ATTEMPTS)
 
 
 def _rows(m: sparse.csr_matrix) -> NDArray[np.intp]:
@@ -240,13 +243,7 @@ def spectral_gap(w: sparse.spmatrix | NDArray[np.float64]) -> float:
     return float(abs(lam))
 
 
-def calibrate_beta(
-    n: int,
-    target_beta: float,
-    seed: int,
-    tol: float = 0.02,
-    max_iter: int = 40,
-) -> tuple[float, Graph, WeightMatrix]:
+def calibrate_beta(n: int, target_beta: float, seed: int) -> tuple[float, Graph, WeightMatrix]:
     """Find an edge probability whose Metropolis weights hit the target beta.
 
     Bisects on the edge probability, measuring beta empirically on the graph
@@ -287,7 +284,7 @@ def calibrate_beta(
         gap = abs(wm.beta - target_beta)
         if best is None or gap < best[0]:
             best = (gap, p, g, wm)
-        if wm.beta < target_beta - tol and len(evaluated) >= 2:
+        if wm.beta < target_beta - _CALIBRATION_TOL and len(evaluated) >= 2:
             break
 
     # Refine by bisection inside the bracketing interval, if one exists.
@@ -298,8 +295,8 @@ def calibrate_beta(
             break
     if bracket is not None:
         lo, hi = bracket
-        for _ in range(max_iter):
-            if best[0] <= tol:
+        for _ in range(_CALIBRATION_STEPS):
+            if best[0] <= _CALIBRATION_TOL:
                 break
             mid = 0.5 * (lo + hi)
             g, wm = measure(mid)
@@ -311,7 +308,7 @@ def calibrate_beta(
             else:
                 hi = mid
     gap, prob, g, wm = best
-    if gap > tol:
+    if gap > _CALIBRATION_TOL:
         raise ValueError(f"calibration missed target beta {target_beta} (closest {wm.beta:.4f} at p={prob:.4f})")
     return prob, g, wm
 

@@ -18,6 +18,7 @@ from netdrift.analysis import (
     AuditViolation,
     RegimeError,
     audit_recursions,
+    contraction_model,
     dgt_bound,
     dgt_contraction,
     diffusion_bound,
@@ -74,14 +75,13 @@ def rho_oracle(matrix) -> float:
 
 def test_diffusion_matrix_and_offset_entries():
     alpha, mu, L, beta = 0.02, 0.5, 2.0, 0.7
-    model = diffusion_contraction(alpha, mu, L, beta, delta_x=2e-3, grad_bound=0.5, n=4)
+    model = diffusion_contraction(alpha, mu, L, beta, delta_x=2e-3, grad_bound=0.5)
     expected_A = np.array([[1 - alpha * mu / 2, alpha * L], [alpha * beta * L, beta]])
     assert np.array_equal(model.A, expected_A)
-    root_n = 2.0
     expected_b = np.array(
         [
-            (1 - alpha * mu / 2) * root_n * 2e-3,
-            alpha * beta * L * root_n * 2e-3 + alpha * beta * root_n * 0.5,
+            (1 - alpha * mu / 2) * 2e-3,
+            alpha * beta * L * 2e-3 + alpha * beta * 0.5,
         ]
     )
     assert np.allclose(model.b, expected_b, rtol=0, atol=0)
@@ -89,7 +89,7 @@ def test_diffusion_matrix_and_offset_entries():
 
 def test_dgt_matrix_and_offset_entries():
     alpha, mu, L, beta = 0.001, 0.5, 2.0, 0.6
-    model = dgt_contraction(alpha, mu, L, beta, delta_x=1e-3, grad_drift=0.2, n=9)
+    model = dgt_contraction(alpha, mu, L, beta, delta_x=1e-3, grad_drift=0.2)
     expected_A = np.array(
         [
             [(1 + beta) / 2, 5 * L, 3 * L],
@@ -98,7 +98,7 @@ def test_dgt_matrix_and_offset_entries():
         ]
     )
     assert np.array_equal(model.A, expected_A)
-    expected_b = np.array([L * 3 * 1e-3 + 3 * 0.2, 0.0, 3 * 1e-3])
+    expected_b = np.array([L * 1e-3 + 0.2, 0.0, 1e-3])
     assert np.allclose(model.b, expected_b, rtol=0, atol=0)
 
 
@@ -139,6 +139,18 @@ def test_contraction_preconditions_name_the_bound():
         diffusion_contraction(0.0, 1.0, 1.0, 0.5)
     with pytest.raises(RegimeError, match="\\(1 - beta\\)/\\(2L\\)"):
         dgt_contraction(0.3, 1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [diffusion_contraction, dgt_contraction, diffusion_bound, dgt_bound],
+    ids=lambda f: f.__name__,
+)
+def test_nan_stepsize_is_out_of_regime(check):
+    # a nan step compares false against every limit, so it must fail the
+    # regime test instead of slipping through to a nan bound or eigvals
+    with pytest.raises(RegimeError, match="step size must be positive, got nan"):
+        check(math.nan, 1.0, 1.0, 0.5, 1e-3, 1.0)
 
 
 @given(
@@ -276,8 +288,22 @@ def test_steady_state_bound_dispatch():
     assert steady_state_bound("dgt", alpha, 1.0, 1.0, 0.5, drift) == dgt_bound(
         alpha, 1.0, 1.0, 0.5, delta_x=1e-3, grad_drift=0.5
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no steady-state bound for algorithm 'extra'"):
         steady_state_bound("extra", alpha, 1.0, 1.0, 0.5, drift)
+
+
+def test_contraction_model_dispatch():
+    # diffusion pays for the size of the optimal gradients, tracking for their drift
+    alpha = 0.5 * max_stepsize("dgt", 1.0, 1.0, 0.5)
+    drift = DriftProfile(delta_x=1e-3, grad_bound=1.0, grad_drift=0.5)
+    diffusion = contraction_model("diffusion", alpha, 1.0, 1.0, 0.5, drift)
+    expected = diffusion_contraction(alpha, 1.0, 1.0, 0.5, delta_x=1e-3, grad_bound=1.0)
+    assert np.array_equal(diffusion.A, expected.A) and np.array_equal(diffusion.b, expected.b)
+    dgt = contraction_model("dgt", alpha, 1.0, 1.0, 0.5, drift)
+    expected = dgt_contraction(alpha, 1.0, 1.0, 0.5, delta_x=1e-3, grad_drift=0.5)
+    assert np.array_equal(dgt.A, expected.A) and np.array_equal(dgt.b, expected.b)
+    with pytest.raises(ValueError, match="no contraction model for algorithm 'extra'"):
+        contraction_model("extra", alpha, 1.0, 1.0, 0.5, drift)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +343,9 @@ def test_audit_clean_on_shifting_tracking_run():
     assert "tracker_step" in text and "max_violation" in text
 
 
-def _synthetic_record(avg, cons, alpha=0.1, beta=0.5):
+def _synthetic_record(avg, cons, alpha=0.1, beta=0.5, algorithm="diffusion"):
     meta = RunMetadata(
-        algorithm="diffusion",
+        algorithm=algorithm,
         alpha=alpha,
         beta=beta,
         scenario="synthetic",
@@ -379,10 +405,17 @@ def test_audit_accepts_drift_slack():
 
 
 def test_audit_requires_tracker_series_for_dgt():
-    rec = _synthetic_record(avg=[0.0, 0.0], cons=[0.0, 0.0])
+    rec = _synthetic_record(avg=[0.0, 0.0], cons=[0.0, 0.0], alpha=1e-3, algorithm="dgt")
     still = DriftProfile(delta_x=0.0, grad_bound=0.0, grad_drift=0.0)
     with pytest.raises(ValueError, match="tracker"):
-        audit_recursions(rec, still, algorithm="dgt")
+        audit_recursions(rec, still)
+
+
+def test_audit_rejects_unaudited_algorithm():
+    rec = _synthetic_record(avg=[0.0, 0.0], cons=[0.0, 0.0], algorithm="extra")
+    still = DriftProfile(delta_x=0.0, grad_bound=0.0, grad_drift=0.0)
+    with pytest.raises(ValueError, match="no audited recursion for algorithm 'extra'"):
+        audit_recursions(rec, still)
 
 
 def test_audit_rejects_nonfinite_series():

@@ -9,18 +9,27 @@ import csv
 import math
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netdrift
 from netdrift import cli
+from netdrift.algorithms import ALGORITHMS
 from netdrift.analysis import max_stepsize
 from netdrift.experiment import (
+    INITS,
+    SCENARIOS,
+    TOPOLOGIES,
+    WEIGHT_RULES,
     ConfigError,
     DivergenceError,
     ExperimentConfig,
@@ -117,6 +126,11 @@ REJECTED_CONFIGS = [
      "target_beta must lie in (0, 1), got 1.0"),
     ("scenario = II\np = 1\ntopology = random\ntarget_beta = -0.2\n",
      "target_beta must lie in (0, 1), got -0.2"),
+    ("scenario = III\np = 3\nshift = -1\n", "shift must be nonnegative, got -1"),
+    ("scenario = II\np = 3\nspacing_m = 0\n", "spacing_m must be positive and finite, got 0.0"),
+    ("scenario = III\np = 3\nspacing_m = -2\n", "spacing_m must be positive and finite, got -2.0"),
+    ("scenario = static\np = 3\nspacing_m = nan\n", "spacing_m must be positive and finite, got nan"),
+    ("scenario = II\np = 3\nspacing_m = inf\n", "spacing_m must be positive and finite, got inf"),
 ]
 
 
@@ -320,8 +334,9 @@ def test_tune_scores_divergent_runs_as_infinite():
 
 def test_tune_raises_when_every_stepsize_diverges():
     config = _static_config(stepsizes=(5.0, 8.0))
-    with pytest.raises(TuningError, match="5.0"):
+    with pytest.raises(TuningError, match="5.0") as excinfo:
         _tune(config, "diffusion")
+    assert "stepsizes" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +420,65 @@ def test_run_suite_on_long_metropolis_line(tmp_path):
     assert all(0.99998 < row.beta < 1.0 for row in result.rows)
 
 
+@st.composite
+def config_draws(draw):
+    """Keyword arguments for a small ExperimentConfig, valid or not."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    topology = draw(st.sampled_from(TOPOLOGIES))
+    kwargs = {
+        "scenario": scenario,
+        "topology": topology,
+        "weight_rule": draw(st.sampled_from(WEIGHT_RULES)),
+        "horizon": draw(st.integers(min_value=10, max_value=40)),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+        "init": draw(st.sampled_from(INITS)),
+        "tail_fraction": draw(st.sampled_from([0.1, 0.2, 0.5])),
+        "algorithms": tuple(
+            draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=4, unique=True))
+        ),
+    }
+    if scenario == "I":
+        kwargs["n"] = draw(st.integers(min_value=1, max_value=25))
+        kwargs["rows_per_agent"] = draw(st.integers(min_value=1, max_value=3))
+    else:
+        kwargs["p"] = draw(st.sampled_from(range(13)))
+        kwargs["shift"] = draw(st.none() | st.integers(min_value=-1, max_value=30))
+        spacings = [1.0, 0.5, 3.0, 1.0, 1.0, 1.0, 0.0, -1.0, math.inf, math.nan]
+        kwargs["spacing_m"] = draw(st.sampled_from(spacings))
+    size = kwargs["n"] if scenario == "I" else 2 * kwargs["p"] + 1
+    if topology == "random":
+        key = draw(st.sampled_from(["edge_probability", "target_beta", None]))
+        if key == "edge_probability":
+            kwargs[key] = draw(st.floats(min_value=0.01, max_value=1.0))
+        elif key == "target_beta":
+            kwargs[key] = draw(st.floats(min_value=0.05, max_value=0.99))
+    elif topology == "grid":
+        kwargs["rows"] = draw(st.integers(min_value=1, max_value=6))
+        kwargs["cols"] = max(1, size // kwargs["rows"]) + draw(st.sampled_from([0, 0, 1]))
+    if draw(st.booleans()):
+        halves = st.integers(min_value=-8, max_value=160)  # 1e80 overflows at once
+        grid = draw(st.lists(halves, min_size=1, max_size=4, unique=True))
+        kwargs["stepsizes"] = tuple(10.0 ** (k / 2) for k in sorted(grid))
+    else:
+        kwargs["grid_points"] = draw(st.integers(min_value=1, max_value=6))
+    return kwargs
+
+
+@settings(max_examples=100, deadline=5000)
+@given(kwargs=config_draws())
+def test_accepted_configs_run_or_name_their_key(kwargs):
+    # Every config either runs, or fails with a ConfigError that names one of
+    # its keys (as a word, not as "n=3" inside a quoted value); a grid on
+    # which every step diverges names the key it came from.
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            run_suite(ExperimentConfig(**kwargs, output_dir=directory))
+        except ConfigError as exc:
+            assert any(re.search(rf"\b{key}\b(?!=)", str(exc)) for key in kwargs), str(exc)
+        except TuningError as exc:
+            assert ("stepsizes" if "stepsizes" in kwargs else "grid_points") in str(exc)
+
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
@@ -447,6 +521,22 @@ def test_cli_bounds_reports_out_of_regime(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "out of regime" in out
+
+
+def test_cli_bounds_reports_nan_stepsize_out_of_regime(capsys):
+    code = cli.main(
+        [
+            "bounds",
+            "--mu", "1", "--L", "1", "--beta", "0.5",
+            "--alpha", "nan", "--dx", "1e-3", "--D", "1", "--dg", "1",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == [
+        f"{algorithm}: out of regime for the contraction model (step size must be positive, got nan)"
+        for algorithm in ("diffusion", "dgt")
+    ]
 
 
 def test_cli_run_and_audit_round_trip(tmp_path, capsys):

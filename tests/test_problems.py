@@ -114,6 +114,33 @@ def test_ls_gradient_hand_case():
     np.testing.assert_array_equal(grad, np.array([[2.0, 0.0]]))
 
 
+def _min_hessian_eigs(stream) -> np.ndarray:
+    coeff = stream.coefficients
+    return np.linalg.eigvalsh(np.einsum("knrd,knre->kde", coeff, coeff))[:, 0]
+
+
+def test_ls_stream_redraws_steps_below_pd_floor(monkeypatch):
+    # Below the floor a step's aggregate Hessian is redrawn under a derived
+    # seed; at n = 2 a floor of 0.05 catches 12 of these 61 steps.
+    floor = 0.05
+    plain = least_squares_stream(n=2, horizon=60, seed=4)
+    low = _min_hessian_eigs(plain) <= floor
+    assert low.any() and not low.all()
+
+    monkeypatch.setattr(problems, "_PD_FLOOR", floor)
+    stream = least_squares_stream(n=2, horizon=60, seed=4)
+    assert (_min_hessian_eigs(stream) > floor).all()
+    changed = (stream.coefficients != plain.coefficients).any(axis=(1, 2, 3))
+    np.testing.assert_array_equal(changed, low)
+    again = least_squares_stream(n=2, horizon=60, seed=4)
+    np.testing.assert_array_equal(again.coefficients, stream.coefficients)
+    np.testing.assert_array_equal(again.measurements, stream.measurements)
+
+    monkeypatch.setattr(problems, "_PD_FLOOR", 1e6)
+    with pytest.raises(RuntimeError, match="could not draw a positive definite step at k=0"):
+        least_squares_stream(n=2, horizon=60, seed=4)
+
+
 def test_ls_gradient_zero_at_optimum():
     stream = least_squares_stream(n=6, horizon=40, seed=3)
     for k in (0, 17, 40):

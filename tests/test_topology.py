@@ -218,9 +218,9 @@ def test_build_random_connected(seed):
 
 def test_build_random_retry_budget_error():
     # Zero edge probability can never connect more than one agent.
-    with pytest.raises(ConstructionError) as err:
-        build_random(5, 1e-12, seed=0, max_retries=4)
-    assert err.value.attempts == 4
+    with pytest.raises(ConstructionError, match="in 50 attempts") as err:
+        build_random(5, 1e-12, seed=0)
+    assert err.value.attempts == 50
 
 
 def test_build_random_rejects_bad_probability():
