@@ -12,6 +12,7 @@ with the spectral gap of the mixing matrix.
 import argparse
 from dataclasses import replace
 
+from netdrift.analysis import admissible_stepsize
 from netdrift.experiment import (
     ExperimentConfig,
     build_network,
@@ -22,18 +23,11 @@ from netdrift.experiment import (
 )
 
 
-def admissible_cap(algorithm: str, mu: float, lipschitz: float, beta: float) -> float:
-    """Largest step size the method's contraction model accepts."""
-    cap = 2 / (mu + lipschitz)
-    if algorithm == "dgt":
-        cap = min(cap, (1 - beta) / (2 * lipschitz))
-    return cap
-
-
 def tuned(config: ExperimentConfig, objective, wm, algorithm: str) -> tuple[float, float]:
     grid = config.stepsizes or default_grid(config, objective.mu, objective.lipschitz)
-    cap = admissible_cap(algorithm, objective.mu, objective.lipschitz, wm.beta)
-    capped = tuple(a for a in grid if a <= cap)
+    cap = admissible_stepsize(algorithm, objective.mu, objective.lipschitz, wm.beta)
+    # The same relative slack the contraction builders admit at the boundary.
+    capped = tuple(a for a in grid if a <= cap * (1 + 1e-12))
     per_method = replace(config, stepsizes=capped, algorithms=(algorithm,))
     alpha, record = tune_stepsize(per_method, algorithm, objective, wm)
     return alpha, steady_state_error(record, config.tail_fraction)

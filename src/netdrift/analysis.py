@@ -70,6 +70,17 @@ def _validate_stepsize(alpha: float, limit: float, description: str) -> None:
         )
 
 
+def admissible_stepsize(algorithm: str, mu: float, lipschitz: float, beta: float) -> float:
+    """Largest step size the method's contraction model accepts.
+
+    2/(mu + L) for every method but dgt, whose tracker needs (1 - beta)/(2L);
+    that is always the smaller, since (1 - beta)/(2L) < 1/L <= 2/(mu + L).
+    """
+    if algorithm == "dgt":
+        return (1 - beta) / (2 * lipschitz)
+    return 2 / (mu + lipschitz)
+
+
 def diffusion_contraction(
     alpha: float,
     mu: float,
@@ -80,7 +91,7 @@ def diffusion_contraction(
 ) -> ContractionModel:
     """2x2 recursion for diffusion over [avg_error, consensus_dev] per-agent norms."""
     _validate_constants(mu, lipschitz, beta)
-    _validate_stepsize(alpha, 2 / (mu + lipschitz), "2/(mu + L)")
+    _validate_stepsize(alpha, admissible_stepsize("diffusion", mu, lipschitz, beta), "2/(mu + L)")
     contraction = 1 - alpha * mu / 2
     A = np.array(
         [
@@ -107,8 +118,7 @@ def dgt_contraction(
 ) -> ContractionModel:
     """3x3 recursion for tracking over [y_dev, consensus_dev, avg_error] per-agent norms."""
     _validate_constants(mu, lipschitz, beta)
-    _validate_stepsize(alpha, (1 - beta) / (2 * lipschitz), "(1 - beta)/(2L)")
-    _validate_stepsize(alpha, 2 / (mu + lipschitz), "2/(mu + L)")
+    _validate_stepsize(alpha, admissible_stepsize("dgt", mu, lipschitz, beta), "(1 - beta)/(2L)")
     A = np.array(
         [
             [(1 + beta) / 2, 5 * lipschitz, 3 * lipschitz],

@@ -434,7 +434,7 @@ def audit_record_file(csv_path: Path | str):
     meta = record.metadata
     if meta.delta_x is None or meta.grad_bound is None or meta.grad_drift is None:
         raise ValueError(
-            "record sidecar carries no drift constants; re-run the suite or pass them explicitly"
+            "record sidecar carries no drift constants; audit a record written by netdrift run"
         )
     drift = DriftProfile(
         delta_x=meta.delta_x, grad_bound=meta.grad_bound, grad_drift=meta.grad_drift

@@ -34,20 +34,6 @@ _BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
-class OptimalTrajectory:
-    """Sequence of exact optima x*_k, with the largest consecutive step."""
-
-    points: NDArray[np.float64]
-    delta_x: float
-
-    def __post_init__(self):
-        steps = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        measured = float(steps.max()) if steps.size else 0.0
-        if abs(measured - self.delta_x) > 1e-12:
-            raise ValueError(f"delta_x {self.delta_x} does not match the trajectory (measured {measured})")
-
-
-@dataclass(frozen=True)
 class DriftProfile:
     """Measured drift constants, with analytic values attached when known."""
 
@@ -74,13 +60,14 @@ class DriftProfile:
 
 @runtime_checkable
 class DynamicObjective(Protocol):
-    """Interface shared by the objective families."""
+    """Interface shared by the objective families; delta_x is the optimum's largest per-step move."""
 
     n: int
     d: int
     horizon: int
     mu: float
     lipschitz: float
+    delta_x: float
 
     def optimum(self, k: int) -> NDArray[np.float64]: ...
 
@@ -112,7 +99,8 @@ class LeastSquaresStream:
     Each agent i holds f_i^k(x) = 0.5 ||C_i^k x - r_i^k||^2. The constants
     are measured over the generated horizon: mu is the smallest eigenvalue
     of the average Hessian (1/n) sum_i (C_i^k)^T C_i^k across time, and
-    lipschitz is the largest per-agent Hessian spectral norm.
+    lipschitz is the largest per-agent Hessian spectral norm. ``points`` holds
+    the optimum x*_k of every step and ``delta_x`` its largest step.
     """
 
     n: int
@@ -122,14 +110,15 @@ class LeastSquaresStream:
     seed: int
     coefficients: NDArray[np.float64]
     measurements: NDArray[np.float64]
-    trajectory: OptimalTrajectory
+    points: NDArray[np.float64]
+    delta_x: float
     mu: float
     lipschitz: float
 
     @property
     def normalization(self) -> float:
         """Squared norm of the (time-invariant) optimum, used to scale errors."""
-        return float(np.sum(self.trajectory.points[0] ** 2))
+        return float(np.sum(self.points[0] ** 2))
 
     @property
     def analytic_delta_x(self) -> float:
@@ -144,7 +133,7 @@ class LeastSquaresStream:
         return 0.0
 
     def optimum(self, k: int) -> NDArray[np.float64]:
-        return self.trajectory.points[k]
+        return self.points[k]
 
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
         """Gradients at k of an (n, d) stack, or of an (n, G*d) stack of G lanes."""
@@ -156,18 +145,18 @@ class LeastSquaresStream:
     def optimal_gradients(self, start: int, stop: int) -> NDArray[np.float64]:
         """(stop-start, n, d) gradients at the optimum of steps start..stop-1."""
         coeff = self.coefficients[start:stop]
-        residual = _predict_steps(coeff, self.trajectory.points[start:stop]) - self.measurements[start:stop]
+        residual = _predict_steps(coeff, self.points[start:stop]) - self.measurements[start:stop]
         return np.einsum("knrd,knr->knd", coeff, residual)
 
 
-def ls_trajectory(horizon: int) -> OptimalTrajectory:
-    """Unit-circle optimum sweeping three quarter turns over the horizon."""
+def ls_trajectory(horizon: int) -> tuple[NDArray[np.float64], float]:
+    """Unit-circle optimum over three quarter turns: (points, delta_x, their largest step)."""
     if horizon < 2:
         raise ValueError(f"trajectory horizon must be at least 2, got {horizon}")
     angles = 3.0 * math.pi * np.arange(horizon + 1) / (2.0 * horizon)
     points = np.column_stack([np.cos(angles), np.sin(angles)])
     steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    return OptimalTrajectory(points=points, delta_x=float(steps.max()))
+    return points, float(steps.max())
 
 
 def least_squares_stream(
@@ -188,7 +177,7 @@ def least_squares_stream(
         raise ValueError("degenerate least-squares configuration")
     if n * rows_per_agent < d:
         raise ValueError("aggregate system is underdetermined: need n * rows_per_agent >= 2")
-    trajectory = ls_trajectory(horizon)
+    points, delta_x = ls_trajectory(horizon)
     master = np.random.SeedSequence(seed)
     bulk, respawn = master.spawn(2)
     rng = np.random.default_rng(bulk)
@@ -208,7 +197,7 @@ def least_squares_stream(
         else:
             raise RuntimeError(f"could not draw a positive definite step at k={k}")
 
-    measurements = _predict_steps(coeff, trajectory.points)
+    measurements = _predict_steps(coeff, points)
     avg_hessians = np.einsum("knrd,knre->kde", coeff, coeff) / n
     mu = float(np.linalg.eigvalsh(avg_hessians)[:, 0].min())
     if rows_per_agent == 1:
@@ -225,7 +214,8 @@ def least_squares_stream(
         seed=seed,
         coefficients=coeff,
         measurements=measurements,
-        trajectory=trajectory,
+        points=points,
+        delta_x=delta_x,
         mu=mu,
         lipschitz=lipschitz,
     )
@@ -239,7 +229,7 @@ class ShiftingConsensus:
     this numbering) and f_i^k(x) = 0.5 (x - y_i^k)^2, so mu = L = 1. Each
     step rotates the target assignment by `shift` positions; shift=0 freezes
     the targets (the static case). The optimum is the mean (p+1)*spacing_m
-    at every time, so the optimum itself never drifts.
+    at every time, so the optimum itself never drifts: delta_x is 0.
     """
 
     p: int
@@ -278,9 +268,8 @@ class ShiftingConsensus:
         return ((self.p + 1) * self.spacing_m) ** 2
 
     @property
-    def trajectory(self) -> OptimalTrajectory:
-        points = np.full((self.horizon + 1, 1), (self.p + 1) * self.spacing_m)
-        return OptimalTrajectory(points=points, delta_x=0.0)
+    def delta_x(self) -> float:
+        return 0.0
 
     @property
     def analytic_delta_x(self) -> float:
@@ -365,7 +354,7 @@ def drift_profile(objective) -> DriftProfile:
         grad_bound = max(grad_bound, _largest_scaled_sum(grads, scale))
         grad_drift = max(grad_drift, _largest_scaled_sum(grads[1:] - grads[:-1], scale))
     return DriftProfile(
-        delta_x=objective.trajectory.delta_x,
+        delta_x=objective.delta_x,
         grad_bound=grad_bound,
         grad_drift=grad_drift,
         analytic_delta_x=getattr(objective, "analytic_delta_x", None),

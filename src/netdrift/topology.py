@@ -221,8 +221,8 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
     return WeightMatrix(csr=w, beta=spectral_gap(w))
 
 
-def spectral_gap(w: sparse.spmatrix | NDArray[np.float64]) -> float:
-    """Magnitude of the second-largest eigenvalue of a symmetric doubly stochastic W.
+def spectral_gap(w: sparse.csr_matrix) -> float:
+    """Magnitude of the second-largest eigenvalue of a symmetric doubly stochastic CSR matrix W.
 
     The deflated operator v -> Wv - mean(v), that is W - (1/n) 11^T, has
     spectral radius |lambda_2(W)|. One ARPACK Lanczos call (``eigsh``, k=1,
@@ -232,12 +232,11 @@ def spectral_gap(w: sparse.spmatrix | NDArray[np.float64]) -> float:
     # Imported on first use: it adds about 10 MB that cycle-only runs never need.
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    mat = sparse.csr_matrix(w)
-    deflated = LinearOperator(mat.shape, matvec=lambda v: mat @ v - v.mean(), dtype=np.float64)
-    v0 = np.random.default_rng(0).standard_normal(mat.shape[0])
+    deflated = LinearOperator(w.shape, matvec=lambda v: w @ v - v.mean(), dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(w.shape[0])
     # W equal to the averaging matrix up to rounding has beta zero. ARPACK
     # would return process-dependent noise there, or fail if Wv0 = mean(v0).
-    if np.linalg.norm(deflated.matvec(v0)) <= mat.shape[0] * np.finfo(float).eps * np.linalg.norm(v0):
+    if np.linalg.norm(deflated.matvec(v0)) <= w.shape[0] * np.finfo(float).eps * np.linalg.norm(v0):
         return 0.0
     (lam,) = eigsh(deflated, k=1, which="LM", v0=v0, return_eigenvectors=False)
     return float(abs(lam))
@@ -248,67 +247,57 @@ def calibrate_beta(n: int, target_beta: float, seed: int) -> tuple[float, Graph,
 
     Bisects on the edge probability, measuring beta empirically on the graph
     drawn under the given seed. Denser graphs mix faster, so beta decreases
-    as the probability grows. Returns (edge_probability, graph, weights).
+    as the probability grows. Returns (edge_probability, graph, weights) of
+    the first probe closest to the target.
     """
     if not 0.0 < target_beta < 1.0:
         raise ValueError(f"target beta must lie in (0, 1), got {target_beta}")
 
-    cache: dict[float, tuple[Graph, WeightMatrix]] = {}
+    # Every probed probability's (graph, weights), in probe order.
+    probed: dict[float, tuple[Graph, WeightMatrix]] = {}
 
-    def measure(p: float) -> tuple[Graph, WeightMatrix]:
-        if p not in cache:
+    def beta_at(p: float) -> float:
+        if p not in probed:
             g = build_random(n, p, seed=seed)
-            cache[p] = (g, metropolis_weights(g))
-        return cache[p]
+            probed[p] = (g, metropolis_weights(g))
+        return probed[p][1].beta
+
+    def miss(p: float) -> float:
+        return abs(probed[p][1].beta - target_beta)
 
     # Find the sparsest probability that still yields a connected graph.
     p_min = min(0.9, 1.2 * math.log(max(n, 3)) / n)
     for _ in range(10):
         try:
-            measure(p_min)
+            beta_at(p_min)
             break
         except ConstructionError:
             p_min = min(1.0, 2.0 * p_min)
 
-    # Coarse geometric sweep. Beta shrinks as the graph densifies, but near
-    # the connectivity threshold sampling noise breaks strict monotonicity,
-    # so keep the best candidate seen anywhere.
+    # Coarse geometric sweep from p_min, stopping once beta is clearly below
+    # the target. Near the connectivity threshold sampling noise breaks the
+    # monotone decrease, so the winner is the closest probe seen anywhere.
     grid_size = 16
     ratio = (1.0 / p_min) ** (1.0 / (grid_size - 1))
-    probes = [min(1.0, p_min * ratio**k) for k in range(grid_size)]
-    best: tuple[float, float, Graph, WeightMatrix] | None = None
-    evaluated: list[tuple[float, float]] = []
-    for p in probes:
-        g, wm = measure(p)
-        evaluated.append((p, wm.beta))
-        gap = abs(wm.beta - target_beta)
-        if best is None or gap < best[0]:
-            best = (gap, p, g, wm)
-        if wm.beta < target_beta - _CALIBRATION_TOL and len(evaluated) >= 2:
+    for k in range(grid_size):
+        if beta_at(min(1.0, p_min * ratio**k)) < target_beta - _CALIBRATION_TOL and k >= 1:
             break
 
-    # Refine by bisection inside the bracketing interval, if one exists.
-    bracket = None
-    for (p_a, beta_a), (p_b, beta_b) in zip(evaluated, evaluated[1:]):
-        if (beta_a - target_beta) * (beta_b - target_beta) <= 0.0:
-            bracket = (p_a, p_b)
+    # Refine by bisection inside the first bracketing pair of the sweep, if any.
+    sweep = list(probed)
+    for lo, hi in zip(sweep, sweep[1:]):
+        if (beta_at(lo) - target_beta) * (beta_at(hi) - target_beta) <= 0.0:
+            for _ in range(_CALIBRATION_STEPS):
+                if min(map(miss, probed)) <= _CALIBRATION_TOL:
+                    break
+                mid = 0.5 * (lo + hi)
+                if beta_at(mid) > target_beta:
+                    lo = mid
+                else:
+                    hi = mid
             break
-    if bracket is not None:
-        lo, hi = bracket
-        for _ in range(_CALIBRATION_STEPS):
-            if best[0] <= _CALIBRATION_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            g, wm = measure(mid)
-            gap = abs(wm.beta - target_beta)
-            if gap < best[0]:
-                best = (gap, mid, g, wm)
-            if wm.beta > target_beta:
-                lo = mid
-            else:
-                hi = mid
-    gap, prob, g, wm = best
-    if gap > _CALIBRATION_TOL:
+    prob = min(probed, key=miss)
+    g, wm = probed[prob]
+    if miss(prob) > _CALIBRATION_TOL:
         raise ValueError(f"calibration missed target beta {target_beta} (closest {wm.beta:.4f} at p={prob:.4f})")
     return prob, g, wm
-

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from netdrift.analysis import (
+    admissible_stepsize,
     audit_recursions,
     dgt_contraction,
     diffusion_contraction,
@@ -58,16 +59,9 @@ def _line(tag: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _admissible_cap(algorithm: str, mu: float, lipschitz: float, beta: float) -> float:
-    plain = 2.0 / (mu + lipschitz)
-    if algorithm == "dgt":
-        return min((1.0 - beta) / (2.0 * lipschitz), plain)
-    return plain
-
-
 def _tuned(config, objective, wm, algorithm):
     """Best (error, alpha, record) over the admissible-range tuning grid."""
-    cap = _admissible_cap(algorithm, objective.mu, objective.lipschitz, wm.beta)
+    cap = admissible_stepsize(algorithm, objective.mu, objective.lipschitz, wm.beta)
     grid = tuple(
         float(a)
         for a in default_grid(config, objective.mu, objective.lipschitz)
@@ -226,7 +220,7 @@ def test_static_consensus_exactness_and_plateau_scaling():
     objective = build_objective(config)
     _, wm = build_network(config)
     alpha = 0.2
-    assert alpha <= _admissible_cap("dgt", objective.mu, objective.lipschitz, wm.beta)
+    assert alpha <= admissible_stepsize("dgt", objective.mu, objective.lipschitz, wm.beta)
 
     floors = {}
     for algorithm in ("dgt", "extra", "exact_diffusion"):

@@ -599,6 +599,28 @@ def test_cli_audit_flags_planted_violation(tmp_path, capsys):
     assert "violated" in err
 
 
+def test_cli_audit_rejects_record_without_drift_constants(tmp_path, capsys):
+    meta = RunMetadata(
+        algorithm="diffusion", alpha=0.1, beta=0.5, scenario="synthetic", seed=0,
+        n=4, d=1, horizon=1, mu=1.0, lipschitz=1.0, normalization=1.0,
+    )
+    rec = TrajectoryRecord(
+        metadata=meta,
+        iterations=np.arange(2, dtype=np.int64),
+        tracking_error=np.zeros(2),
+        consensus_dev=np.zeros(2),
+        avg_error=np.zeros(2),
+    )
+    path = tmp_path / "bare.csv"
+    write_record(rec, path)
+    code = cli.main(["audit", "--record", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "error: record sidecar carries no drift constants; audit a record written by netdrift run\n"
+    )
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["paint"])

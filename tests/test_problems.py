@@ -9,7 +9,6 @@ from netdrift import problems
 from netdrift.problems import (
     DriftProfile,
     LeastSquaresStream,
-    OptimalTrajectory,
     _predict,
     drift_profile,
     least_squares_stream,
@@ -36,14 +35,13 @@ def brute_force_targets(p: int, m: float, T: int, k: int) -> list[float]:
 def per_step_drift_profile(objective) -> DriftProfile:
     # Independent oracle: the one-step-at-a-time scan drift_profile replaced,
     # evaluating gradient_stack at the optimum of every step in turn.
-    traj = objective.trajectory
     n = objective.n
     scale = 1.0 / math.sqrt(n)
     grad_bound = 0.0
     grad_drift = 0.0
     prev = None
     for k in range(objective.horizon + 1):
-        x_stack = np.broadcast_to(traj.points[k], (n, objective.d))
+        x_stack = np.broadcast_to(objective.optimum(k), (n, objective.d))
         grads = objective.gradient_stack(k, x_stack)
         norms = np.linalg.norm(grads, axis=1)
         grad_bound = max(grad_bound, scale * float(norms.sum()))
@@ -52,7 +50,7 @@ def per_step_drift_profile(objective) -> DriftProfile:
             grad_drift = max(grad_drift, scale * float(step_norms.sum()))
         prev = grads
     return DriftProfile(
-        delta_x=traj.delta_x,
+        delta_x=objective.delta_x,
         grad_bound=grad_bound,
         grad_drift=grad_drift,
         analytic_delta_x=getattr(objective, "analytic_delta_x", None),
@@ -65,27 +63,27 @@ def per_step_drift_profile(objective) -> DriftProfile:
 
 
 def test_ls_trajectory_starts_at_unit_x():
-    traj = ls_trajectory(100)
-    np.testing.assert_array_equal(traj.points[0], np.array([1.0, 0.0]))
+    points, _ = ls_trajectory(100)
+    np.testing.assert_array_equal(points[0], np.array([1.0, 0.0]))
 
 
 def test_ls_trajectory_points_on_unit_circle():
-    traj = ls_trajectory(257)
-    norms = np.linalg.norm(traj.points, axis=1)
+    points, _ = ls_trajectory(257)
+    norms = np.linalg.norm(points, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("M", [2, 10, 5000])
 def test_ls_trajectory_step_is_chord_length(M):
-    traj = ls_trajectory(M)
+    points, delta_x = ls_trajectory(M)
     chord = 2.0 * math.sin(3.0 * math.pi / (4.0 * M))
-    assert abs(traj.delta_x - chord) <= 1e-12
-    steps = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
-    assert abs(traj.delta_x - steps.max()) <= 1e-15
+    assert abs(delta_x - chord) <= 1e-12
+    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    assert abs(delta_x - steps.max()) <= 1e-15
 
 
 def test_ls_trajectory_value_at_5000():
-    assert abs(ls_trajectory(5000).delta_x - 9.4248e-4) <= 1e-7
+    assert abs(ls_trajectory(5000)[1] - 9.4248e-4) <= 1e-7
 
 
 def test_ls_trajectory_rejects_short_horizon():
@@ -97,7 +95,6 @@ def test_ls_trajectory_rejects_short_horizon():
 
 
 def test_ls_gradient_hand_case():
-    traj = OptimalTrajectory(points=np.zeros((2, 2)), delta_x=0.0)
     stream = LeastSquaresStream(
         n=1,
         d=2,
@@ -106,7 +103,8 @@ def test_ls_gradient_hand_case():
         seed=0,
         coefficients=np.array([[[[1.0, 0.0]]], [[[1.0, 0.0]]]]),
         measurements=np.zeros((2, 1, 1)),
-        trajectory=traj,
+        points=np.zeros((2, 2)),
+        delta_x=0.0,
         mu=1.0,
         lipschitz=1.0,
     )
@@ -144,7 +142,7 @@ def test_ls_stream_redraws_steps_below_pd_floor(monkeypatch):
 def test_ls_gradient_zero_at_optimum():
     stream = least_squares_stream(n=6, horizon=40, seed=3)
     for k in (0, 17, 40):
-        x_star = np.tile(stream.trajectory.points[k], (stream.n, 1))
+        x_star = np.tile(stream.points[k], (stream.n, 1))
         assert np.all(stream.gradient_stack(k, x_star) == 0.0)
 
 
@@ -208,7 +206,7 @@ def test_measurements_match_per_step_prediction(n, horizon, rows_per_agent, seed
     assume(n * rows_per_agent >= 2)
     stream = least_squares_stream(n=n, horizon=horizon, seed=seed, rows_per_agent=rows_per_agent)
     for k in range(horizon + 1):
-        x_stack = np.broadcast_to(stream.trajectory.points[k], (n, 2))
+        x_stack = np.broadcast_to(stream.points[k], (n, 2))
         expected = _predict(stream.coefficients[k], x_stack)
         assert stream.measurements[k].tobytes() == expected.tobytes()
 
@@ -392,5 +390,5 @@ def test_optimal_gradients_blocks_match_gradient_stack():
         block = objective.optimal_gradients(3, 29)
         assert block.shape == (26, objective.n, objective.d)
         for offset, k in enumerate(range(3, 29)):
-            x_stack = np.broadcast_to(objective.trajectory.points[k], (objective.n, objective.d))
+            x_stack = np.broadcast_to(objective.optimum(k), (objective.n, objective.d))
             assert block[offset].tobytes() == objective.gradient_stack(k, x_stack).tobytes()
