@@ -18,6 +18,9 @@ harness:
 arrays in place. It makes one gradient call and one update per method, in
 that method's own order of operations. Mixing is applied through the sparse
 view of the weight matrix, so each update touches neighbor values only.
+EXTRA keeps its product ``W x`` in the state and reads it back as
+``W x_prev`` on its next step, so every method makes one sparse product per
+step, except dgt, which makes two.
 
 Step-size lanes: ``run`` can advance one method at several step sizes in a
 single pass. Each step size is a lane, and the stacks hold the G lanes side
@@ -70,13 +73,16 @@ class AlgorithmState:
     run side by side in its columns. The optional stacks are only
     populated by the methods that need them: ``y_stack`` is the tracker,
     ``prev_grad_stack`` holds the gradients evaluated at the previous
-    objective/iterate pair, and ``prev_x_stack`` the previous iterates.
+    objective/iterate pair, ``prev_x_stack`` the previous iterates, and
+    ``prev_mix_stack`` (EXTRA only) the product ``W @ prev_x_stack`` that
+    EXTRA's last step computed, which its next step reuses.
     """
 
     x_stack: NDArray[np.float64]
     y_stack: NDArray[np.float64] | None = None
     prev_grad_stack: NDArray[np.float64] | None = None
     prev_x_stack: NDArray[np.float64] | None = None
+    prev_mix_stack: NDArray[np.float64] | None = None
 
 
 def _check_compatible(objective: DynamicObjective, wm: WeightMatrix, x_stack) -> None:
@@ -113,11 +119,6 @@ def init_state(
     return AlgorithmState(x_stack=x0)
 
 
-def _half_mix(wm: WeightMatrix, stack: NDArray[np.float64]) -> NDArray[np.float64]:
-    # (I + W)/2 applied without forming the dense average
-    return 0.5 * (stack + wm.csr @ stack)
-
-
 def step(
     algorithm: str,
     state: AlgorithmState,
@@ -133,8 +134,11 @@ def step(
     average of ``y`` equal to that of the current local gradients. The other
     methods take their gradient at the current iterate: diffusion (and
     EXTRA before it has a history) combines ``x - alpha g``; EXTRA mixes the
-    current and half-mixes the previous iterates; exact diffusion half-mixes
-    ``2x - x_prev`` less the step along the gradient difference.
+    current and half-mixes the previous iterates, taking ``W x_prev`` from
+    the state when its last step left it there and computing it otherwise;
+    exact diffusion half-mixes ``2x - x_prev`` less the step along the
+    gradient difference. Each method makes one sparse product per step,
+    except dgt, which makes two.
     """
     x, x_prev, g_prev, mix = state.x_stack, state.prev_x_stack, state.prev_grad_stack, wm.csr
     if algorithm == "dgt":
@@ -146,9 +150,15 @@ def step(
     if algorithm == "diffusion" or (algorithm == "extra" and x_prev is None):
         x_new = mix @ (x - alpha * grads)
     elif algorithm == "extra":
-        x_new = x + mix @ x - _half_mix(wm, x_prev) - alpha * (grads - g_prev)
+        mixed = mix @ x
+        prev_mix = state.prev_mix_stack if state.prev_mix_stack is not None else mix @ x_prev
+        x_new = x + mixed - 0.5 * (x_prev + prev_mix) - alpha * (grads - g_prev)
+        return AlgorithmState(
+            x_stack=x_new, prev_grad_stack=grads, prev_x_stack=x, prev_mix_stack=mixed
+        )
     elif algorithm == "exact_diffusion":
-        x_new = _half_mix(wm, 2.0 * x - x_prev - alpha * (grads - g_prev))
+        corrected = 2.0 * x - x_prev - alpha * (grads - g_prev)
+        x_new = 0.5 * (corrected + mix @ corrected)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if algorithm == "diffusion":

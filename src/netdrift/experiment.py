@@ -130,6 +130,8 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ConfigError(f"unknown algorithms {unknown}; expected among {ALGORITHMS}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigError(f"algorithms must not repeat a method, got {list(self.algorithms)}")
         if self.edge_probability is not None and not 0 < self.edge_probability <= 1:
             raise ConfigError(f"edge_probability must lie in (0, 1], got {self.edge_probability}")
         if self.target_beta is not None and not 0 < self.target_beta < 1:

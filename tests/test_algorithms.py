@@ -245,6 +245,65 @@ def test_history_methods_fixed_point(algorithm):
     assert np.allclose(out.x_stack, x_star, atol=1e-15)
 
 
+@pytest.mark.parametrize("case", ["least_squares_3_lanes", "consensus_d1"])
+def test_extra_cached_product_is_bitwise_the_recomputation(case):
+    # EXTRA reuses last step's W x as this step's W x_prev; dropping the
+    # cache makes the step recompute it, and every stack must agree bitwise.
+    if case == "least_squares_3_lanes":
+        objective = least_squares_stream(n=7, horizon=60, seed=3)
+        alphas = np.array([0.01, 0.05, 0.1])
+    else:
+        objective = shifting_consensus(p=4, spacing_m=1.0, shift=3, horizon=60)
+        alphas = np.array([0.2])
+    wm = metropolis_weights(build_random(objective.n, 0.5, seed=5))
+    x0 = np.random.default_rng(1).standard_normal((objective.n, objective.d))
+    state = AlgorithmState(x_stack=np.tile(x0, (1, alphas.size)))
+    alpha_row = np.repeat(alphas, objective.d)
+    for k in range(50):
+        out = step("extra", state, objective, wm, alpha_row, k)
+        recomputed = step("extra", replace(state, prev_mix_stack=None), objective, wm, alpha_row, k)
+        for name, stack in vars(out).items():
+            other = getattr(recomputed, name)
+            assert (stack is None) == (other is None), (name, k)
+            assert stack is None or np.array_equal(stack, other), (name, k)
+        if k >= 1:
+            assert np.array_equal(out.prev_mix_stack, wm.csr @ out.prev_x_stack)
+        state = out
+
+
+class CountingProduct:
+    """Stands in for a CSR matrix: delegates ``@`` and ``shape`` and counts the products."""
+
+    def __init__(self, csr):
+        self.csr = csr
+        self.calls = 0
+
+    @property
+    def shape(self):
+        return self.csr.shape
+
+    def __matmul__(self, other):
+        self.calls += 1
+        return self.csr @ other
+
+
+@pytest.mark.parametrize(
+    "algorithm, per_step, more",
+    [("diffusion", 1, 0), ("dgt", 2, 0), ("extra", 1, 1), ("exact_diffusion", 1, 0)],
+)
+def test_run_sparse_product_budget(algorithm, per_step, more):
+    # A run of horizon H makes per_step * H + more products. EXTRA makes one
+    # for its diffusion bootstrap, two on the step after it (nothing is
+    # cached yet), then one per step.
+    horizon = 25
+    objective = shifting_consensus(p=3, spacing_m=1.0, shift=1, horizon=horizon)
+    wm = metropolis_weights(build_random(objective.n, 0.6, seed=2))
+    counting = CountingProduct(wm.csr)
+    record = run(algorithm, objective, WeightMatrix(csr=counting, beta=wm.beta), 0.1, horizon)
+    assert counting.calls == per_step * horizon + more
+    assert _same_record(record, run(algorithm, objective, wm, 0.1, horizon))
+
+
 # ---------------------------------------------------------------------------
 # run harness
 

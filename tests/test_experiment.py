@@ -110,6 +110,8 @@ REJECTED_CONFIGS = [
     ("scenario = static\np = 1\nstepsizes = 0.1, 0.01\n", None),
     ("scenario = static\np = 1\nstepsizes = -0.1, 0.01\n", None),
     ("scenario = static\np = 1\nalgorithms = sneaky\n", None),
+    ("scenario = II\np = 3\nalgorithms = extra, extra\n",
+     "algorithms must not repeat a method, got ['extra', 'extra']"),
     ("scenario = static\np = 1\ninit = warm\n", None),
     ("scenario = I\nhorizon = 50\n", None),
     ("scenario = I\nn = 2\n", "n must be at least 3 for a cycle topology, got 2"),
