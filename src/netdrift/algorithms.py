@@ -33,19 +33,30 @@ the same order as a one-lane run, so lane g of a sweep is bitwise identical
 to a one-lane run at that step size. A lane that diverges fills with
 non-finite values without touching the others.
 
+Blocks of recorded steps: the metrics cost about fifteen small numpy calls,
+which dominate a step on small networks. So ``run`` files each step's
+stacks into a block and reduces a whole block at once, along a leading
+block axis. A block holds about ``_BLOCK_VALUES`` stack values, and at least
+one step: a small network records hundreds of steps per block, a large one
+a single step, whose d >= 2 stacks are then read in place, without a copy.
+
 Summation order of the recorded series: numpy sums a one-lane (n, d) stack
 over its agents one agent after the other when d >= 2, and pairwise when
-d = 1. ``run`` keeps both orders. For d >= 2 it reduces the (n, G*d) stacks
-agents-leading, over axis 0, which also goes agent by agent; for d = 1 it
-sums each lane's column as one contiguous row of a lane-major (G, n) copy,
-pairwise. Either way the squared deviations of one lane are summed over d
-column by column and then over agents pairwise, per lane.
+d = 1. ``run`` keeps both orders, in blocks of any length. For d >= 2 it
+reduces (m, n, G*d) blocks of the stacks over the agent axis, which also
+goes agent by agent; for d = 1 it sums each lane's column as one contiguous
+row of a lane-major (m, G, n) copy, pairwise. That copy must be C-ordered:
+in an F-ordered one (``np.stack`` of transposed stacks gives one) the rows
+are strided, numpy sums them agent by agent, and the last bit changes.
+Either way the squared deviations of one lane are summed over d column by
+column and then over agents pairwise, per lane and step.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,6 +66,9 @@ from .records import RunMetadata, TrajectoryRecord
 from .topology import WeightMatrix
 
 ALGORITHMS = ("diffusion", "dgt", "extra", "exact_diffusion")
+# ``run`` records up to about this many stack values (agents x columns) per
+# block of steps, and always at least one step.
+_BLOCK_VALUES = 2**12
 
 
 class StepError(RuntimeError):
@@ -176,14 +190,10 @@ def _widen(state: AlgorithmState, lanes: int) -> AlgorithmState:
     )
 
 
-def _lane_rows(stack: NDArray[np.float64]) -> NDArray[np.float64]:
-    # (n, G) -> contiguous (G, n), one row per lane of a d = 1 stack.
-    return np.ascontiguousarray(stack.T)
-
-
-def _squared_norms(rows: NDArray[np.float64]) -> NDArray[np.float64]:
-    # One dot product per row, the same kernel np.linalg.norm uses on a vector.
-    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+def _squared_norms(rows: NDArray[np.float64], out: NDArray[np.float64]) -> None:
+    # One dot product per row, the same kernel np.linalg.norm uses on a
+    # vector, written into the contiguous ``out`` in row order.
+    np.matmul(rows[:, None, :], rows[:, :, None], out=out.reshape(-1, 1, 1))
 
 
 def _identity_max(gaps: NDArray[np.float64]) -> float:
@@ -221,10 +231,13 @@ def run(
     Overflow during divergent runs is recorded as non-finite values rather
     than raised.
 
-    The network averages sum over agents in the order of a one-lane run:
-    agent by agent (agents-leading) when the objective's dimension d >= 2,
-    and pairwise per lane when d = 1. Each squared deviation is summed over
-    d column by column and then pairwise over agents.
+    The series are reduced in blocks of steps that hold about
+    ``_BLOCK_VALUES`` stack values each, and a record does not depend on the
+    block length. The network averages sum over agents in the order
+    of a one-lane run: agent by agent (agents-leading) when the objective's
+    dimension d >= 2, and pairwise per lane over the C-ordered rows of a
+    lane-major copy when d = 1. Each squared deviation is summed over d
+    column by column and then pairwise over agents.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -250,53 +263,77 @@ def run(
         raise StepError("a dgt run needs a tracker state; build it with init_state")
     normalization = float(getattr(objective, "normalization", 1.0))
     length = horizon + 1
+    # Each step files its stacks (x, and for dgt y and the previous
+    # gradient) and its optimum into a block of steps; each full block, and
+    # the last, partial one, is reduced at once along a leading block axis.
     # Squared deviations from the optimum, the network average and
-    # (tracking) the tracker average, one block per series, summed per lane
-    # and step into ``sums`` in a one-lane run's order (module docstring).
-    blocks = 3 if tracker else 2
+    # (tracking) the tracker average, one series each, are summed per step,
+    # series and lane into ``sums`` in a one-lane run's order (module
+    # docstring).
+    stacks_of = attrgetter("x_stack", "y_stack", "prev_grad_stack")
+    series = 3 if tracker else 2
+    block = max(1, min(length, _BLOCK_VALUES // (n * lanes * d)))
     if d > 1:
-        # Agents-leading: reducing an (n, G*d) stack over axis 0 also goes
-        # agent by agent, with one inner loop of G*d per agent.
-        axis = 0
-        rows = np.asarray  # the stacks as they are
-        deviations = np.empty((blocks, n, lanes * d))
-        per_lane = np.empty((blocks, lanes, n))
-        columns = [deviations.reshape(blocks, n, lanes, d)[..., j] for j in range(d)]
-        per_agent = per_lane.transpose(0, 2, 1)
+        # Agents-leading (m, n, G*d) blocks: reducing over the agent axis
+        # goes agent by agent, with one inner loop of G*d per agent. A
+        # one-step block reads the (n, G*d) stacks in place.
+        axis, shape, opt_shape = -2, (n, lanes * d), (1, lanes * d)
     else:
-        # Lane-major (G, n) copies: each lane's column becomes one
-        # contiguous row, which numpy sums pairwise.
-        axis = 1
-        rows = _lane_rows
-        deviations = per_lane = np.empty((blocks, lanes, n))
-    opt_columns = np.tile(np.arange(d), lanes)  # the optimum, once per lane
-    sums = np.empty((length, blocks, lanes))
+        # Lane-major (m, G, n) blocks, C-ordered: each lane's column becomes
+        # one contiguous row, which numpy sums pairwise.
+        axis, shape, opt_shape = -1, (lanes, n), (lanes, 1)
+    in_place = d > 1 and block == 1
+    filed = [] if in_place else [np.empty((block, *shape)) for _ in range(3 if tracker else 1)]
+    optima = np.empty((block, lanes, d))  # each step's optimum, once per lane
+    deviations = np.empty((block, series, *shape))
+    per_lane = deviations if d == 1 else np.empty((block, series, lanes, n))
+    sums = np.empty((length, series, lanes))
     avg_sq = np.empty((length, lanes))
     gaps = np.empty((length, lanes)) if tracker else None
 
+    def cut(m):
+        """The optima and the views written through for a block's first m steps."""
+        dev, lane_sums = deviations[:m], per_lane[:m]
+        columns = [dev.reshape(m, series, n, lanes, d)[..., j] for j in range(d)] if d > 1 else []
+        return (optima[:m].reshape(m, *opt_shape), dev, [dev[:, s] for s in range(series)],
+                lane_sums, columns, lane_sums.transpose(0, 1, 3, 2))
+
+    def reduce_block(k0, stacks, opt, dev, dev_rows, lane_sums, columns, per_agent):
+        k1 = k0 + len(opt)
+        x = stacks[0]
+        x_bar = np.add.reduce(x, axis=axis, keepdims=True) / n
+        np.subtract(x, opt, out=dev_rows[0])
+        np.subtract(x, x_bar, out=dev_rows[1])
+        _squared_norms((x_bar - opt).reshape(-1, d), out=avg_sq[k0:k1])
+        if tracker:
+            y_bar = np.add.reduce(stacks[1], axis=axis, keepdims=True) / n
+            np.subtract(stacks[1], y_bar, out=dev_rows[2])
+            g_bar = np.add.reduce(stacks[2], axis=axis, keepdims=True) / n
+            _squared_norms((y_bar - g_bar).reshape(-1, d), out=gaps[k0:k1])
+        np.square(dev, out=dev)
+        if d > 1:
+            # Sum over d column by column, in the order numpy sums a row
+            # shorter than 8, into the lane-major rows of ``lane_sums``.
+            np.add(columns[0], columns[1], out=per_agent)
+            for column in columns[2:]:
+                np.add(per_agent, column, out=per_agent)
+        # Each lane's row of n agents sums pairwise, as in a one-lane run.
+        np.add.reduce(lane_sums, axis=3, out=sums[k0:k1])
+
+    full = cut(block)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(length):
-            x = rows(state.x_stack)
-            x_bar = np.add.reduce(x, axis=axis, keepdims=True) / n
-            opt = objective.optimum(k)[opt_columns].reshape(x_bar.shape)
-            np.subtract(x, opt, out=deviations[0])
-            np.subtract(x, x_bar, out=deviations[1])
-            avg_sq[k] = _squared_norms((x_bar - opt).reshape(lanes, d))
-            if tracker:
-                y = rows(state.y_stack)
-                y_bar = np.add.reduce(y, axis=axis, keepdims=True) / n
-                np.subtract(y, y_bar, out=deviations[2])
-                g_bar = np.add.reduce(rows(state.prev_grad_stack), axis=axis, keepdims=True) / n
-                gaps[k] = _squared_norms((y_bar - g_bar).reshape(lanes, d))
-            np.square(deviations, out=deviations)
-            if d > 1:
-                # Sum over d column by column, in the order numpy sums a row
-                # shorter than 8, into the lane-major rows of ``per_lane``.
-                np.add(columns[0], columns[1], out=per_agent)
-                for column in columns[2:]:
-                    np.add(per_agent, column, out=per_agent)
-            # Each lane's row of n agents sums pairwise, as in a one-lane run.
-            sums[k] = np.add.reduce(per_lane, axis=2)
+            b = k % block
+            optima[b] = objective.optimum(k)
+            if in_place:
+                reduce_block(k, stacks_of(state), *full)
+            else:
+                for buffer, stack in zip(filed, stacks_of(state)):
+                    buffer[b] = stack if d > 1 else stack.T
+                if b == block - 1:
+                    reduce_block(k - b, filed, *full)
+                elif k == horizon:
+                    reduce_block(k - b, [buffer[: b + 1] for buffer in filed], *cut(b + 1))
             if k == horizon:
                 break
             try:

@@ -118,8 +118,8 @@ class ExperimentConfig:
             object.__setattr__(self, "stepsizes", tuple(float(a) for a in self.stepsizes))
             if not self.stepsizes:
                 raise ConfigError("stepsizes must be nonempty when given")
-            if any(a <= 0 for a in self.stepsizes):
-                raise ConfigError("stepsizes must be positive")
+            if not all(a > 0 for a in self.stepsizes):  # also rejects nan
+                raise ConfigError(f"stepsizes must be positive, got {list(self.stepsizes)}")
             if any(b <= a for a, b in zip(self.stepsizes, self.stepsizes[1:])):
                 raise ConfigError("stepsizes must be strictly increasing")
         if self.grid_points < 1:
@@ -175,6 +175,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the ``key = value`` config format (# comments, blank lines ok)."""
     known = {f.name for f in fields(ExperimentConfig)}
     kwargs: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -185,6 +186,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: config key {key!r} repeats the one on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             if key in _INT_KEYS:
                 kwargs[key] = int(value)

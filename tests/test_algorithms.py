@@ -6,6 +6,7 @@ optima via a least-squares solve, and the average-iterate / tracker-average
 identities are checked against independently recomputed gradients.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from netdrift import algorithms
 from netdrift.algorithms import (
     ALGORITHMS,
     AlgorithmState,
@@ -506,3 +508,61 @@ def test_lanes_match_one_lane_runs(algorithm, scenario, size, rows_per_agent, ho
     alpha, record = tune_stepsize(config, algorithm, objective, wm)
     assert alpha == expected[0] and alpha != DIVERGENT_ALPHA
     assert _same_record(record, expected[1])
+
+
+# ---------------------------------------------------------------------------
+# blocks of recorded steps
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("scenario", ["I", "II"])  # d = 2 and d = 1
+def test_records_do_not_depend_on_block_length(monkeypatch, algorithm, scenario):
+    # run reduces its metrics a block of steps at a time. Blocks of 1, 2 and
+    # 7 steps (31 steps leave a partial last block) and one block for the
+    # whole horizon record the same series bitwise, on 17 agents (pairwise
+    # and sequential sums differ from 8 agents up) and on a grid whose top
+    # lane diverges.
+    config = ExperimentConfig(
+        scenario=scenario,
+        topology="random",
+        edge_probability=0.6,
+        weight_rule="metropolis",
+        n=17 if scenario == "I" else None,
+        p=None if scenario == "I" else 8,
+        horizon=30,
+        seed=3,
+        stepsizes=(0.01, 0.1, DIVERGENT_ALPHA),
+    )
+    objective = build_objective(config)
+    _, wm = build_network(config)
+    values = objective.n * objective.d * len(config.stepsizes)
+    for horizon in (0, config.horizon):
+        by_length = {}
+        for steps in (1, 2, 7, 10**6):
+            monkeypatch.setattr(algorithms, "_BLOCK_VALUES", steps * values)
+            by_length[steps] = run(algorithm, objective, wm, config.stepsizes, horizon)
+        for steps, records in by_length.items():
+            assert all(_same_record(a, b) for a, b in zip(records, by_length[1])), steps
+    assert not np.isfinite(by_length[1][-1].tracking_error[-1])
+
+
+def test_run_memory_grows_with_the_recorded_series_only():
+    # Blocks are sized by a value budget, not by the horizon, so ten times
+    # the steps adds the longer series to the peak and no block buffer:
+    # about the record's own bytes, plus the few horizon-long arrays that
+    # run builds them from. dgt files the most stacks per step.
+    config = ExperimentConfig(scenario="I", topology="cycle", n=5, horizon=20_000, seed=0)
+    objective = build_objective(config)
+    _, wm = build_network(config)
+    peaks, series = [], []
+    for horizon in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            record = run("dgt", objective, wm, 0.01, horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        arrays = (record.iterations, record.tracking_error, record.consensus_dev,
+                  record.avg_error, record.y_dev)
+        series.append(sum(a.nbytes for a in arrays if a is not None))
+    assert peaks[1] - peaks[0] < 4 * (series[1] - series[0])

@@ -108,7 +108,11 @@ REJECTED_CONFIGS = [
     ("scenario = static\np = 1\ntail_fraction = 0\n", None),
     ("scenario = static\np = 1\nhorizon = 9\n", None),
     ("scenario = static\np = 1\nstepsizes = 0.1, 0.01\n", None),
-    ("scenario = static\np = 1\nstepsizes = -0.1, 0.01\n", None),
+    ("scenario = static\np = 1\nstepsizes = -0.1, 0.01\n", "stepsizes must be positive, got [-0.1, 0.01]"),
+    ("scenario = static\np = 1\nstepsizes = 0.01, nan\n", "stepsizes must be positive, got [0.01, nan]"),
+    ("scenario = static\np = 1\nstepsizes = nan\n", "stepsizes must be positive, got [nan]"),
+    ("scenario = static\np = 1\nhorizon = 20\n\nhorizon = 30\n",
+     "line 5: config key 'horizon' repeats the one on line 3"),
     ("scenario = static\np = 1\nalgorithms = sneaky\n", None),
     ("scenario = II\np = 3\nalgorithms = extra, extra\n",
      "algorithms must not repeat a method, got ['extra', 'extra']"),
@@ -460,7 +464,8 @@ def config_draws(draw):
     if draw(st.booleans()):
         halves = st.integers(min_value=-8, max_value=160)  # 1e80 overflows at once
         grid = draw(st.lists(halves, min_size=1, max_size=4, unique=True))
-        kwargs["stepsizes"] = tuple(10.0 ** (k / 2) for k in sorted(grid))
+        tail = draw(st.sampled_from([(), (), (), (math.nan,)]))
+        kwargs["stepsizes"] = tuple(10.0 ** (k / 2) for k in sorted(grid)) + tail
     else:
         kwargs["grid_points"] = draw(st.integers(min_value=1, max_value=6))
     return kwargs
