@@ -16,11 +16,12 @@ harness:
 
 ``step`` is pure: it takes a state and returns a new one, never mutating
 arrays in place. It makes one gradient call and one update per method, in
-that method's own order of operations. Mixing is applied through the sparse
-view of the weight matrix, so each update touches neighbor values only.
-EXTRA keeps its product ``W x`` in the state and reads it back as
-``W x_prev`` on its next step, so every method makes one sparse product per
-step, except dgt, which makes two.
+that method's own order of operations. Mixing goes through
+``WeightMatrix.mix``, which applies the sparse view of the weight matrix
+with scipy's compiled kernel and none of its operator dispatch, so each
+update touches neighbor values only. EXTRA keeps its product ``W x`` in the
+state and reads it back as ``W x_prev`` on its next step, so every method
+makes one sparse product per step, except dgt, which makes two.
 
 Step-size lanes: ``run`` can advance one method at several step sizes in a
 single pass. Each step size is a lane, and the stacks hold the G lanes side
@@ -152,27 +153,27 @@ def step(
     the state when its last step left it there and computing it otherwise;
     exact diffusion half-mixes ``2x - x_prev`` less the step along the
     gradient difference. Each method makes one sparse product per step,
-    except dgt, which makes two.
+    except dgt, which makes two, and each goes through ``wm.mix``.
     """
-    x, x_prev, g_prev, mix = state.x_stack, state.prev_x_stack, state.prev_grad_stack, wm.csr
+    x, x_prev, g_prev, mix = state.x_stack, state.prev_x_stack, state.prev_grad_stack, wm.mix
     if algorithm == "dgt":
-        x_new = mix @ (x - alpha * state.y_stack)
+        x_new = mix(x - alpha * state.y_stack)
         g_new = objective.gradient_stack(k + 1, x_new)
-        y_new = mix @ state.y_stack + g_new - g_prev
+        y_new = mix(state.y_stack) + g_new - g_prev
         return AlgorithmState(x_stack=x_new, y_stack=y_new, prev_grad_stack=g_new)
     grads = objective.gradient_stack(k + 1, x)
     if algorithm == "diffusion" or (algorithm == "extra" and x_prev is None):
-        x_new = mix @ (x - alpha * grads)
+        x_new = mix(x - alpha * grads)
     elif algorithm == "extra":
-        mixed = mix @ x
-        prev_mix = state.prev_mix_stack if state.prev_mix_stack is not None else mix @ x_prev
+        mixed = mix(x)
+        prev_mix = state.prev_mix_stack if state.prev_mix_stack is not None else mix(x_prev)
         x_new = x + mixed - 0.5 * (x_prev + prev_mix) - alpha * (grads - g_prev)
         return AlgorithmState(
             x_stack=x_new, prev_grad_stack=grads, prev_x_stack=x, prev_mix_stack=mixed
         )
     elif algorithm == "exact_diffusion":
         corrected = 2.0 * x - x_prev - alpha * (grads - g_prev)
-        x_new = 0.5 * (corrected + mix @ corrected)
+        x_new = 0.5 * (corrected + mix(corrected))
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if algorithm == "diffusion":
@@ -341,8 +342,11 @@ def run(
             except Exception as exc:
                 raise StepError(f"{algorithm} step failed at iteration {k}") from exc
 
-    rms = np.sqrt(sums / n)
-    avg_error = np.sqrt(avg_sq)
+    # Roots in place: a horizon-long temporary per series would add to the
+    # run's peak memory, which should grow with its records only.
+    rms = np.sqrt(np.divide(sums, n, out=sums), out=sums)
+    avg_error = np.sqrt(avg_sq, out=avg_sq)
+    identity_gaps = np.sqrt(gaps, out=gaps) if tracker else None
     records = []
     for lane, lane_alpha in enumerate(alphas):
         meta = RunMetadata(
@@ -366,7 +370,7 @@ def run(
                 consensus_dev=rms[:, 1, lane].copy(),
                 avg_error=avg_error[:, lane].copy(),
                 y_dev=rms[:, 2, lane].copy() if tracker else None,
-                tracker_identity_max=_identity_max(np.sqrt(gaps[:, lane])) if tracker else None,
+                tracker_identity_max=_identity_max(identity_gaps[:, lane]) if tracker else None,
             )
         )
     return records[0] if np.ndim(alpha) == 0 else tuple(records)

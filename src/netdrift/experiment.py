@@ -50,6 +50,8 @@ SCENARIOS = ("I", "II", "III", "static")
 TOPOLOGIES = ("cycle", "line", "grid", "complete", "random")
 WEIGHT_RULES = ("uniform", "metropolis")
 INITS = ("zeros", "optimum")
+# Keys that only one topology reads, and that topology.
+_TOPOLOGY_KEYS = {"edge_probability": "random", "target_beta": "random", "rows": "grid", "cols": "grid"}
 
 SUMMARY_HEADER = ["algorithm", "alpha", "beta", "n", "steady_state_error", "theory_bound"]
 
@@ -136,6 +138,11 @@ class ExperimentConfig:
             raise ConfigError(f"edge_probability must lie in (0, 1], got {self.edge_probability}")
         if self.target_beta is not None and not 0 < self.target_beta < 1:
             raise ConfigError(f"target_beta must lie in (0, 1), got {self.target_beta}")
+        if self.edge_probability is not None and self.target_beta is not None:
+            raise ConfigError("edge_probability and target_beta are both set; give one of them")
+        for key, topology in _TOPOLOGY_KEYS.items():
+            if getattr(self, key) is not None and self.topology != topology:
+                raise ConfigError(f"{key} applies to a {topology} topology only, not to {self.topology}")
         if self.rows_per_agent < 1:
             raise ConfigError(f"rows_per_agent must be at least 1, got {self.rows_per_agent}")
         if self.scenario == "I":

@@ -132,6 +132,16 @@ REJECTED_CONFIGS = [
      "target_beta must lie in (0, 1), got 1.0"),
     ("scenario = II\np = 1\ntopology = random\ntarget_beta = -0.2\n",
      "target_beta must lie in (0, 1), got -0.2"),
+    ("scenario = II\np = 1\ntopology = random\nedge_probability = 0.5\ntarget_beta = 0.5\n",
+     "edge_probability and target_beta are both set; give one of them"),
+    ("scenario = II\np = 1\nedge_probability = 0.5\n",
+     "edge_probability applies to a random topology only, not to cycle"),
+    ("scenario = I\nn = 6\ntopology = complete\ntarget_beta = 0.5\n",
+     "target_beta applies to a random topology only, not to complete"),
+    ("scenario = I\nn = 6\ntopology = random\nedge_probability = 0.5\nrows = 2\n",
+     "rows applies to a grid topology only, not to random"),
+    ("scenario = II\np = 1\ntopology = line\ncols = 3\n",
+     "cols applies to a grid topology only, not to line"),
     ("scenario = III\np = 3\nshift = -1\n", "shift must be nonnegative, got -1"),
     ("scenario = II\np = 3\nspacing_m = 0\n", "spacing_m must be positive and finite, got 0.0"),
     ("scenario = III\np = 3\nspacing_m = -2\n", "spacing_m must be positive and finite, got -2.0"),

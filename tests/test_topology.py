@@ -375,6 +375,36 @@ def test_weight_construction_deterministic():
     assert a.beta == b.beta
 
 
+@pytest.mark.parametrize(
+    "wm",
+    [
+        uniform_neighbor_weights(build_cycle(7)),
+        metropolis_weights(build_line(9)),
+        metropolis_weights(build_random(2001, 0.0055, seed=0)),
+    ],
+    ids=["cycle7_uniform", "line9_metropolis", "random2001_metropolis"],
+)
+@pytest.mark.parametrize("columns", [1, 2, 8, 40])
+def test_mix_is_bitwise_the_sparse_product(wm, columns):
+    # mix calls scipy's private compiled kernels directly; a scipy release
+    # that changes them or their signatures fails here.
+    stack = np.random.default_rng(columns).standard_normal((wm.n, columns))
+    special = stack.copy()
+    special[0, 0], special[wm.n // 2, columns // 2], special[-1, -1] = np.inf, -np.inf, np.nan
+    for x in (stack, np.asfortranarray(stack), special, np.asfortranarray(special)):
+        before = x.copy()
+        mixed = wm.mix(x)
+        assert mixed.shape == (wm.n, columns) and mixed.dtype == np.float64
+        assert np.array_equal(mixed, wm.csr @ x, equal_nan=True)
+        assert np.array_equal(x, before, equal_nan=True)
+
+
+def test_mix_rejects_a_stack_of_another_size():
+    wm = metropolis_weights(build_line(6))
+    with pytest.raises(ValueError, match="cannot mix a stack of 5 rows with a 6x6 weight matrix"):
+        wm.mix(np.ones((5, 2)))
+
+
 # ---------------------------------------------------------------- spectral gap
 
 
