@@ -24,15 +24,16 @@ state and reads it back as ``W x_prev`` on its next step, so every method
 makes one sparse product per step, except dgt, which makes two.
 
 Step-size lanes: ``run`` can advance one method at several step sizes in a
-single pass. Each step size is a lane, and the stacks hold the G lanes side
-by side in their columns, so a stack has shape (n, G*d) and columns
-g*d .. g*d+d-1 belong to lane g. ``step`` then takes ``alpha`` as a
-row of G*d per-column step sizes; mixing is one sparse product over all
-lanes and gradients broadcast over them. Every operation acts on each lane
-separately, and each recorded metric reduces over agents within one lane in
-the same order as a one-lane run, so lane g of a sweep is bitwise identical
-to a one-lane run at that step size. A lane that diverges fills with
-non-finite values without touching the others.
+single pass. Each step size is a lane, and a stack holds the G lanes
+coordinate-major in its (n, G*d) columns: column j*G + g is coordinate j of
+lane g, so the lanes are the innermost, contiguous axis of every operand.
+``step`` then takes ``alpha`` as a row of G*d per-column step sizes; mixing
+is one sparse product over all lanes and gradients broadcast over them.
+Every operation acts on each lane separately, and each recorded metric
+reduces over agents within one lane in the same order as a one-lane run, so
+lane g of a sweep is bitwise identical to a one-lane run at that step size.
+A lane that diverges fills with non-finite values without touching the
+others.
 
 Blocks of recorded steps: the metrics cost about fifteen small numpy calls,
 which dominate a step on small networks. So ``run`` files each step's
@@ -49,8 +50,8 @@ goes agent by agent; for d = 1 it sums each lane's column as one contiguous
 row of a lane-major (m, G, n) copy, pairwise. That copy must be C-ordered:
 in an F-ordered one (``np.stack`` of transposed stacks gives one) the rows
 are strided, numpy sums them agent by agent, and the last bit changes.
-Either way the squared deviations of one lane are summed over d column by
-column and then over agents pairwise, per lane and step.
+Either way the squared deviations of one lane are summed over d coordinate
+by coordinate and then over agents pairwise, per lane and step.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def step(
     the state when its last step left it there and computing it otherwise;
     exact diffusion half-mixes ``2x - x_prev`` less the step along the
     gradient difference. Each method makes one sparse product per step,
-    except dgt, which makes two, and each goes through ``wm.mix``.
+    except dgt, which makes two, and each goes through ``wm.mix``. ``alpha``
+    is one step size, or a row of G*d whose entry j*G + g is lane g's.
     """
     x, x_prev, g_prev, mix = state.x_stack, state.prev_x_stack, state.prev_grad_stack, wm.mix
     if algorithm == "dgt":
@@ -182,18 +184,20 @@ def step(
 
 
 def _widen(state: AlgorithmState, lanes: int) -> AlgorithmState:
-    """Replicate a one-lane state across ``lanes`` column blocks."""
+    """Replicate a one-lane state across ``lanes``: each column becomes ``lanes`` columns."""
     if lanes == 1:
         return state
     return AlgorithmState(
-        **{name: None if stack is None else np.tile(stack, (1, lanes))
+        **{name: None if stack is None else np.repeat(stack, lanes, axis=1)
            for name, stack in vars(state).items()}
     )
 
 
-def _squared_norms(rows: NDArray[np.float64], out: NDArray[np.float64]) -> None:
-    # One dot product per row, the same kernel np.linalg.norm uses on a
-    # vector, written into the contiguous ``out`` in row order.
+def _squared_norms(values: NDArray[np.float64], out: NDArray[np.float64]) -> None:
+    # Squared norm of each lane's d-vector in coordinate-major ``values``, into
+    # the (steps, lanes) ``out``: the vectors copied into contiguous rows, then
+    # one dot product per row, the kernel np.linalg.norm uses on a vector.
+    rows = values.reshape(out.shape[0], -1, out.shape[1]).swapaxes(1, 2).reshape(out.size, -1)
     np.matmul(rows[:, None, :], rows[:, :, None], out=out.reshape(-1, 1, 1))
 
 
@@ -220,7 +224,8 @@ def run(
     and returns a tuple with one record per lane in the same order. Lane g
     is bitwise identical to a one-lane run at ``alpha[g]``, and a lane that
     diverges leaves the others unchanged. ``initial_state`` is a one-lane
-    state; every lane starts from it.
+    state; every lane starts from it, in coordinate-major (n, G*d) stacks
+    (column j*G + g is coordinate j of lane g; module docstring).
 
     The recorded series are, per iteration k: the root mean square distance
     of the agent iterates to the current optimum divided by the problem's
@@ -258,7 +263,7 @@ def run(
 
     n, d, lanes = objective.n, objective.d, alphas.size
     state = _widen(state, lanes)
-    alpha_row = np.repeat(alphas, d)
+    alpha_row = np.tile(alphas, d)
     tracker = algorithm == "dgt"
     if tracker and state.y_stack is None:
         raise StepError("a dgt run needs a tracker state; build it with init_state")
@@ -285,7 +290,8 @@ def run(
         axis, shape, opt_shape = -1, (lanes, n), (lanes, 1)
     in_place = d > 1 and block == 1
     filed = [] if in_place else [np.empty((block, *shape)) for _ in range(3 if tracker else 1)]
-    optima = np.empty((block, lanes, d))  # each step's optimum, once per lane
+    optima = np.empty((block, d, lanes))  # each step's optimum, once per lane
+    lane_optima = optima.swapaxes(1, 2)  # (block, G, d): filed by broadcast
     deviations = np.empty((block, series, *shape))
     per_lane = deviations if d == 1 else np.empty((block, series, lanes, n))
     sums = np.empty((length, series, lanes))
@@ -295,29 +301,30 @@ def run(
     def cut(m):
         """The optima and the views written through for a block's first m steps."""
         dev, lane_sums = deviations[:m], per_lane[:m]
-        columns = [dev.reshape(m, series, n, lanes, d)[..., j] for j in range(d)] if d > 1 else []
+        # Coordinate j of the lanes, transposed to match ``lane_sums``'s rows.
+        columns = [dev[..., j * lanes : (j + 1) * lanes].swapaxes(2, 3) for j in range(d)]
         return (optima[:m].reshape(m, *opt_shape), dev, [dev[:, s] for s in range(series)],
-                lane_sums, columns, lane_sums.transpose(0, 1, 3, 2))
+                lane_sums, columns if d > 1 else [])
 
-    def reduce_block(k0, stacks, opt, dev, dev_rows, lane_sums, columns, per_agent):
+    def reduce_block(k0, stacks, opt, dev, dev_rows, lane_sums, columns):
         k1 = k0 + len(opt)
         x = stacks[0]
         x_bar = np.add.reduce(x, axis=axis, keepdims=True) / n
         np.subtract(x, opt, out=dev_rows[0])
         np.subtract(x, x_bar, out=dev_rows[1])
-        _squared_norms((x_bar - opt).reshape(-1, d), out=avg_sq[k0:k1])
+        _squared_norms(x_bar - opt, out=avg_sq[k0:k1])
         if tracker:
             y_bar = np.add.reduce(stacks[1], axis=axis, keepdims=True) / n
             np.subtract(stacks[1], y_bar, out=dev_rows[2])
             g_bar = np.add.reduce(stacks[2], axis=axis, keepdims=True) / n
-            _squared_norms((y_bar - g_bar).reshape(-1, d), out=gaps[k0:k1])
+            _squared_norms(y_bar - g_bar, out=gaps[k0:k1])
         np.square(dev, out=dev)
         if d > 1:
             # Sum over d column by column, in the order numpy sums a row
             # shorter than 8, into the lane-major rows of ``lane_sums``.
-            np.add(columns[0], columns[1], out=per_agent)
+            np.add(columns[0], columns[1], out=lane_sums)
             for column in columns[2:]:
-                np.add(per_agent, column, out=per_agent)
+                np.add(lane_sums, column, out=lane_sums)
         # Each lane's row of n agents sums pairwise, as in a one-lane run.
         np.add.reduce(lane_sums, axis=3, out=sums[k0:k1])
 
@@ -325,7 +332,7 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(length):
             b = k % block
-            optima[b] = objective.optimum(k)
+            lane_optima[b] = objective.optimum(k)
             if in_place:
                 reduce_block(k, stacks_of(state), *full)
             else:

@@ -52,6 +52,9 @@ WEIGHT_RULES = ("uniform", "metropolis")
 INITS = ("zeros", "optimum")
 # Keys that only one topology reads, and that topology.
 _TOPOLOGY_KEYS = {"edge_probability": "random", "target_beta": "random", "rows": "grid", "cols": "grid"}
+# Keys that only some scenarios read: those scenarios, and the default the others keep.
+_SCENARIO_KEYS = {"n": ("I", None), "rows_per_agent": ("I", 1), "p": ("II/III/static", None),
+                  "shift": ("II/III/static", None), "spacing_m": ("II/III/static", 1.0)}
 
 SUMMARY_HEADER = ["algorithm", "alpha", "beta", "n", "steady_state_error", "theory_bound"]
 
@@ -145,6 +148,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} applies to a {topology} topology only, not to {self.topology}")
         if self.rows_per_agent < 1:
             raise ConfigError(f"rows_per_agent must be at least 1, got {self.rows_per_agent}")
+        for key, (readers, default) in _SCENARIO_KEYS.items():
+            if self.scenario not in readers.split("/") and getattr(self, key) != default:
+                raise ConfigError(f"{key} applies to scenario {readers} only, not to {self.scenario}")
         if self.scenario == "I":
             if self.n is None:
                 raise ConfigError("scenario I needs n, the number of agents")

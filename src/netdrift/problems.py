@@ -74,15 +74,16 @@ class DynamicObjective(Protocol):
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
         """Per-agent gradients at time k of an (n, d) stack.
 
-        A multi-step-size run passes an (n, G*d) stack holding G lanes side
-        by side in its columns and expects the gradients in the same layout.
+        A multi-step-size run passes an (n, G*d) stack of G lanes,
+        coordinate-major (column j*G + g holds coordinate j of lane g), and
+        expects the gradients in the same layout.
         """
 
 
 def _predict(coeff_k: NDArray[np.float64], x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Per-step evaluation; x_stack is (n, d) or lanes (n, G, d). With d = 2
-    # its sums are bitwise those of _predict_steps.
-    return np.einsum("nrd,n...d->n...r", coeff_k, x_stack)
+    # Per-step evaluation of an (n, d) x_stack, or of lanes (n, d, G) into
+    # (n, r, G). With d = 2 its sums are bitwise those of _predict_steps.
+    return np.einsum("nrd,nd...->nr...", coeff_k, x_stack)
 
 
 def _predict_steps(coeff: NDArray[np.float64], points: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -136,10 +137,10 @@ class LeastSquaresStream:
         return self.points[k]
 
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Gradients at k of an (n, d) stack, or of an (n, G*d) stack of G lanes."""
-        lanes = x_stack.reshape(self.n, -1, self.d)
-        residual = _predict(self.coefficients[k], lanes) - self.measurements[k][:, None, :]
-        grads = np.einsum("nrd,ngr->ngd", self.coefficients[k], residual)
+        """Gradients at k of an (n, d) stack, or of a coordinate-major (n, G*d) stack of G lanes."""
+        lanes = x_stack.reshape(self.n, self.d, -1)
+        residual = _predict(self.coefficients[k], lanes) - self.measurements[k][:, :, None]
+        grads = np.einsum("nrd,nrg->ndg", self.coefficients[k], residual)
         return grads.reshape(x_stack.shape)
 
     def optimal_gradients(self, start: int, stop: int) -> NDArray[np.float64]:

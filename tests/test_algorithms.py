@@ -259,8 +259,9 @@ def test_extra_cached_product_is_bitwise_the_recomputation(case):
         alphas = np.array([0.2])
     wm = metropolis_weights(build_random(objective.n, 0.5, seed=5))
     x0 = np.random.default_rng(1).standard_normal((objective.n, objective.d))
-    state = AlgorithmState(x_stack=np.tile(x0, (1, alphas.size)))
-    alpha_row = np.repeat(alphas, objective.d)
+    # Coordinate-major lanes: column j*G + g holds coordinate j of lane g.
+    state = AlgorithmState(x_stack=np.repeat(x0, alphas.size, axis=1))
+    alpha_row = np.tile(alphas, objective.d)
     for k in range(50):
         out = step("extra", state, objective, wm, alpha_row, k)
         recomputed = step("extra", replace(state, prev_mix_stack=None), objective, wm, alpha_row, k)
@@ -482,7 +483,7 @@ def test_lanes_match_one_lane_runs(algorithm, scenario, size, rows_per_agent, ho
         weight_rule="metropolis",
         n=3 * size + 2 if scenario == "I" else None,
         p=None if scenario == "I" else size,
-        rows_per_agent=rows_per_agent,
+        rows_per_agent=rows_per_agent if scenario == "I" else 1,
         horizon=horizon,
         seed=seed,
         init=init,

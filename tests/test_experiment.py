@@ -147,6 +147,13 @@ REJECTED_CONFIGS = [
     ("scenario = III\np = 3\nspacing_m = -2\n", "spacing_m must be positive and finite, got -2.0"),
     ("scenario = static\np = 3\nspacing_m = nan\n", "spacing_m must be positive and finite, got nan"),
     ("scenario = II\np = 3\nspacing_m = inf\n", "spacing_m must be positive and finite, got inf"),
+    ("scenario = II\np = 2\nn = 50\n", "n applies to scenario I only, not to II"),
+    ("scenario = static\np = 2\nrows_per_agent = 3\n",
+     "rows_per_agent applies to scenario I only, not to static"),
+    ("scenario = I\nn = 5\np = 2\n", "p applies to scenario II/III/static only, not to I"),
+    ("scenario = I\nn = 5\nshift = 3\n", "shift applies to scenario II/III/static only, not to I"),
+    ("scenario = I\nn = 5\nspacing_m = 2.5\n",
+     "spacing_m applies to scenario II/III/static only, not to I"),
 ]
 
 
@@ -156,6 +163,12 @@ def test_parse_config_rejects_invalid(text, message):
         parse_config(text)
     if message is not None:
         assert str(excinfo.value) == message
+
+
+def test_scenario_keys_at_their_default_are_accepted():
+    # A key only another scenario reads may still be written at its default.
+    assert parse_config("scenario = I\nn = 5\nspacing_m = 1.0\n").spacing_m == 1.0
+    assert parse_config("scenario = II\np = 2\nrows_per_agent = 1\n").rows_per_agent == 1
 
 
 def test_builders_resolve_scenarios():

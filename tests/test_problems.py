@@ -146,6 +146,30 @@ def test_ls_gradient_zero_at_optimum():
         assert np.all(stream.gradient_stack(k, x_star) == 0.0)
 
 
+@pytest.mark.parametrize("lanes", [1, 3, 30])
+@pytest.mark.parametrize("rows_per_agent", [1, 2, 3])
+def test_ls_gradient_lanes_are_coordinate_major(rows_per_agent, lanes):
+    # A G-lane stack keeps coordinate j of lane g in column j*G + g. Each
+    # lane's gradients sit in the same columns, bitwise those of a one-lane
+    # call, and every lane's gradient vanishes exactly at the optimum.
+    stream = least_squares_stream(n=6, horizon=20, seed=7, rows_per_agent=rows_per_agent)
+    n, d = stream.n, stream.d
+    per_lane = np.random.default_rng(lanes).standard_normal((lanes, n, d)) * 3.0
+    stack = np.empty((n, d * lanes))
+    for g in range(lanes):
+        for j in range(d):
+            stack[:, j * lanes + g] = per_lane[g, :, j]
+    for k in (0, 9, 20):
+        grads = stream.gradient_stack(k, stack)
+        assert grads.shape == stack.shape
+        for g in range(lanes):
+            one_lane = stream.gradient_stack(k, per_lane[g])
+            for j in range(d):
+                assert np.array_equal(grads[:, j * lanes + g], one_lane[:, j]), (k, g, j)
+        at_optimum = np.repeat(np.tile(stream.points[k], (n, 1)), lanes, axis=1)
+        assert np.all(stream.gradient_stack(k, at_optimum) == 0.0), k
+
+
 def test_ls_gradient_matches_finite_differences():
     stream = least_squares_stream(n=5, horizon=30, seed=11)
     rng = np.random.default_rng(0)
