@@ -267,7 +267,7 @@ def run(
     tracker = algorithm == "dgt"
     if tracker and state.y_stack is None:
         raise StepError("a dgt run needs a tracker state; build it with init_state")
-    normalization = float(getattr(objective, "normalization", 1.0))
+    normalization = float(objective.normalization)
     length = horizon + 1
     # Each step files its stacks (x, and for dgt y and the previous
     # gradient) and its optimum into a block of steps; each full block, and

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 
 from .analysis import RegimeError, audit_recursions, contraction_model, steady_state_bound
-from .experiment import audit_record_file, load_config, run_suite
+from .experiment import SummaryRow, audit_record_file, load_config, run_suite
 from .problems import DriftProfile
 
 
@@ -39,20 +40,13 @@ def _add_bounds(sub) -> None:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     result = run_suite(config)
+    # The width and format of each SummaryRow field, in field order; a missing value prints "-".
     widths = (16, 14, 10, 6, 20, 20)
-    header = ("algorithm", "alpha", "beta", "n", "steady_state_error", "theory_bound")
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    formats = ("{}", "{:.6e}", "{:.4f}", "{}", "{:.6e}", "{:.6e}")
+    print("  ".join(f.name.ljust(w) for f, w in zip(fields(SummaryRow), widths, strict=True)))
     for row in result.rows:
-        bound = "-" if row.theory_bound is None else f"{row.theory_bound:.6e}"
-        cells = (
-            row.algorithm,
-            f"{row.alpha:.6e}",
-            f"{row.beta:.4f}",
-            str(row.n),
-            f"{row.steady_state_error:.6e}",
-            bound,
-        )
-        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+        cells = ("-" if v is None else f.format(v) for v, f in zip(astuple(row), formats, strict=True))
+        print("  ".join(c.ljust(w) for c, w in zip(cells, widths, strict=True)))
     print(f"summary written to {result.directory / 'summary.csv'}")
     return 0
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,6 @@ _TOPOLOGY_KEYS = {"edge_probability": "random", "target_beta": "random", "rows":
 # Keys that only some scenarios read: those scenarios, and the default the others keep.
 _SCENARIO_KEYS = {"n": ("I", None), "rows_per_agent": ("I", 1), "p": ("II/III/static", None),
                   "shift": ("II/III/static", None), "spacing_m": ("II/III/static", 1.0)}
-
-SUMMARY_HEADER = ["algorithm", "alpha", "beta", "n", "steady_state_error", "theory_bound"]
 
 
 class ConfigError(ValueError):
@@ -168,6 +167,14 @@ class ExperimentConfig:
                 raise ConfigError(f"shift must be nonnegative, got {self.shift}")
             if not (math.isfinite(self.spacing_m) and self.spacing_m > 0):
                 raise ConfigError(f"spacing_m must be positive and finite, got {self.spacing_m}")
+            # Runs divide by ((p+1) spacing_m)^2, kept normal, and sum n squares of up
+            # to n spacing_m, kept finite; the bounds come from roots, so nothing overflows.
+            n = self.network_size
+            low = math.sqrt(sys.float_info.min) / (self.p + 1)
+            high = math.sqrt(sys.float_info.max / n) / n
+            if not low <= self.spacing_m <= high:
+                bounds = f"[{low:.3g}, {high:.3g}] at p = {self.p}"
+                raise ConfigError(f"spacing_m must lie in {bounds}, got {self.spacing_m}")
 
     @property
     def network_size(self) -> int:
@@ -283,21 +290,20 @@ def build_objective(config: ExperimentConfig):
     )
 
 
-def steady_state_error(record: TrajectoryRecord, tail_fraction: float) -> float:
-    """Mean normalized tracking error over the final ceil(tail_fraction*M) steps."""
-    series = record.tracking_error
-    finite = np.isfinite(series)
-    if not finite.all():
-        raise DivergenceError(int(np.argmin(finite)))
-    window = math.ceil(tail_fraction * (len(series) - 1))
+def _tail(record: TrajectoryRecord, tail_fraction: float) -> np.ndarray:
+    """The normalized tracking error over the final ceil(tail_fraction*M) steps."""
+    window = math.ceil(tail_fraction * (len(record) - 1))
     if window < 1:
         raise ValueError("tail window is empty; record too short for this tail_fraction")
-    return float(series[-window:].mean())
+    return record.tracking_error[-window:]
 
 
-def _tail_max(record: TrajectoryRecord, tail_fraction: float) -> float:
-    window = math.ceil(tail_fraction * (len(record) - 1))
-    return float(record.tracking_error[-window:].max())
+def steady_state_error(record: TrajectoryRecord, tail_fraction: float) -> float:
+    """Mean normalized tracking error over the tail window."""
+    finite = np.isfinite(record.tracking_error)
+    if not finite.all():
+        raise DivergenceError(int(np.argmin(finite)))
+    return float(_tail(record, tail_fraction).mean())
 
 
 def default_grid(config: ExperimentConfig, mu: float, lipschitz: float) -> tuple[float, ...]:
@@ -365,6 +371,8 @@ def tune_stepsize(
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """One method's line of the suite table; its fields are the table's columns, in order."""
+
     algorithm: str
     alpha: float
     beta: float
@@ -418,7 +426,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
             grad_drift=drift.grad_drift,
             extra={
                 **record.metadata.extra,
-                "steady_state_tail_max": _tail_max(record, config.tail_fraction),
+                "steady_state_tail_max": float(_tail(record, config.tail_fraction).max()),
             },
         )
         record = replace(record, metadata=meta)
@@ -439,13 +447,15 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
 
 
 def _write_summary(rows, path: Path) -> None:
-    lines = [",".join(SUMMARY_HEADER)]
-    for row in rows:
-        bound = "" if row.theory_bound is None else repr(float(row.theory_bound))
-        lines.append(
-            f"{row.algorithm},{row.alpha!r},{row.beta!r},{row.n},"
-            f"{row.steady_state_error!r},{bound}"
-        )
+    """One CSV line per SummaryRow under its field names; floats round-trip, None is empty."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return repr(float(value)) if isinstance(value, float) else str(value)
+
+    lines = [",".join(f.name for f in fields(SummaryRow))]
+    lines += [",".join(map(cell, astuple(row))) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 

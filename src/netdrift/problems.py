@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 from numpy.typing import NDArray
@@ -58,9 +58,12 @@ class DriftProfile:
                 raise ValueError(f"measured drift {measured} exceeds the analytic value {analytic}")
 
 
-@runtime_checkable
 class DynamicObjective(Protocol):
-    """Interface shared by the objective families; delta_x is the optimum's largest per-step move."""
+    """Everything ``run`` and ``drift_profile`` read of an objective family.
+
+    ``delta_x`` is the optimum's largest per-step move, ``normalization`` divides
+    the tracking error, and the ``analytic_*`` constants cap the measured drift.
+    """
 
     n: int
     d: int
@@ -68,8 +71,15 @@ class DynamicObjective(Protocol):
     mu: float
     lipschitz: float
     delta_x: float
+    normalization: float
+    analytic_delta_x: float
+    analytic_grad_bound: float
+    analytic_grad_drift: float
 
     def optimum(self, k: int) -> NDArray[np.float64]: ...
+
+    def optimal_gradients(self, start: int, stop: int) -> NDArray[np.float64]:
+        """(stop-start, n, d) gradients at the optimum of steps start..stop-1."""
 
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
         """Per-agent gradients at time k of an (n, d) stack.
@@ -115,6 +125,8 @@ class LeastSquaresStream:
     delta_x: float
     mu: float
     lipschitz: float
+    # Exact measurements: the gradients at the optimum vanish.
+    analytic_grad_bound = analytic_grad_drift = 0.0
 
     @property
     def normalization(self) -> float:
@@ -124,14 +136,6 @@ class LeastSquaresStream:
     @property
     def analytic_delta_x(self) -> float:
         return 2.0 * math.sin(3.0 * math.pi / (4.0 * self.horizon))
-
-    @property
-    def analytic_grad_bound(self) -> float:
-        return 0.0
-
-    @property
-    def analytic_grad_drift(self) -> float:
-        return 0.0
 
     def optimum(self, k: int) -> NDArray[np.float64]:
         return self.points[k]
@@ -237,6 +241,9 @@ class ShiftingConsensus:
     spacing_m: float
     shift: int
     horizon: int
+    d = 1
+    mu = lipschitz = 1.0
+    delta_x = analytic_delta_x = 0.0
 
     def __post_init__(self):
         if self.p < 1:
@@ -253,28 +260,8 @@ class ShiftingConsensus:
         return 2 * self.p + 1
 
     @property
-    def d(self) -> int:
-        return 1
-
-    @property
-    def mu(self) -> float:
-        return 1.0
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
-
-    @property
     def normalization(self) -> float:
         return ((self.p + 1) * self.spacing_m) ** 2
-
-    @property
-    def delta_x(self) -> float:
-        return 0.0
-
-    @property
-    def analytic_delta_x(self) -> float:
-        return 0.0
 
     @property
     def analytic_grad_bound(self) -> float:
@@ -330,7 +317,7 @@ def _largest_scaled_sum(stacks: NDArray[np.float64], scale: float) -> float:
     return float((scale * sums).max(initial=0.0))
 
 
-def drift_profile(objective) -> DriftProfile:
+def drift_profile(objective: DynamicObjective) -> DriftProfile:
     """Measure (delta_x, grad_bound, grad_drift) by direct evaluation.
 
     Scans the full horizon, evaluating every agent's gradient at the exact
@@ -339,9 +326,9 @@ def drift_profile(objective) -> DriftProfile:
     so every step difference is formed. Every step is reduced in the order
     a one-step scan uses (norms over d, then a pairwise sum over agents), so
     the constants are bitwise those of such a scan; blocks rather than the
-    whole horizon keep the peak memory of large networks down. Analytic
-    values are attached when the objective declares them; measured values
-    may never exceed the analytic ones.
+    whole horizon keep the peak memory of large networks down. The
+    objective's analytic values are attached; measured values may never
+    exceed them.
     """
     n = objective.n
     scale = 1.0 / math.sqrt(n)
@@ -358,7 +345,7 @@ def drift_profile(objective) -> DriftProfile:
         delta_x=objective.delta_x,
         grad_bound=grad_bound,
         grad_drift=grad_drift,
-        analytic_delta_x=getattr(objective, "analytic_delta_x", None),
-        analytic_grad_bound=getattr(objective, "analytic_grad_bound", None),
-        analytic_grad_drift=getattr(objective, "analytic_grad_drift", None),
+        analytic_delta_x=objective.analytic_delta_x,
+        analytic_grad_bound=objective.analytic_grad_bound,
+        analytic_grad_drift=objective.analytic_grad_drift,
     )

@@ -32,10 +32,6 @@ class InvalidSizeError(ValueError):
 class ConstructionError(RuntimeError):
     """A random graph could not be made connected within the retry budget."""
 
-    def __init__(self, message: str, attempts: int):
-        super().__init__(message)
-        self.attempts = attempts
-
 
 class WeightRuleError(ValueError):
     """The requested weight rule does not apply to the given graph."""
@@ -165,7 +161,7 @@ def build_random(n: int, edge_probability: float, seed: int) -> Graph:
         if is_connected(g):
             return g
     message = f"no connected graph with n={n}, p={edge_probability} in {_RANDOM_ATTEMPTS} attempts"
-    raise ConstructionError(message, attempts=_RANDOM_ATTEMPTS)
+    raise ConstructionError(message)
 
 
 def _rows(m: sparse.csr_matrix) -> NDArray[np.intp]:

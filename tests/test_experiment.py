@@ -13,7 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from netdrift.experiment import (
     ConfigError,
     DivergenceError,
     ExperimentConfig,
+    SummaryRow,
     TuningError,
     build_network,
     build_objective,
@@ -169,6 +170,33 @@ def test_scenario_keys_at_their_default_are_accepted():
     # A key only another scenario reads may still be written at its default.
     assert parse_config("scenario = I\nn = 5\nspacing_m = 1.0\n").spacing_m == 1.0
     assert parse_config("scenario = II\np = 2\nrows_per_agent = 1\n").rows_per_agent == 1
+
+
+@pytest.mark.parametrize("spacing", ["1e154", "1e-160", "1e-200"])
+def test_spacing_outside_the_float_range_names_spacing_m(spacing):
+    # Unchecked at p = 2, these overflow a drift norm, tune dgt on a tail
+    # error that underflowed to 0, and underflow the normalization to 0.
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(f"scenario = static\np = 2\nhorizon = 50\nspacing_m = {spacing}\n")
+    assert str(excinfo.value) == (
+        f"spacing_m must lie in [4.97e-155, 1.2e+153] at p = 2, got {float(spacing)}"
+    )
+
+
+def test_spacing_at_the_float_range_edges_scales_the_tail_error(tmp_path):
+    # tracking_error divides an RMS distance by the squared optimum, so the
+    # tuned tail error scales as 1/spacing_m.
+    scaled = {}
+    for spacing in (1e153, 1e-150):
+        config = parse_config(
+            f"scenario = static\np = 2\nhorizon = 50\nspacing_m = {spacing!r}\n"
+            f"output_dir = {tmp_path / repr(spacing)}\n"
+        )
+        rows = run_suite(config).rows
+        scaled[spacing] = [(row.alpha, row.steady_state_error * spacing) for row in rows]
+    assert [alpha for alpha, _ in scaled[1e153]] == [alpha for alpha, _ in scaled[1e-150]]
+    for (_, high), (_, low) in zip(scaled[1e153], scaled[1e-150]):
+        assert high == pytest.approx(low, rel=1e-9)
 
 
 def test_builders_resolve_scenarios():
@@ -472,7 +500,7 @@ def config_draws(draw):
     else:
         kwargs["p"] = draw(st.sampled_from(range(13)))
         kwargs["shift"] = draw(st.none() | st.integers(min_value=-1, max_value=30))
-        spacings = [1.0, 0.5, 3.0, 1.0, 1.0, 1.0, 0.0, -1.0, math.inf, math.nan]
+        spacings = [1.0, 0.5, 3.0, 1.0, 1.0, 1.0, 0.0, -1.0, math.inf, math.nan, 1e200, 1e-200]
         kwargs["spacing_m"] = draw(st.sampled_from(spacings))
     size = kwargs["n"] if scenario == "I" else 2 * kwargs["p"] + 1
     if topology == "random":
@@ -567,6 +595,24 @@ def test_cli_bounds_reports_nan_stepsize_out_of_regime(capsys):
         f"{algorithm}: out of regime for the contraction model (step size must be positive, got nan)"
         for algorithm in ("diffusion", "dgt")
     ]
+
+
+def test_run_table_and_summary_csv_spell_the_summary_row_fields(tmp_path, capsys):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        f"scenario = static\np = 2\nhorizon = 50\nalgorithms = diffusion\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    header, row, _ = capsys.readouterr().out.splitlines()
+    with open(tmp_path / "out" / "summary.csv", newline="") as handle:
+        csv_header, csv_row = list(csv.reader(handle))
+    names = [f.name for f in fields(SummaryRow)]
+    assert header.split() == csv_header == names
+    assert names == ["algorithm", "alpha", "beta", "n", "steady_state_error", "theory_bound"]
+    # The tuned step lies outside the bound's regime: no bound to report.
+    assert row.split()[-1] == "-"
+    assert csv_row[-1] == ""
 
 
 def test_cli_run_and_audit_round_trip(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from netdrift import problems
 from netdrift.problems import (
     DriftProfile,
+    DynamicObjective,
     LeastSquaresStream,
     _predict,
     drift_profile,
@@ -405,6 +406,21 @@ def test_drift_profile_matches_per_step_scan_consensus(monkeypatch, block_entrie
 def test_drift_profile_matches_per_step_scan_least_squares(rows_per_agent):
     stream = least_squares_stream(n=100, horizon=1000, seed=5, rows_per_agent=rows_per_agent)
     assert_same_profile(drift_profile(stream), per_step_drift_profile(stream))
+
+
+def test_objectives_have_every_declared_member():
+    declared = set(DynamicObjective.__annotations__) | {
+        name for name, value in vars(DynamicObjective).items()
+        if callable(value) and not name.startswith("_")
+    }
+    engine_reads = {"normalization", "optimal_gradients", "analytic_delta_x",
+                    "analytic_grad_bound", "analytic_grad_drift", "gradient_stack", "optimum"}
+    assert engine_reads <= declared
+    built = (least_squares_stream(n=4, horizon=10, seed=0),
+             shifting_consensus(p=2, spacing_m=1.0, shift=3, horizon=10))
+    for objective in built:
+        missing = [name for name in sorted(declared) if not hasattr(objective, name)]
+        assert missing == [], type(objective).__name__
 
 
 def test_optimal_gradients_blocks_match_gradient_stack():

@@ -220,9 +220,8 @@ def test_build_random_connected(seed):
 
 def test_build_random_retry_budget_error():
     # Zero edge probability can never connect more than one agent.
-    with pytest.raises(ConstructionError, match="in 50 attempts") as err:
+    with pytest.raises(ConstructionError, match="in 50 attempts"):
         build_random(5, 1e-12, seed=0)
-    assert err.value.attempts == 50
 
 
 def test_build_random_rejects_bad_probability():
@@ -283,7 +282,7 @@ def test_metropolis_doubly_stochastic(n, p, seed):
     except ConstructionError as err:
         # The documented outcome when the retry budget runs out; sparse small
         # graphs (n=6, p=0.2) reach it on a few percent of seeds.
-        assert err.attempts == 50
+        assert "in 50 attempts" in str(err)
         return
     wm = metropolis_weights(g)
     entries = wm.csr.toarray()
