@@ -40,7 +40,7 @@ which dominate a step on small networks. So ``run`` files each step's
 stacks into a block and reduces a whole block at once, along a leading
 block axis. A block holds about ``_BLOCK_VALUES`` stack values, and at least
 one step: a small network records hundreds of steps per block, a large one
-a single step, whose d >= 2 stacks are then read in place, without a copy.
+a single step. Every block is filed and reduced the same way.
 
 Summation order of the recorded series: numpy sums a one-lane (n, d) stack
 over its agents one agent after the other when d >= 2, and pairwise when
@@ -281,15 +281,13 @@ def run(
     block = max(1, min(length, _BLOCK_VALUES // (n * lanes * d)))
     if d > 1:
         # Agents-leading (m, n, G*d) blocks: reducing over the agent axis
-        # goes agent by agent, with one inner loop of G*d per agent. A
-        # one-step block reads the (n, G*d) stacks in place.
+        # goes agent by agent, with one inner loop of G*d per agent.
         axis, shape, opt_shape = -2, (n, lanes * d), (1, lanes * d)
     else:
         # Lane-major (m, G, n) blocks, C-ordered: each lane's column becomes
         # one contiguous row, which numpy sums pairwise.
         axis, shape, opt_shape = -1, (lanes, n), (lanes, 1)
-    in_place = d > 1 and block == 1
-    filed = [] if in_place else [np.empty((block, *shape)) for _ in range(3 if tracker else 1)]
+    filed = [np.empty((block, *shape)) for _ in range(3 if tracker else 1)]
     optima = np.empty((block, d, lanes))  # each step's optimum, once per lane
     lane_optima = optima.swapaxes(1, 2)  # (block, G, d): filed by broadcast
     deviations = np.empty((block, series, *shape))
@@ -333,25 +331,22 @@ def run(
         for k in range(length):
             b = k % block
             lane_optima[b] = objective.optimum(k)
-            if in_place:
-                reduce_block(k, stacks_of(state), *full)
-            else:
-                for buffer, stack in zip(filed, stacks_of(state)):
-                    buffer[b] = stack if d > 1 else stack.T
-                if b == block - 1:
-                    reduce_block(k - b, filed, *full)
-                elif k == horizon:
-                    reduce_block(k - b, [buffer[: b + 1] for buffer in filed], *cut(b + 1))
+            for buffer, stack in zip(filed, stacks_of(state)):
+                buffer[b] = stack if d > 1 else stack.T
+            if b == block - 1:
+                reduce_block(k - b, filed, *full)
+            elif k == horizon:
+                reduce_block(k - b, [buffer[: b + 1] for buffer in filed], *cut(b + 1))
             if k == horizon:
                 break
             try:
                 state = step(algorithm, state, objective, wm, alpha_row, k)
             except Exception as exc:
                 raise StepError(f"{algorithm} step failed at iteration {k}") from exc
-
-    # Roots in place: a horizon-long temporary per series would add to the
-    # run's peak memory, which should grow with its records only.
-    rms = np.sqrt(np.divide(sums, n, out=sums), out=sums)
+        # Roots and scaling in place: a horizon-long temporary per series would
+        # add to the run's peak memory, which should grow with its records only.
+        rms = np.sqrt(np.divide(sums, n, out=sums), out=sums)
+        np.divide(rms[:, 0], normalization, out=rms[:, 0])  # the tracking error
     avg_error = np.sqrt(avg_sq, out=avg_sq)
     identity_gaps = np.sqrt(gaps, out=gaps) if tracker else None
     records = []
@@ -373,7 +368,7 @@ def run(
             TrajectoryRecord(
                 metadata=meta,
                 iterations=np.arange(length, dtype=np.int64),
-                tracking_error=rms[:, 0, lane] / normalization,
+                tracking_error=rms[:, 0, lane].copy(),
                 consensus_dev=rms[:, 1, lane].copy(),
                 avg_error=avg_error[:, lane].copy(),
                 y_dev=rms[:, 2, lane].copy() if tracker else None,

@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.horizon < 10:
             raise ConfigError(f"horizon must be at least 10, got {self.horizon}")
+        if self.seed < 0:  # numpy's seed sequences take nonnegative integers only
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.tail_fraction <= 0.5:
             raise ConfigError(f"tail_fraction must lie in (0, 0.5], got {self.tail_fraction}")
         if self.stepsizes is not None:

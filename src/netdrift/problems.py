@@ -188,23 +188,21 @@ def least_squares_stream(
     rng = np.random.default_rng(bulk)
     coeff = rng.standard_normal((horizon + 1, n, rows_per_agent, d))
 
-    def min_eig(c_k: NDArray[np.float64]) -> float:
-        hessian = np.einsum("nrd,nre->de", c_k, c_k)
-        return float(np.linalg.eigvalsh(hessian)[0])
-
-    eigs = np.linalg.eigvalsh(np.einsum("knrd,knre->kde", coeff, coeff))
-    for k in np.nonzero(eigs[:, 0] <= _PD_FLOOR)[0]:
+    hessians = np.einsum("knrd,knre->kde", coeff, coeff)  # sum_i (C_i^k)^T C_i^k
+    low = np.nonzero(np.linalg.eigvalsh(hessians)[:, 0] <= _PD_FLOOR)[0]
+    for k in low:
         for attempt in range(_RESAMPLE_BUDGET):
             redraw = np.random.default_rng(respawn.spawn(1)[0])
             coeff[k] = redraw.standard_normal((n, rows_per_agent, d))
-            if min_eig(coeff[k]) > _PD_FLOOR:
+            if np.linalg.eigvalsh(np.einsum("nrd,nre->de", coeff[k], coeff[k]))[0] > _PD_FLOOR:
                 break
         else:
             raise RuntimeError(f"could not draw a positive definite step at k={k}")
+    if low.size:  # all steps in one pass again, so mu sums as it does with no redraw
+        hessians = np.einsum("knrd,knre->kde", coeff, coeff)
 
     measurements = _predict_steps(coeff, points)
-    avg_hessians = np.einsum("knrd,knre->kde", coeff, coeff) / n
-    mu = float(np.linalg.eigvalsh(avg_hessians)[:, 0].min())
+    mu = float(np.linalg.eigvalsh(hessians / n)[:, 0].min())
     if rows_per_agent == 1:
         lipschitz = float((coeff**2).sum(axis=(2, 3)).max())
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -105,15 +106,26 @@ def read_record(csv_path: Path) -> TrajectoryRecord:
             raise ValueError(f"unexpected CSV header {header}")
         # A non-integer k, a non-numeric value or a ragged row raises ValueError.
         empty_as_nan = {4: lambda value: float(value) if value else np.nan}
-        table = np.loadtxt(
-            handle, dtype=_ROW, delimiter=",", comments=None, ndmin=1, converters=empty_as_nan
-        )
+        with warnings.catch_warnings():  # numpy warns of a header with no rows under it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                handle, dtype=_ROW, delimiter=",", comments=None, ndmin=1, converters=empty_as_nan
+            )
+    if table.size == 0:
+        raise ValueError(f"record {csv_path} has a header but no rows")
     # Structured fields are strided views; contiguous copies make every later
     # reduction sum in the order it does on the arrays that were written.
     k, tracking, consensus, avg, y_dev = (np.ascontiguousarray(table[c]) for c in CSV_HEADER)
-    payload = json.loads(sidecar_path(csv_path).read_text())
+    sidecar = sidecar_path(csv_path)
+    payload = json.loads(sidecar.read_text())
+    if not isinstance(payload, dict) or not isinstance(payload.get("metadata"), dict):
+        raise ValueError(f"record sidecar {sidecar} holds no metadata object")
+    try:
+        metadata = RunMetadata(**payload["metadata"])
+    except TypeError as exc:  # an unknown or a missing key
+        raise ValueError(f"record sidecar {sidecar}: {exc}") from exc
     return TrajectoryRecord(
-        metadata=RunMetadata(**payload["metadata"]),
+        metadata=metadata,
         iterations=k,
         tracking_error=tracking,
         consensus_dev=consensus,

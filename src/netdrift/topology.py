@@ -70,10 +70,11 @@ class WeightMatrix:
 
         ``csr @ stack`` spends most of a small product in scipy's Python
         dispatch before it reaches the compiled kernel; a 5-agent one-column
-        product costs about three times its arithmetic. This calls the same
-        kernel directly, by scipy's own rule: ``csr_matvec`` for one column,
-        ``csr_matvecs`` for more, each summing a row's entries in stored
-        order into a fresh zero output. ``stack.ravel()`` copies a
+        product costs about three times its arithmetic. This calls scipy's
+        ``csr_matvecs`` kernel directly for every column count. It sums a
+        row's entries in stored order into a fresh zero output, as the
+        one-column ``csr_matvec`` that ``csr @ stack`` picks does, so one
+        column comes out bitwise the same too. ``stack.ravel()`` copies a
         non-C-contiguous stack, as scipy does.
         """
         w, n = self.csr, self.n
@@ -81,12 +82,7 @@ class WeightMatrix:
         if rows != n:  # the kernel would read past the stack's end
             raise ValueError(f"cannot mix a stack of {rows} rows with a {n}x{n} weight matrix")
         out = np.zeros((n, columns))
-        if columns == 1:
-            _sparsetools.csr_matvec(n, n, w.indptr, w.indices, w.data, stack.ravel(), out.ravel())
-        else:
-            _sparsetools.csr_matvecs(
-                n, n, columns, w.indptr, w.indices, w.data, stack.ravel(), out.ravel()
-            )
+        _sparsetools.csr_matvecs(n, n, columns, w.indptr, w.indices, w.data, stack.ravel(), out.ravel())
         return out
 
 
@@ -169,32 +165,21 @@ def _rows(m: sparse.csr_matrix) -> NDArray[np.intp]:
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
 
 
-def _find(sorted_keys: NDArray[np.intp], keys: NDArray[np.intp]) -> tuple[NDArray, NDArray[np.bool_]]:
-    """Position of each key in a sorted key array, and whether it is there."""
-    pos = np.searchsorted(sorted_keys, keys).clip(max=sorted_keys.size - 1)
-    return pos, sorted_keys[pos] == keys
-
-
 def _validate_doubly_stochastic(w: sparse.csr_matrix, g: Graph) -> None:
-    # In place and value-preserving: sorted indices and no stored zeros, so
-    # the keys i*n + j of the nonzeros (i, j) below are sorted.
+    # In place and value-preserving: ``mix`` then sums each row's nonzeros only.
     w.sum_duplicates()
     w.eliminate_zeros()
     if (w.data < 0.0).any():
         raise ValueError("weight matrix has negative entries")
-    rows, cols = _rows(w), w.indices.astype(np.intp)
-    err = max(np.abs(np.bincount(axis, w.data, g.n) - 1.0).max() for axis in (rows, cols))
+    err = max(np.abs(np.bincount(axis, w.data, g.n) - 1.0).max() for axis in (_rows(w), w.indices))
     if err > STOCHASTICITY_TOL:
         raise ValueError(f"weight matrix is not doubly stochastic (error {err:.3e})")
-    keys = rows * g.n + cols
-    mirror, found = _find(keys, cols * g.n + rows)
-    if not (found.all() and np.array_equal(w.data[mirror], w.data)):
+    if (w != w.T).nnz:
         raise ValueError("weight matrix is not symmetric")
-    _, inside = _find(_rows(g.adjacency) * g.n + g.adjacency.indices, keys)
-    if not inside.all():
-        i = rows[~inside][0]
-        outside = cols[~inside & (rows == i)].tolist()
-        raise ValueError(f"agent {i} has weights outside its neighbor set: {outside}")
+    rows, cols = ((w != 0) > g.adjacency).nonzero()
+    if rows.size:
+        outside = cols[rows == rows[0]].tolist()
+        raise ValueError(f"agent {rows[0]} has weights outside its neighbor set: {outside}")
 
 
 def uniform_neighbor_weights(g: Graph) -> WeightMatrix:

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -45,7 +46,13 @@ from netdrift.experiment import (
     tune_stepsize,
 )
 from netdrift.problems import LeastSquaresStream, ShiftingConsensus
-from netdrift.records import RunMetadata, TrajectoryRecord, read_record, write_record
+from netdrift.records import (
+    CSV_HEADER,
+    RunMetadata,
+    TrajectoryRecord,
+    read_record,
+    write_record,
+)
 from netdrift.topology import ConstructionError, WeightRuleError
 
 
@@ -124,6 +131,7 @@ REJECTED_CONFIGS = [
     ("scenario = I\nn = 1\ntopology = random\nedge_probability = 0.5\n",
      "n must be at least 2 for a random topology, got 1"),
     ("scenario = I\nn = 5\nrows_per_agent = 0\n", "rows_per_agent must be at least 1, got 0"),
+    ("scenario = I\nn = 5\nseed = -1\n", "seed must be nonnegative, got -1"),
     ("scenario = static\np = 1\nrows_per_agent = -2\n", "rows_per_agent must be at least 1, got -2"),
     ("scenario = II\np = 1\ntopology = random\nedge_probability = 1.5\n",
      "edge_probability must lie in (0, 1], got 1.5"),
@@ -197,6 +205,17 @@ def test_spacing_at_the_float_range_edges_scales_the_tail_error(tmp_path):
     assert [alpha for alpha, _ in scaled[1e153]] == [alpha for alpha, _ in scaled[1e-150]]
     for (_, high), (_, low) in zip(scaled[1e153], scaled[1e-150]):
         assert high == pytest.approx(low, rel=1e-9)
+
+
+def test_divergent_lane_at_tiny_spacing_scales_without_a_warning(tmp_path):
+    # The tracking error divides by ((p+1) spacing_m)^2 = 9e-200, and the
+    # diverging lane's quotient overflows: it is recorded as inf, silently.
+    config = parse_config(
+        "scenario = static\np = 2\nhorizon = 2000\nstepsizes = 0.5, 3.0\n"
+        f"algorithms = diffusion\nspacing_m = 1e-100\noutput_dir = {tmp_path}\n"
+    )
+    (row,) = run_suite(config).rows
+    assert row.alpha == 0.5 and math.isfinite(row.steady_state_error)
 
 
 def test_builders_resolve_scenarios():
@@ -487,7 +506,7 @@ def config_draws(draw):
         "topology": topology,
         "weight_rule": draw(st.sampled_from(WEIGHT_RULES)),
         "horizon": draw(st.integers(min_value=10, max_value=40)),
-        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+        "seed": draw(st.sampled_from([-1, 0]) | st.integers(min_value=-2, max_value=2**16)),
         "init": draw(st.sampled_from(INITS)),
         "tail_fraction": draw(st.sampled_from([0.1, 0.2, 0.5])),
         "algorithms": tuple(
@@ -695,6 +714,51 @@ def test_cli_audit_rejects_record_without_drift_constants(tmp_path, capsys):
     assert err == (
         "error: record sidecar carries no drift constants; audit a record written by netdrift run\n"
     )
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda payload: payload["metadata"].update(widget=3), "unexpected keyword argument 'widget'"),
+        (lambda payload: payload["metadata"].pop("alpha"), "missing 1 required positional argument"),
+        (lambda payload: payload.pop("metadata"), "holds no metadata object"),
+        (None, "has a header but no rows"),
+    ],
+    ids=["unknown_key", "missing_key", "no_metadata", "header_only_csv"],
+)
+def test_cli_audit_rejects_malformed_record(tmp_path, capsys, spoil, message):
+    # Input the audit cannot process exits 2 with a one-line error naming the
+    # file, and raises no warning on the way.
+    meta = RunMetadata(
+        algorithm="diffusion", alpha=0.1, beta=0.5, scenario="synthetic", seed=0,
+        n=4, d=1, horizon=1, mu=1.0, lipschitz=1.0, normalization=1.0,
+        delta_x=0.0, grad_bound=0.0, grad_drift=0.0,
+    )
+    path = tmp_path / "spoiled.csv"
+    write_record(
+        TrajectoryRecord(
+            metadata=meta,
+            iterations=np.arange(2, dtype=np.int64),
+            tracking_error=np.zeros(2),
+            consensus_dev=np.zeros(2),
+            avg_error=np.zeros(2),
+        ),
+        path,
+    )
+    if spoil is None:
+        path.write_text(",".join(CSV_HEADER) + "\n")
+    else:
+        sidecar = tmp_path / "spoiled.meta.json"
+        payload = json.loads(sidecar.read_text())
+        spoil(payload)
+        sidecar.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["audit", "--record", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "spoiled." in err and message in err
 
 
 def test_cli_rejects_unknown_command():

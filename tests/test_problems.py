@@ -134,6 +134,13 @@ def test_ls_stream_redraws_steps_below_pd_floor(monkeypatch):
     again = least_squares_stream(n=2, horizon=60, seed=4)
     np.testing.assert_array_equal(again.coefficients, stream.coefficients)
     np.testing.assert_array_equal(again.measurements, stream.measurements)
+    # The constants are those of the redrawn coefficients, bitwise as a second
+    # pass over the final coefficients gives them.
+    C = stream.coefficients
+    avg_hessians = np.einsum("knrd,knre->kde", C, C) / stream.n
+    assert stream.mu == float(np.linalg.eigvalsh(avg_hessians)[:, 0].min())
+    assert stream.lipschitz == float((C**2).sum(axis=(2, 3)).max())
+    assert stream.mu != plain.mu
 
     monkeypatch.setattr(problems, "_PD_FLOOR", 1e6)
     with pytest.raises(RuntimeError, match="could not draw a positive definite step at k=0"):
