@@ -237,7 +237,11 @@ def load_config(path: Path | str) -> ExperimentConfig:
 
 
 def build_network(config: ExperimentConfig) -> tuple[Graph, WeightMatrix]:
-    """Materialize the topology and its mixing matrix for the config."""
+    """Materialize the topology and its mixing matrix for the config.
+
+    With ``target_beta`` set, the weights come from :func:`calibrate_beta`,
+    which always builds Metropolis weights, so ``weight_rule`` is ignored.
+    """
     size = config.network_size
     if config.topology == "random":
         if config.target_beta is not None:

@@ -103,21 +103,27 @@ def read_record(csv_path: Path) -> TrajectoryRecord:
     with open(csv_path, newline="") as handle:
         header = next(csv.reader(handle), [])
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
+            raise ValueError(f"record {csv_path}: unexpected CSV header {header}")
         # A non-integer k, a non-numeric value or a ragged row raises ValueError.
         empty_as_nan = {4: lambda value: float(value) if value else np.nan}
         with warnings.catch_warnings():  # numpy warns of a header with no rows under it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(
-                handle, dtype=_ROW, delimiter=",", comments=None, ndmin=1, converters=empty_as_nan
-            )
+            try:
+                table = np.loadtxt(
+                    handle, dtype=_ROW, delimiter=",", comments=None, ndmin=1, converters=empty_as_nan
+                )
+            except ValueError as exc:
+                raise ValueError(f"record {csv_path}: {exc}") from exc
     if table.size == 0:
         raise ValueError(f"record {csv_path} has a header but no rows")
     # Structured fields are strided views; contiguous copies make every later
     # reduction sum in the order it does on the arrays that were written.
     k, tracking, consensus, avg, y_dev = (np.ascontiguousarray(table[c]) for c in CSV_HEADER)
     sidecar = sidecar_path(csv_path)
-    payload = json.loads(sidecar.read_text())
+    try:
+        payload = json.loads(sidecar.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"record sidecar {sidecar}: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("metadata"), dict):
         raise ValueError(f"record sidecar {sidecar} holds no metadata object")
     try:

@@ -21,6 +21,7 @@ from scipy.sparse import _sparsetools
 
 STOCHASTICITY_TOL = 1e-12
 _RANDOM_ATTEMPTS = 50  # seeds build_random tries before ConstructionError
+_PAIR_BLOCK = 2**16  # pair uniforms build_random draws at a time
 _CALIBRATION_TOL = 0.02  # largest |beta - target| calibrate_beta accepts
 _CALIBRATION_STEPS = 40  # most bisection steps calibrate_beta takes
 
@@ -140,7 +141,16 @@ def build_complete(n: int) -> Graph:
 
 
 def build_random(n: int, edge_probability: float, seed: int) -> Graph:
-    """Erdos-Renyi style graph, retried under derived seeds until connected."""
+    """Erdos-Renyi style graph, retried under derived seeds until connected.
+
+    Each attempt draws one uniform per pair (i, j), i < j, in row-major order
+    and keeps the pairs whose uniform is below ``edge_probability``. The
+    stream is drawn in blocks of ``_PAIR_BLOCK`` uniforms. numpy's generator
+    fills float64 values one 64-bit draw at a time, so the blocks hold the
+    same values as one draw of all n(n-1)/2 pairs, and the graphs are the
+    same. Memory therefore grows with the kept edges, not with the pairs;
+    drawing time still grows as n^2/2, because the whole stream is consumed.
+    """
     if n < 2:
         raise InvalidSizeError(f"a random graph needs at least 2 agents, got {n}")
     if not 0.0 < edge_probability <= 1.0:
@@ -149,9 +159,13 @@ def build_random(n: int, edge_probability: float, seed: int) -> Graph:
     # pair i(2n-i-1)/2. Only the kept pairs are mapped back to (i, j).
     i = np.arange(n)
     starts = i * (2 * n - i - 1) // 2
+    pairs = n * (n - 1) // 2
     for child in np.random.SeedSequence(seed).spawn(_RANDOM_ATTEMPTS):
         rng = np.random.default_rng(child)
-        kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < edge_probability)
+        kept = np.concatenate([
+            np.flatnonzero(rng.random(min(_PAIR_BLOCK, pairs - q)) < edge_probability) + q
+            for q in range(0, pairs, _PAIR_BLOCK)
+        ])
         heads = np.searchsorted(starts, kept, side="right") - 1
         g = _graph(n, heads, kept - starts[heads] + heads + 1, kind="random")
         if is_connected(g):
@@ -254,7 +268,8 @@ def calibrate_beta(n: int, target_beta: float, seed: int) -> tuple[float, Graph,
     Bisects on the edge probability, measuring beta empirically on the graph
     drawn under the given seed. Denser graphs mix faster, so beta decreases
     as the probability grows. Returns (edge_probability, graph, weights) of
-    the first probe closest to the target.
+    the first probe closest to the target. The weights are always
+    Metropolis weights; no other weight rule is calibrated.
     """
     if not 0.0 < target_beta < 1.0:
         raise ValueError(f"target beta must lie in (0, 1), got {target_beta}")

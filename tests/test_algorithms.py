@@ -6,7 +6,6 @@ optima via a least-squares solve, and the average-iterate / tracker-average
 identities are checked against independently recomputed gradients.
 """
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -546,7 +545,7 @@ def test_records_do_not_depend_on_block_length(monkeypatch, algorithm, scenario)
     assert not np.isfinite(by_length[1][-1].tracking_error[-1])
 
 
-def test_run_memory_grows_with_the_recorded_series_only():
+def test_run_memory_grows_with_the_recorded_series_only(traced_peak):
     # Blocks are sized by a value budget, not by the horizon, so ten times
     # the steps adds the longer series to the peak and no block buffer:
     # about the record's own bytes, plus the few horizon-long arrays that
@@ -557,12 +556,8 @@ def test_run_memory_grows_with_the_recorded_series_only():
     _, wm = build_network(config)
     peaks, series = [], []
     for horizon in (2_000, 20_000):
-        tracemalloc.start()
-        try:
-            record = run("dgt", objective, wm, 0.01, horizon)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peak, record = traced_peak(lambda: run("dgt", objective, wm, 0.01, horizon))
+        peaks.append(peak)
         arrays = (record.iterations, record.tracking_error, record.consensus_dev,
                   record.avg_error, record.y_dev)
         series.append(sum(a.nbytes for a in arrays if a is not None))

@@ -6,6 +6,7 @@ same bytes and read back the same arrays.
 """
 
 import csv
+import json
 import math
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ import pytest
 
 from netdrift.algorithms import run
 from netdrift.problems import shifting_consensus
-from netdrift.records import CSV_HEADER, read_record, write_record
+from netdrift.records import CSV_HEADER, read_record, sidecar_path, write_record
 from netdrift.topology import build_cycle, uniform_neighbor_weights
 
 SERIES = ("iterations", "tracking_error", "consensus_dev", "avg_error", "y_dev")
@@ -110,8 +111,20 @@ def test_read_record_rejects_malformed_csv(line, edit, message, tmp_path):
     lines = path.read_text().splitlines()
     lines[line] = ",".join(edit(lines[line].split(",")))
     path.write_text("\r\n".join(lines) + "\r\n")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as raised:
         read_record(path)
+    assert str(path) in str(raised.value)
+
+
+def test_read_record_names_an_undecodable_sidecar(tmp_path):
+    path = tmp_path / "run.csv"
+    write_record(_record("dgt", 0.1, 5), path)
+    sidecar = sidecar_path(path)
+    sidecar.write_text("{'metadata': {}}\n")
+    with pytest.raises(ValueError, match="Expecting property name enclosed in double quotes") as raised:
+        read_record(path)
+    assert str(sidecar) in str(raised.value)
+    assert isinstance(raised.value.__cause__, json.JSONDecodeError)
 
 
 @pytest.mark.parametrize("short", ["tracking_error", "y_dev"])

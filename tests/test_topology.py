@@ -205,11 +205,25 @@ def test_build_random_pinned_edges():
 
 @pytest.mark.parametrize(
     "n, p, seed",
-    [(2, 1.0, 0), (9, 0.4, 3), (30, 0.1, 3), (101, 0.05, 2), (400, 0.02, 5)],
+    [
+        (2, 1.0, 0), (9, 0.4, 3), (30, 0.1, 3), (101, 0.05, 2), (362, 0.03, 1), (363, 0.03, 1),
+        (400, 0.02, 5), (2001, 0.0055, 0),
+    ],
 )
 def test_build_random_matches_all_pairs_oracle(n, p, seed):
-    # (30, 0.1, 3) keeps the tenth draw, so the retries are covered too.
+    # (30, 0.1, 3) keeps the tenth draw, so the retries are covered too. The
+    # pair stream is drawn in blocks of 2**16: n = 362 has 65,341 pairs, one
+    # block; n = 363 has one block plus 167 pairs; n = 400 crosses one block
+    # boundary; the benchmark's graph at n = 2001 is 30 blocks plus 34,920 pairs.
     assert_same_csr(build_random(n, p, seed).adjacency, triu_random(n, p, seed))
+
+
+def test_build_random_memory_grows_with_the_kept_edges(traced_peak):
+    # The benchmark's graph keeps about 11,000 of 2,001,000 pairs. One draw
+    # of every pair would take 16 MB of uniforms and a 2 MB mask; a block of
+    # the stream at a time leaves the kept edges and the CSR build.
+    peak, _ = traced_peak(lambda: build_random(2001, 0.0055, 0))
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
