@@ -16,24 +16,29 @@ harness:
 
 ``step`` is pure: it takes a state and returns a new one, never mutating
 arrays in place. It makes one gradient call and one update per method, in
-that method's own order of operations. Mixing goes through
-``WeightMatrix.mix``, which applies the sparse view of the weight matrix
-with scipy's compiled kernel and none of its operator dispatch, so each
-update touches neighbor values only. EXTRA keeps its product ``W x`` in the
-state and reads it back as ``W x_prev`` on its next step, so every method
-makes one sparse product per step, except dgt, which makes two.
+that method's own order of operations. The update itself is a private
+function on a plain tuple of the stacks, which ``step`` wraps into an
+``AlgorithmState``; ``run`` advances the tuple directly, so both take one
+path through the arithmetic and the loop builds no state object per step.
+Mixing goes through ``WeightMatrix.mix``, which applies the sparse view of
+the weight matrix with scipy's compiled kernel and none of its operator
+dispatch, so each update touches neighbor values only. EXTRA keeps its
+product ``W x`` in the state and reads it back as ``W x_prev`` on its next
+step, so every method makes one sparse product per step, except dgt, which
+makes two.
 
 Step-size lanes: ``run`` can advance one method at several step sizes in a
 single pass. Each step size is a lane, and a stack holds the G lanes
 coordinate-major in its (n, G*d) columns: column j*G + g is coordinate j of
 lane g, so the lanes are the innermost, contiguous axis of every operand.
-``step`` then takes ``alpha`` as a row of G*d per-column step sizes; mixing
-is one sparse product over all lanes and gradients broadcast over them.
-Every operation acts on each lane separately, and each recorded metric
-reduces over agents within one lane in the same order as a one-lane run, so
-lane g of a sweep is bitwise identical to a one-lane run at that step size.
-A lane that diverges fills with non-finite values without touching the
-others.
+``run`` builds the step sizes once as a contiguous (n, G*d) array, entry
+(i, j*G + g) holding lane g's, so every product with ``alpha`` is a
+same-shape loop; mixing is one sparse product over all lanes and gradients
+broadcast over them. Every operation acts on each lane separately, and each
+recorded metric reduces over agents within one lane in the same order as a
+one-lane run, so lane g of a sweep is bitwise identical to a one-lane run at
+that step size. A lane that diverges fills with non-finite values without
+touching the others.
 
 Blocks of recorded steps: the metrics cost about fifteen small numpy calls,
 which dominate a step on small networks. So ``run`` files each step's
@@ -58,7 +63,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 from numpy.typing import NDArray
@@ -155,41 +159,44 @@ def step(
     exact diffusion half-mixes ``2x - x_prev`` less the step along the
     gradient difference. Each method makes one sparse product per step,
     except dgt, which makes two, and each goes through ``wm.mix``. ``alpha``
-    is one step size, or a row of G*d whose entry j*G + g is lane g's.
+    is one step size or any array that broadcasts against the (n, G*d)
+    stacks, such as a row of G*d whose entry j*G + g is lane g's step size,
+    or ``run``'s full (n, G*d) array of them.
     """
-    x, x_prev, g_prev, mix = state.x_stack, state.prev_x_stack, state.prev_grad_stack, wm.mix
+    return AlgorithmState(*_update(algorithm, tuple(vars(state).values()), objective, wm, alpha, k))
+
+
+def _update(algorithm, stacks, objective, wm, alpha, k) -> tuple:
+    """``step`` on a tuple of stacks in ``AlgorithmState``'s field order."""
+    x, y, g_prev, x_prev, prev_mix = stacks
+    mix = wm.mix
     if algorithm == "dgt":
-        x_new = mix(x - alpha * state.y_stack)
+        x_new = mix(x - alpha * y)
         g_new = objective.gradient_stack(k + 1, x_new)
-        y_new = mix(state.y_stack) + g_new - g_prev
-        return AlgorithmState(x_stack=x_new, y_stack=y_new, prev_grad_stack=g_new)
+        return x_new, mix(y) + g_new - g_prev, g_new, None, None
     grads = objective.gradient_stack(k + 1, x)
     if algorithm == "diffusion" or (algorithm == "extra" and x_prev is None):
         x_new = mix(x - alpha * grads)
     elif algorithm == "extra":
         mixed = mix(x)
-        prev_mix = state.prev_mix_stack if state.prev_mix_stack is not None else mix(x_prev)
+        prev_mix = prev_mix if prev_mix is not None else mix(x_prev)
         x_new = x + mixed - 0.5 * (x_prev + prev_mix) - alpha * (grads - g_prev)
-        return AlgorithmState(
-            x_stack=x_new, prev_grad_stack=grads, prev_x_stack=x, prev_mix_stack=mixed
-        )
+        return x_new, None, grads, x, mixed
     elif algorithm == "exact_diffusion":
         corrected = 2.0 * x - x_prev - alpha * (grads - g_prev)
         x_new = 0.5 * (corrected + mix(corrected))
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if algorithm == "diffusion":
-        return AlgorithmState(x_stack=x_new)
-    return AlgorithmState(x_stack=x_new, prev_grad_stack=grads, prev_x_stack=x)
+        return x_new, None, None, None, None
+    return x_new, None, grads, x, None
 
 
-def _widen(state: AlgorithmState, lanes: int) -> AlgorithmState:
-    """Replicate a one-lane state across ``lanes``: each column becomes ``lanes`` columns."""
-    if lanes == 1:
-        return state
-    return AlgorithmState(
-        **{name: None if stack is None else np.repeat(stack, lanes, axis=1)
-           for name, stack in vars(state).items()}
+def _widen(state: AlgorithmState, lanes: int) -> tuple:
+    """The stacks of a one-lane state, each column replicated as ``lanes`` columns."""
+    return tuple(
+        stack if stack is None or lanes == 1 else np.repeat(stack, lanes, axis=1)
+        for stack in vars(state).values()
     )
 
 
@@ -262,10 +269,10 @@ def run(
     _check_compatible(objective, wm, state.x_stack)
 
     n, d, lanes = objective.n, objective.d, alphas.size
-    state = _widen(state, lanes)
-    alpha_row = np.tile(alphas, d)
+    stacks = _widen(state, lanes)
+    alpha_stack = np.tile(alphas, (n, d))  # the step size of every stack entry
     tracker = algorithm == "dgt"
-    if tracker and state.y_stack is None:
+    if tracker and stacks[1] is None:
         raise StepError("a dgt run needs a tracker state; build it with init_state")
     normalization = float(objective.normalization)
     length = horizon + 1
@@ -276,7 +283,6 @@ def run(
     # (tracking) the tracker average, one series each, are summed per step,
     # series and lane into ``sums`` in a one-lane run's order (module
     # docstring).
-    stacks_of = attrgetter("x_stack", "y_stack", "prev_grad_stack")
     series = 3 if tracker else 2
     block = max(1, min(length, _BLOCK_VALUES // (n * lanes * d)))
     if d > 1:
@@ -331,7 +337,7 @@ def run(
         for k in range(length):
             b = k % block
             lane_optima[b] = objective.optimum(k)
-            for buffer, stack in zip(filed, stacks_of(state)):
+            for buffer, stack in zip(filed, stacks):  # x, then for dgt y and g_prev
                 buffer[b] = stack if d > 1 else stack.T
             if b == block - 1:
                 reduce_block(k - b, filed, *full)
@@ -340,7 +346,7 @@ def run(
             if k == horizon:
                 break
             try:
-                state = step(algorithm, state, objective, wm, alpha_row, k)
+                stacks = _update(algorithm, stacks, objective, wm, alpha_stack, k)
             except Exception as exc:
                 raise StepError(f"{algorithm} step failed at iteration {k}") from exc
         # Roots and scaling in place: a horizon-long temporary per series would

@@ -4,13 +4,13 @@ A record captures everything needed to audit a finished run from disk: the
 CSV holds the per-iteration series (header `k,tracking_error,consensus_dev,
 avg_error,y_dev`), and a JSON sidecar next to it holds the metadata (the
 constants of the problem and network, the step size, and the seed). Records
-move column by column: each series is formatted once and written in one
-``writerows`` call, and a record is read back in one numpy parse.
+move column by column: each series is formatted once, the CSV is joined into
+one string and written in one call, and it is read back in one decode and one
+numpy parse.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -82,14 +82,14 @@ def write_record(record: TrajectoryRecord, csv_path: Path) -> None:
     """Persist the CSV series and the JSON metadata sidecar."""
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    # tolist() gives Python floats, so each value is written as repr(float(x)).
+    # tolist() gives Python floats, so each value is written as repr(float(x)),
+    # and every line ends in "\r\n", as csv.writer ends them.
     floats = (record.tracking_error, record.consensus_dev, record.avg_error)
     y_dev = [""] * len(record) if record.y_dev is None else map(repr, record.y_dev.tolist())
-    columns = (record.iterations.tolist(), *(map(repr, s.tolist()) for s in floats), y_dev)
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(zip(*columns))
+    columns = (map(str, record.iterations.tolist()), *(map(repr, s.tolist()) for s in floats), y_dev)
+    rows = map(",".join, zip(*columns))
+    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("\r\n".join([",".join(CSV_HEADER), *rows, ""]))
     payload = {
         "metadata": asdict(record.metadata),
         "tracker_identity_max": record.tracker_identity_max,
@@ -100,20 +100,23 @@ def write_record(record: TrajectoryRecord, csv_path: Path) -> None:
 def read_record(csv_path: Path) -> TrajectoryRecord:
     """Load a record written by :func:`write_record`, parsing its rows in one ``np.loadtxt``."""
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as handle:
-        header = next(csv.reader(handle), [])
-        if header != CSV_HEADER:
-            raise ValueError(f"record {csv_path}: unexpected CSV header {header}")
-        # A non-integer k, a non-numeric value or a ragged row raises ValueError.
-        empty_as_nan = {4: lambda value: float(value) if value else np.nan}
-        with warnings.catch_warnings():  # numpy warns of a header with no rows under it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                table = np.loadtxt(
-                    handle, dtype=_ROW, delimiter=",", comments=None, ndmin=1, converters=empty_as_nan
-                )
-            except ValueError as exc:
-                raise ValueError(f"record {csv_path}: {exc}") from exc
+    try:
+        lines = csv_path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"record {csv_path}: {exc}") from exc
+    header = lines[0].split(",") if lines else []
+    if header != CSV_HEADER:
+        raise ValueError(f"record {csv_path}: unexpected CSV header {header}")
+    # A non-integer k, a non-numeric value or a ragged row raises ValueError.
+    empty_as_nan = {4: lambda value: float(value) if value else np.nan}
+    with warnings.catch_warnings():  # numpy warns of a header with no rows under it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(
+                lines[1:], dtype=_ROW, delimiter=",", comments=None, ndmin=1, converters=empty_as_nan
+            )
+        except ValueError as exc:
+            raise ValueError(f"record {csv_path}: {exc}") from exc
     if table.size == 0:
         raise ValueError(f"record {csv_path} has a header but no rows")
     # Structured fields are strided views; contiguous copies make every later

@@ -343,6 +343,36 @@ def test_run_series_match_manual_stepping():
     assert rec.tracker_identity_max <= 1e-10
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("problem", ["least_squares", "consensus"])  # d = 2 and d = 1
+def test_run_lanes_match_a_loop_of_public_steps(algorithm, problem):
+    # run advances its stacks through a private update; each lane of a
+    # three-lane run must record, bitwise, what public step calls from
+    # init_state at that lane's step size give. On 5 agents every sum over
+    # agents runs in order, so the plain numpy formulas below are the oracle.
+    if problem == "least_squares":
+        objective = least_squares_stream(n=5, horizon=30, seed=4)
+    else:
+        objective = shifting_consensus(p=2, spacing_m=1.0, shift=3, horizon=30)
+    wm = metropolis_weights(build_random(5, 0.6, seed=4))
+    alphas = (0.02, 0.08, 0.15)
+    records = run(algorithm, objective, wm, alphas, 30)
+    for alpha, record in zip(alphas, records):
+        state = init_state(algorithm, objective, wm)
+        for k in range(31):
+            x, opt, x_bar = state.x_stack, objective.optimum(k), state.x_stack.mean(axis=0)
+            tracking = np.sqrt(np.mean(np.sum((x - opt) ** 2, axis=1))) / objective.normalization
+            assert record.tracking_error[k] == tracking, (alpha, k)
+            assert record.consensus_dev[k] == np.sqrt(np.mean(np.sum((x - x_bar) ** 2, axis=1)))
+            assert record.avg_error[k] == np.linalg.norm(x_bar - opt), (alpha, k)
+            if algorithm == "dgt":
+                y, y_bar = state.y_stack, state.y_stack.mean(axis=0)
+                assert record.y_dev[k] == np.sqrt(np.mean(np.sum((y - y_bar) ** 2, axis=1)))
+            if k < 30:
+                state = step(algorithm, state, objective, wm, alpha, k)
+        assert (record.y_dev is None) == (algorithm != "dgt")
+
+
 def test_run_is_deterministic():
     stream = least_squares_stream(n=5, horizon=50, seed=9)
     graph = build_random(5, 0.6, seed=9)

@@ -761,6 +761,35 @@ def test_cli_audit_rejects_malformed_record(tmp_path, capsys, spoil, message):
     assert "spoiled." in err and message in err
 
 
+@pytest.mark.parametrize("marker", [b"", b"\r\n1,"], ids=["first_byte", "second_data_row"])
+def test_cli_audit_names_an_undecodable_csv(tmp_path, capsys, marker):
+    # A byte that is not UTF-8, before the header or after the k of the
+    # second data row, exits 2 with a one-line error naming the CSV.
+    path = tmp_path / "spoiled.csv"
+    write_record(
+        TrajectoryRecord(
+            metadata=RunMetadata(
+                algorithm="diffusion", alpha=0.1, beta=0.5, scenario="synthetic", seed=0,
+                n=4, d=1, horizon=2, mu=1.0, lipschitz=1.0, normalization=1.0,
+                delta_x=0.0, grad_bound=0.0, grad_drift=0.0,
+            ),
+            iterations=np.arange(3, dtype=np.int64),
+            tracking_error=np.zeros(3),
+            consensus_dev=np.zeros(3),
+            avg_error=np.zeros(3),
+        ),
+        path,
+    )
+    data = path.read_bytes()
+    offset = data.index(marker) + len(marker)
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    code = cli.main(["audit", "--record", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: record {path}: ") and err.count("\n") == 1
+    assert f"can't decode byte 0xff in position {offset}" in err
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["paint"])

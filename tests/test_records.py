@@ -63,11 +63,28 @@ def _record(algorithm, alpha, horizon):
     return run(algorithm, sc, uniform_neighbor_weights(build_cycle(5)), alpha=alpha, horizon=horizon)
 
 
+# Values at the edges of repr's styles: the shortest round-trip digits, the
+# switch to exponent notation on either side, subnormal, largest, non-finite.
+REPR_EDGES = (0.0001, 1e-05, 1e16, 9999999999999998.0, 5e-324, 1.7976931348623157e308,
+              math.inf, math.nan)
+
+
+def _repr_edges(tracker):
+    # Each series holds every edge value, rotated so that no two share a row.
+    record = _record("dgt", 0.1, len(REPR_EDGES) - 1)
+    series = [np.roll(REPR_EDGES, shift) for shift in range(4)]
+    return replace(record, tracking_error=series[0], consensus_dev=series[1],
+                   avg_error=series[2], y_dev=series[3] if tracker else None)
+
+
 RECORDS = {
     "no_tracker": lambda: _record("diffusion", 0.1, 40),
     "tracker": lambda: _record("dgt", 0.1, 40),
     "diverged": lambda: _record("dgt", 50.0, 400),
     "one_row": lambda: _record("dgt", 0.1, 0),
+    "audit_length": lambda: _record("dgt", 0.1, 2000),  # the audit_replay benchmark's 2,001 rows
+    "repr_edges": lambda: _repr_edges(tracker=True),
+    "repr_edges_no_tracker": lambda: _repr_edges(tracker=False),
 }
 
 
@@ -81,9 +98,13 @@ def test_column_writer_and_reader_match_the_per_row_oracle(name, tmp_path):
     write_record(record, path)
     per_row_write(record, oracle_path)
     assert path.read_bytes() == oracle_path.read_bytes()
+    if name.startswith("repr_edges"):
+        cells = {cell for line in path.read_text().splitlines()[1:] for cell in line.split(",")}
+        assert {"0.0001", "1e-05", "1e+16", "9999999999999998.0", "5e-324",
+                "1.7976931348623157e+308", "inf", "nan"} <= cells
 
     loaded, expected = read_record(path), per_row_read(path)
-    assert (loaded.y_dev is None) == (name == "no_tracker")
+    assert (loaded.y_dev is None) == name.endswith("no_tracker")
     for series in SERIES:
         got, want = getattr(loaded, series), expected[series]
         if want is None:
@@ -125,6 +146,21 @@ def test_read_record_names_an_undecodable_sidecar(tmp_path):
         read_record(path)
     assert str(sidecar) in str(raised.value)
     assert isinstance(raised.value.__cause__, json.JSONDecodeError)
+
+
+@pytest.mark.parametrize("marker", [b"", b"\r\n1,"], ids=["first_byte", "second_data_row"])
+def test_read_record_names_an_undecodable_csv(marker, tmp_path):
+    # A byte that is not UTF-8 fails with a ValueError naming the CSV, where
+    # it is found: before the header, or in the second of three data rows.
+    path = tmp_path / "run.csv"
+    write_record(_record("dgt", 0.1, 2), path)
+    data = path.read_bytes()
+    offset = data.index(marker) + len(marker)
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    with pytest.raises(ValueError, match=f"can't decode byte 0xff in position {offset}") as raised:
+        read_record(path)
+    assert str(path) in str(raised.value)
+    assert isinstance(raised.value.__cause__, UnicodeDecodeError)
 
 
 @pytest.mark.parametrize("short", ["tracking_error", "y_dev"])
