@@ -5,7 +5,8 @@ matrix recursion z+ <= A z + b coupling the average-iterate error, the
 consensus deviation, and (for tracking) the tracker deviation, all per-agent
 norms as the records store them. The spectral radius of A certifies
 geometric decay of the transient, and the resolvent (I - A)^{-1} applied to
-b yields the steady-state bounds.
+b yields the steady-state bounds. A model computes its spectral radius only
+when ``rho`` is read: an audit uses A and b alone.
 
 ``_AUDITED`` holds all that differs between the two analysed methods: the
 builder, the bound, the drift constant both take besides delta_x (diffusion
@@ -42,15 +43,22 @@ class AuditViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class ContractionModel:
-    """Nonnegative one-step recursion z+ <= A z + b with rho = spectral radius of A."""
+    """Nonnegative one-step recursion z+ <= A z + b.
+
+    ``rho``, the spectral radius of A, is computed from A on each access, so
+    a model built only to replay its rows never solves for eigenvalues.
+    """
 
     A: NDArray[np.float64]
     b: NDArray[np.float64]
-    rho: float
 
     def __post_init__(self):
         if (self.A < 0).any():
             raise ValueError("contraction matrix must be entrywise nonnegative")
+
+    @property
+    def rho(self) -> float:
+        return float(np.abs(np.linalg.eigvals(self.A)).max())
 
 
 def _validate_constants(mu: float, lipschitz: float, beta: float) -> None:
@@ -105,7 +113,7 @@ def diffusion_contraction(
             alpha * beta * lipschitz * delta_x + alpha * beta * grad_bound,
         ]
     )
-    return ContractionModel(A=A, b=b, rho=float(np.abs(np.linalg.eigvals(A)).max()))
+    return ContractionModel(A=A, b=b)
 
 
 def dgt_contraction(
@@ -127,7 +135,7 @@ def dgt_contraction(
         ]
     )
     b = np.array([lipschitz * delta_x + grad_drift, 0.0, delta_x])
-    return ContractionModel(A=A, b=b, rho=float(np.abs(np.linalg.eigvals(A)).max()))
+    return ContractionModel(A=A, b=b)
 
 
 def max_stepsize(algorithm: str, mu: float, lipschitz: float, beta: float) -> float:

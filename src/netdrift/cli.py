@@ -3,11 +3,16 @@
 Exit codes: 0 on success (including in-regime bounds reported as out of
 regime, which is information, not failure), 2 when an audit finds a
 violation or an input cannot be processed.
+
+The argparse tree is built on the first call of ``main`` and reused by every
+later call in the process; parsing leaves it unchanged, so each call answers
+as a fresh parser would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import astuple, fields
 
@@ -86,7 +91,8 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netdrift", description="drifting-optimum experiments over networks"
     )
@@ -94,7 +100,11 @@ def main(argv=None) -> int:
     _add_run(sub)
     _add_audit(sub)
     _add_bounds(sub)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -6,14 +6,16 @@ avg_error,y_dev`), and a JSON sidecar next to it holds the metadata (the
 constants of the problem and network, the step size, and the seed). Records
 move column by column: each series is formatted once, the CSV is joined into
 one string and written in one call, and it is read back in one decode and one
-numpy parse.
+numpy parse with no Python callback per row (empty y_dev cells become "nan"
+in the text first). Reading checks the JSON type of every metadata key, so a
+mistyped sidecar fails with a ValueError naming the key and the file.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,17 @@ class RunMetadata:
     grad_bound: float | None = None
     grad_drift: float | None = None
     extra: dict = field(default_factory=dict)
+
+
+# What a sidecar may hold for each RunMetadata annotation, and how to name it;
+# a JSON true or false is no number, though Python counts a bool an int.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+    "dict": ((dict,), "an object"),
+}
 
 
 @dataclass(frozen=True)
@@ -107,14 +120,17 @@ def read_record(csv_path: Path) -> TrajectoryRecord:
     header = lines[0].split(",") if lines else []
     if header != CSV_HEADER:
         raise ValueError(f"record {csv_path}: unexpected CSV header {header}")
+    # An empty last cell (y_dev of a method without a tracker) reads as nan:
+    # the rows are joined on "\n" whatever their line ends were, so one
+    # replace reaches every row that ends in a comma, the last one included.
+    body = "\n".join(lines[1:]).replace(",\n", ",nan\n")
+    if body.endswith(","):
+        body += "nan"
     # A non-integer k, a non-numeric value or a ragged row raises ValueError.
-    empty_as_nan = {4: lambda value: float(value) if value else np.nan}
     with warnings.catch_warnings():  # numpy warns of a header with no rows under it
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            table = np.loadtxt(
-                lines[1:], dtype=_ROW, delimiter=",", comments=None, ndmin=1, converters=empty_as_nan
-            )
+            table = np.loadtxt(body.split("\n"), dtype=_ROW, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
             raise ValueError(f"record {csv_path}: {exc}") from exc
     if table.size == 0:
@@ -133,6 +149,11 @@ def read_record(csv_path: Path) -> TrajectoryRecord:
         metadata = RunMetadata(**payload["metadata"])
     except TypeError as exc:  # an unknown or a missing key
         raise ValueError(f"record sidecar {sidecar}: {exc}") from exc
+    for f in fields(RunMetadata):
+        value = getattr(metadata, f.name)
+        types, kind = _JSON_TYPES[f.type]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"record sidecar {sidecar}: {f.name} must be {kind}, got {value!r}")
     return TrajectoryRecord(
         metadata=metadata,
         iterations=k,

@@ -723,8 +723,14 @@ def test_cli_audit_rejects_record_without_drift_constants(tmp_path, capsys):
         (lambda payload: payload["metadata"].pop("alpha"), "missing 1 required positional argument"),
         (lambda payload: payload.pop("metadata"), "holds no metadata object"),
         (None, "has a header but no rows"),
+        (lambda payload: payload["metadata"].update(alpha="0.1"), "alpha must be a number, got '0.1'"),
+        (lambda payload: payload["metadata"].update(beta=None), "beta must be a number, got None"),
+        (lambda payload: payload["metadata"].update(delta_x="0"),
+         "delta_x must be a number or null, got '0'"),
+        (lambda payload: payload["metadata"].update(n="21"), "n must be an integer, got '21'"),
     ],
-    ids=["unknown_key", "missing_key", "no_metadata", "header_only_csv"],
+    ids=["unknown_key", "missing_key", "no_metadata", "header_only_csv",
+         "alpha_string", "beta_null", "delta_x_string", "n_string"],
 )
 def test_cli_audit_rejects_malformed_record(tmp_path, capsys, spoil, message):
     # Input the audit cannot process exits 2 with a one-line error naming the
@@ -793,3 +799,63 @@ def test_cli_audit_names_an_undecodable_csv(tmp_path, capsys, marker):
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["paint"])
+
+
+def _cli_outcome(argv, capsys):
+    """Exit code (or SystemExit code), stdout and stderr of one ``cli.main`` call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_parser_is_stateless_across_calls(tmp_path, capsys, monkeypatch):
+    # cli.main builds its parser once per process. Every call must answer as
+    # if the parser were new, whichever calls came before it.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    monkeypatch.setenv("NETDRIFT_OUTPUT", str(tmp_path))
+    alpha = max_stepsize("dgt", 1.0, 1.0, uniform_cycle_beta_5())
+    audited = tmp_path / "audited.cfg"
+    audited.write_text(f"scenario = II\np = 2\nhorizon = 200\nstepsizes = {alpha!r}\n"
+                       "algorithms = dgt\ninit = optimum\noutput_dir = audited\n")
+    assert cli.main(["run", "--config", str(audited)]) == 0
+    meta = RunMetadata(
+        algorithm="diffusion", alpha=0.1, beta=0.5, scenario="synthetic", seed=0,
+        n=4, d=1, horizon=1, mu=1.0, lipschitz=1.0, normalization=1.0,
+        delta_x=0.0, grad_bound=0.0, grad_drift=0.0,
+    )
+    planted = tmp_path / "planted.csv"
+    write_record(TrajectoryRecord(metadata=meta, iterations=np.arange(2, dtype=np.int64),
+                                  tracking_error=np.zeros(2), consensus_dev=np.zeros(2),
+                                  avg_error=np.array([0.0, 1.0])), planted)
+    suite = tmp_path / "suite.cfg"
+    suite.write_text("scenario = static\np = 2\nhorizon = 50\nalgorithms = diffusion\noutput_dir = suite\n")
+    calls = {
+        "help": (["--help"], ("SystemExit", 0)),
+        "unknown_command": (["paint"], ("SystemExit", 2)),
+        "audit_without_record": (["audit"], ("SystemExit", 2)),
+        "bounds": (["bounds", "--mu", "1", "--L", "1", "--beta", "0.5", "--alpha", "0.05",
+                    "--dx", "1e-3", "--D", "1", "--dg", "0"], 0),
+        "clean_audit": (["audit", "--record", str(tmp_path / "audited" / "dgt.csv")], 0),
+        "planted_violation": (["audit", "--record", str(planted)], 2),
+        "run": (["run", "--config", str(suite)], 0),
+    }
+    capsys.readouterr()
+    cli._parser.cache_clear()  # the first order builds the parser, the second reuses it
+    outcomes = [
+        {name: _cli_outcome(calls[name][0], capsys) for name in order}
+        for order in (list(calls), list(reversed(calls)))
+    ]
+    assert outcomes[0] == outcomes[1]
+    assert {name: outcome[0] for name, outcome in outcomes[0].items()} == {
+        name: code for name, (_, code) in calls.items()
+    }
+    src = str(Path(netdrift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    shell = subprocess.run(
+        [sys.executable, "-m", "netdrift", "--help"], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert outcomes[0]["help"][1:] == (shell.stdout, shell.stderr)

@@ -88,6 +88,20 @@ RECORDS = {
 }
 
 
+def _assert_reads_as_the_oracle(path):
+    """read_record's series must equal the per-row oracle's, bitwise; returns the record."""
+    loaded, expected = read_record(path), per_row_read(path)
+    for series in SERIES:
+        got, want = getattr(loaded, series), expected[series]
+        if want is None:
+            assert got is None
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape, series
+        assert got.tobytes() == want.tobytes(), series
+        assert got.flags.c_contiguous, series
+    return loaded
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_column_writer_and_reader_match_the_per_row_oracle(name, tmp_path):
     record = RECORDS[name]()
@@ -103,38 +117,66 @@ def test_column_writer_and_reader_match_the_per_row_oracle(name, tmp_path):
         assert {"0.0001", "1e-05", "1e+16", "9999999999999998.0", "5e-324",
                 "1.7976931348623157e+308", "inf", "nan"} <= cells
 
-    loaded, expected = read_record(path), per_row_read(path)
+    loaded = _assert_reads_as_the_oracle(path)
     assert (loaded.y_dev is None) == name.endswith("no_tracker")
-    for series in SERIES:
-        got, want = getattr(loaded, series), expected[series]
-        if want is None:
-            assert got is None
-            continue
-        assert got.dtype == want.dtype and got.shape == want.shape, series
-        assert got.tobytes() == want.tobytes(), series
-        assert got.flags.c_contiguous, series
     assert loaded.metadata == record.metadata
 
 
 @pytest.mark.parametrize(
-    "line, edit, message",
+    "algorithm, line, edit, message",
     [
-        (0, lambda fields: fields[:-1], "unexpected CSV header"),
-        (1, lambda fields: ["1.5"] + fields[1:], None),
-        (2, lambda fields: fields[:-1], None),
-        (2, lambda fields: fields[:2] + ["abc"] + fields[3:], None),
+        ("dgt", 0, lambda fields: fields[:-1], "unexpected CSV header"),
+        ("dgt", 1, lambda fields: ["1.5"] + fields[1:], None),
+        ("dgt", 2, lambda fields: fields[:-1], None),
+        ("dgt", 2, lambda fields: fields[:2] + ["abc"] + fields[3:], None),
+        ("diffusion", 2, lambda fields: fields[:-1], None),
+        ("diffusion", -1, lambda fields: fields[:-1], None),
+        ("dgt", 2, lambda fields: fields + ["0.5"], None),
+        ("diffusion", 2, lambda fields: fields + [""], None),
     ],
-    ids=["wrong_header", "fractional_k", "ragged_row", "non_numeric"],
+    ids=["wrong_header", "fractional_k", "ragged_row", "non_numeric",
+         "no_tracker_lost_trailing_comma", "last_row_lost_trailing_comma", "sixth_field",
+         "empty_sixth_field"],
 )
-def test_read_record_rejects_malformed_csv(line, edit, message, tmp_path):
+def test_read_record_rejects_malformed_csv(algorithm, line, edit, message, tmp_path):
     path = tmp_path / "run.csv"
-    write_record(_record("dgt", 0.1, 5), path)
+    write_record(_record(algorithm, 0.1, 5), path)
     lines = path.read_text().splitlines()
     lines[line] = ",".join(edit(lines[line].split(",")))
-    path.write_text("\r\n".join(lines) + "\r\n")
+    # An edited last row is written without a line end, as in a truncated file.
+    path.write_text("\r\n".join(lines) + ("" if line == -1 else "\r\n"))
     with pytest.raises(ValueError, match=message) as raised:
         read_record(path)
     assert str(path) in str(raised.value)
+
+
+# Files that ``netdrift run`` does not write but that read the same arrays as
+# the per-row oracle: (method, rows whose y_dev cell is emptied, line end,
+# end of the last line).
+READABLE_EDITS = {
+    "lf_only": ("dgt", (), "\n", "\n"),
+    "lf_only_no_tracker": ("diffusion", (), "\n", "\n"),
+    "no_final_terminator": ("dgt", (), "\r\n", ""),
+    "no_final_terminator_no_tracker": ("diffusion", (), "\r\n", ""),
+    "some_empty_y_dev": ("dgt", (1, 3, -1), "\r\n", "\r\n"),
+    "some_empty_y_dev_lf_no_final_terminator": ("dgt", (2, -1), "\n", ""),
+    "no_tracker": ("diffusion", (), "\r\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("name", READABLE_EDITS)
+def test_read_record_reads_edited_files_as_the_per_row_oracle(name, tmp_path):
+    algorithm, emptied, line_end, last_end = READABLE_EDITS[name]
+    path = tmp_path / "run.csv"
+    write_record(_record(algorithm, 0.1, 6), path)
+    lines = path.read_text().splitlines()
+    for row in emptied:
+        lines[row] = lines[row].rsplit(",", 1)[0] + ","
+    path.write_text(line_end.join(lines) + last_end)
+    loaded = _assert_reads_as_the_oracle(path)
+    assert (loaded.y_dev is None) == name.endswith("no_tracker")
+    if emptied:
+        assert np.isnan(loaded.y_dev).sum() == len(emptied) < len(loaded)
 
 
 def test_read_record_names_an_undecodable_sidecar(tmp_path):
@@ -146,6 +188,38 @@ def test_read_record_names_an_undecodable_sidecar(tmp_path):
         read_record(path)
     assert str(sidecar) in str(raised.value)
     assert isinstance(raised.value.__cause__, json.JSONDecodeError)
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("seed", 1.0, "an integer"),
+        ("horizon", True, "an integer"),
+        ("mu", False, "a number"),
+        ("lipschitz", "1", "a number"),
+        ("grad_drift", True, "a number or null"),
+        ("algorithm", 3, "a string"),
+        ("scenario", None, "a string"),
+        ("extra", [], "an object"),
+    ],
+)
+def test_read_record_checks_the_json_type_of_each_sidecar_key(key, value, kind, tmp_path):
+    path = tmp_path / "run.csv"
+    write_record(_record("dgt", 0.1, 2), path)
+    sidecar = sidecar_path(path)
+    payload = json.loads(sidecar.read_text())
+    payload["metadata"][key] = value
+    sidecar.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as raised:
+        read_record(path)
+    assert str(raised.value) == f"record sidecar {sidecar}: {key} must be {kind}, got {value!r}"
+
+
+def test_read_record_accepts_integral_numbers_and_null_drift(tmp_path):
+    path = tmp_path / "run.csv"
+    record = _record("dgt", 0.1, 2)
+    write_record(replace(record, metadata=replace(record.metadata, alpha=1, delta_x=None)), path)
+    assert read_record(path).metadata.alpha == 1
 
 
 @pytest.mark.parametrize("marker", [b"", b"\r\n1,"], ids=["first_byte", "second_data_row"])
