@@ -51,6 +51,8 @@ SCENARIOS = ("I", "II", "III", "static")
 TOPOLOGIES = ("cycle", "line", "grid", "complete", "random")
 WEIGHT_RULES = ("uniform", "metropolis")
 INITS = ("zeros", "optimum")
+# The keys whose value is one of a fixed set of names, and those names.
+_CHOICES = {"scenario": SCENARIOS, "topology": TOPOLOGIES, "weight_rule": WEIGHT_RULES, "init": INITS}
 # Keys that only one topology reads, and that topology.
 _TOPOLOGY_KEYS = {"edge_probability": "random", "target_beta": "random", "rows": "grid", "cols": "grid"}
 # Keys that only some scenarios read: those scenarios, and the default the others keep.
@@ -82,6 +84,7 @@ class ExperimentConfig:
     n = 2p+1 from ``p``. ``stepsizes`` overrides the default tuning grid of
     ``grid_points`` log-spaced values spanning [1e-4, 1] * 2/(mu+L).
     ``shift`` defaults to p+1 for scenario II, 1 for III, and 0 for static.
+    Construction checks every key; what depends on the graph, build_network checks.
     """
 
     scenario: str
@@ -106,14 +109,9 @@ class ExperimentConfig:
     init: str = "zeros"
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if self.topology not in TOPOLOGIES:
-            raise ConfigError(f"unknown topology {self.topology!r}")
-        if self.weight_rule not in WEIGHT_RULES:
-            raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
-        if self.init not in INITS:
-            raise ConfigError(f"unknown init {self.init!r}; expected one of {INITS}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}; expected one of {choices}")
         if self.horizon < 10:
             raise ConfigError(f"horizon must be at least 10, got {self.horizon}")
         if self.seed < 0:  # numpy's seed sequences take nonnegative integers only
@@ -177,6 +175,17 @@ class ExperimentConfig:
             if not low <= self.spacing_m <= high:
                 bounds = f"[{low:.3g}, {high:.3g}] at p = {self.p}"
                 raise ConfigError(f"spacing_m must lie in {bounds}, got {self.spacing_m}")
+        # What each topology needs; calibrate_beta builds Metropolis weights only.
+        if self.topology == "random" and self.edge_probability is None and self.target_beta is None:
+            raise ConfigError("random topology needs edge_probability or target_beta")
+        if self.target_beta is not None and self.weight_rule != "metropolis":
+            raise ConfigError(f"target_beta needs weight_rule = metropolis, got {self.weight_rule!r}")
+        if self.topology == "grid":
+            if self.rows is None or self.cols is None:
+                raise ConfigError("grid topology needs rows and cols")
+            size = self.network_size
+            if min(self.rows, self.cols) < 1 or self.rows * self.cols != size:
+                raise ConfigError(f"grid rows x cols = {self.rows}x{self.cols} does not hold {size} agents")
 
     @property
     def network_size(self) -> int:
@@ -189,13 +198,17 @@ class ExperimentConfig:
         return {"II": self.p + 1, "III": 1, "static": 0}.get(self.scenario, 0)
 
 
-_INT_KEYS = {"n", "rows", "cols", "horizon", "seed", "p", "shift", "grid_points", "rows_per_agent"}
-_FLOAT_KEYS = {"edge_probability", "target_beta", "spacing_m", "tail_fraction"}
+# How parse_config reads a value, for each ExperimentConfig annotation.
+_PARSERS = {
+    "str": str, "str | None": str, "int": int, "int | None": int, "float": float, "float | None": float,
+    "tuple[float, ...] | None": lambda value: tuple(float(tok) for tok in value.split(",")),
+    "tuple[str, ...]": lambda value: tuple(tok.strip() for tok in value.split(",")),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the ``key = value`` config format (# comments, blank lines ok)."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    known = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
     kwargs: dict = {}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -214,16 +227,7 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         first_line[key] = lineno
         try:
-            if key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key == "stepsizes":
-                kwargs[key] = tuple(float(tok) for tok in value.split(","))
-            elif key == "algorithms":
-                kwargs[key] = tuple(tok.strip() for tok in value.split(","))
-            else:
-                kwargs[key] = value
+            kwargs[key] = known[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
     try:
@@ -239,8 +243,9 @@ def load_config(path: Path | str) -> ExperimentConfig:
 def build_network(config: ExperimentConfig) -> tuple[Graph, WeightMatrix]:
     """Materialize the topology and its mixing matrix for the config.
 
-    With ``target_beta`` set, the weights come from :func:`calibrate_beta`,
-    which always builds Metropolis weights, so ``weight_rule`` is ignored.
+    The config has checked its keys; the graph built can still fail to
+    connect, miss its calibration or refuse the weight rule, each raised as
+    a ``ConfigError`` naming that key.
     """
     size = config.network_size
     if config.topology == "random":
@@ -251,8 +256,6 @@ def build_network(config: ExperimentConfig) -> tuple[Graph, WeightMatrix]:
                 message = f"target_beta {config.target_beta} is out of reach for {size} agents: {exc}"
                 raise ConfigError(message) from exc
             return graph, wm
-        if config.edge_probability is None:
-            raise ConfigError("random topology needs edge_probability or target_beta")
         try:
             graph = build_random(size, config.edge_probability, config.seed)
         except ConstructionError as exc:
@@ -265,12 +268,6 @@ def build_network(config: ExperimentConfig) -> tuple[Graph, WeightMatrix]:
     elif config.topology == "complete":
         graph = build_complete(size)
     else:
-        if config.rows is None or config.cols is None:
-            raise ConfigError("grid topology needs rows and cols")
-        if config.rows * config.cols != size:
-            raise ConfigError(
-                f"grid rows x cols = {config.rows}x{config.cols} does not hold {size} agents"
-            )
         graph = build_grid(config.rows, config.cols)
     rule = uniform_neighbor_weights if config.weight_rule == "uniform" else metropolis_weights
     try:
@@ -401,18 +398,18 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
-    """Tune every requested method, persist the tuned record, summarize.
+    """Build the problem and network, then tune each method, persist its tuned record, summarize.
 
     The summary's theory_bound column holds the steady-state bound divided by
     the problem's normalization constant, so it compares directly against the
     steady_state_error column; it is left empty when the tuned step size
     falls outside the regime where the bound applies.
     """
-    directory = resolve_output_dir(config)
-    directory.mkdir(parents=True, exist_ok=True)
     objective = build_objective(config)
     _, wm = build_network(config)
     drift = drift_profile(objective)
+    directory = resolve_output_dir(config)
+    directory.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for algorithm in config.algorithms:

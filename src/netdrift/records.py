@@ -7,7 +7,7 @@ constants of the problem and network, the step size, and the seed). Records
 move column by column: each series is formatted once, the CSV is joined into
 one string and written in one call, and it is read back in one decode and one
 numpy parse with no Python callback per row (empty y_dev cells become "nan"
-in the text first). Reading checks the JSON type of every metadata key, so a
+in the text first). Reading checks the JSON type of every sidecar value, so a
 mistyped sidecar fails with a ValueError naming the key and the file.
 """
 
@@ -46,8 +46,8 @@ class RunMetadata:
     extra: dict = field(default_factory=dict)
 
 
-# What a sidecar may hold for each RunMetadata annotation, and how to name it;
-# a JSON true or false is no number, though Python counts a bool an int.
+# What a sidecar may hold for each annotation of the values it carries, and how
+# to name it; a JSON true or false is no number, though Python counts a bool an int.
 _JSON_TYPES = {
     "str": ((str,), "a string"),
     "int": ((int,), "an integer"),
@@ -149,11 +149,12 @@ def read_record(csv_path: Path) -> TrajectoryRecord:
         metadata = RunMetadata(**payload["metadata"])
     except TypeError as exc:  # an unknown or a missing key
         raise ValueError(f"record sidecar {sidecar}: {exc}") from exc
-    for f in fields(RunMetadata):
-        value = getattr(metadata, f.name)
-        types, kind = _JSON_TYPES[f.type]
+    identity = payload.get("tracker_identity_max")
+    annotated = [(f.name, f.type, getattr(metadata, f.name)) for f in fields(RunMetadata)]
+    for name, annotation, value in [*annotated, ("tracker_identity_max", "float | None", identity)]:
+        types, kind = _JSON_TYPES[annotation]
         if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"record sidecar {sidecar}: {f.name} must be {kind}, got {value!r}")
+            raise ValueError(f"record sidecar {sidecar}: {name} must be {kind}, got {value!r}")
     return TrajectoryRecord(
         metadata=metadata,
         iterations=k,
@@ -161,5 +162,5 @@ def read_record(csv_path: Path) -> TrajectoryRecord:
         consensus_dev=consensus,
         avg_error=avg,
         y_dev=None if np.isnan(y_dev).all() else y_dev,
-        tracker_identity_max=payload.get("tracker_identity_max"),
+        tracker_identity_max=identity,
     )

@@ -101,6 +101,7 @@ def rotation_comparisons():
             scenario=scenario,
             topology="random",
             target_beta=0.89,
+            weight_rule="metropolis",
             p=100,
             horizon=600,
             seed=0,

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netdrift
-from netdrift import cli
+from netdrift import cli, experiment, records
 from netdrift.algorithms import ALGORITHMS
 from netdrift.analysis import max_stepsize
 from netdrift.experiment import (
@@ -53,7 +53,14 @@ from netdrift.records import (
     read_record,
     write_record,
 )
-from netdrift.topology import ConstructionError, WeightRuleError
+from netdrift.topology import (
+    ConstructionError,
+    WeightRuleError,
+    build_complete,
+    build_grid,
+    metropolis_weights,
+    uniform_neighbor_weights,
+)
 
 
 def uniform_cycle_beta_5() -> float:
@@ -68,6 +75,7 @@ FULL_CONFIG = """
 scenario = II
 topology = random
 target_beta = 0.89
+weight_rule = metropolis
 horizon = 120
 stepsizes = 0.001, 0.01, 0.1
 algorithms = diffusion, dgt, extra
@@ -86,6 +94,7 @@ def test_parse_config_reads_every_field():
     assert config.scenario == "II"
     assert config.topology == "random"
     assert config.target_beta == 0.89
+    assert config.weight_rule == "metropolis"
     assert config.horizon == 120
     assert config.stepsizes == (0.001, 0.01, 0.1)
     assert config.algorithms == ("diffusion", "dgt", "extra")
@@ -163,6 +172,17 @@ REJECTED_CONFIGS = [
     ("scenario = I\nn = 5\nshift = 3\n", "shift applies to scenario II/III/static only, not to I"),
     ("scenario = I\nn = 5\nspacing_m = 2.5\n",
      "spacing_m applies to scenario II/III/static only, not to I"),
+    ("scenario = static\np = 1\ntopology = star\n",
+     "unknown topology 'star'; expected one of ('cycle', 'line', 'grid', 'complete', 'random')"),
+    ("scenario = static\np = 1\nweight_rule = foo\n",
+     "unknown weight_rule 'foo'; expected one of ('uniform', 'metropolis')"),
+    ("scenario = II\np = 1\ntopology = random\n", "random topology needs edge_probability or target_beta"),
+    ("scenario = I\nn = 6\ntopology = grid\n", "grid topology needs rows and cols"),
+    ("scenario = I\nn = 6\ntopology = grid\ncols = 3\n", "grid topology needs rows and cols"),
+    ("scenario = I\nn = 5\ntopology = grid\nrows = -1\ncols = -5\nweight_rule = metropolis\n",
+     "grid rows x cols = -1x-5 does not hold 5 agents"),
+    ("scenario = II\np = 1\ntopology = random\ntarget_beta = 0.5\n",
+     "target_beta needs weight_rule = metropolis, got 'uniform'"),
 ]
 
 
@@ -172,6 +192,12 @@ def test_parse_config_rejects_invalid(text, message):
         parse_config(text)
     if message is not None:
         assert str(excinfo.value) == message
+
+
+def test_every_config_and_sidecar_annotation_has_a_converter():
+    # A field of a new type fails here, not at the first config or sidecar that sets it.
+    assert [f.name for f in fields(ExperimentConfig) if f.type not in experiment._PARSERS] == []
+    assert [f.name for f in fields(RunMetadata) if f.type not in records._JSON_TYPES] == []
 
 
 def test_scenario_keys_at_their_default_are_accepted():
@@ -239,9 +265,27 @@ def test_build_network_matches_scenario_size():
     config = parse_config("scenario = II\np = 2\nhorizon = 40\n")
     graph, wm = build_network(config)
     assert graph.n == 5 and wm.n == 5
-    mismatch = parse_config("scenario = II\np = 2\nhorizon = 40\ntopology = grid\nrows = 2\ncols = 2\n")
-    with pytest.raises(ConfigError):
-        build_network(mismatch)
+    mismatch = "scenario = II\np = 2\nhorizon = 40\ntopology = grid\nrows = 2\ncols = 2\n"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(mismatch)
+    assert str(excinfo.value) == "grid rows x cols = 2x2 does not hold 5 agents"
+
+
+@pytest.mark.parametrize(
+    "text, graph",
+    [
+        ("scenario = I\nn = 6\ntopology = complete\n", build_complete(6)),
+        ("scenario = static\np = 4\ntopology = grid\nrows = 3\ncols = 3\nweight_rule = metropolis\n",
+         build_grid(3, 3)),
+    ],
+    ids=["complete", "grid"],
+)
+def test_build_network_builds_complete_and_grid_topologies(text, graph):
+    built, wm = build_network(parse_config(text + "horizon = 40\n"))
+    rule = uniform_neighbor_weights if graph.kind == "complete" else metropolis_weights
+    assert built.kind == graph.kind
+    assert (built.adjacency != graph.adjacency).nnz == 0
+    assert (wm.csr != rule(graph).csr).nnz == 0
 
 
 def test_cycle_network_imports_neither_sparse_linalg_nor_csgraph():
@@ -286,7 +330,9 @@ def test_build_network_names_edge_probability():
 
 def test_build_network_names_target_beta():
     # Three agents offer beta 2/3 (a line) or 0 (complete), nothing near 0.89.
-    config = parse_config("scenario = II\np = 1\ntopology = random\ntarget_beta = 0.89\n")
+    config = parse_config(
+        "scenario = II\np = 1\ntopology = random\ntarget_beta = 0.89\nweight_rule = metropolis\n"
+    )
     with pytest.raises(ConfigError) as excinfo:
         build_network(config)
     assert str(excinfo.value) == (
@@ -494,6 +540,33 @@ def test_run_suite_on_long_metropolis_line(tmp_path):
     result = run_suite(config)
     assert [row.n for row in result.rows] == [501] * len(config.algorithms)
     assert all(0.99998 < row.beta < 1.0 for row in result.rows)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario = II\np = 1\ntopology = random\nedge_probability = 1e-9\n",
+        "scenario = II\np = 1\ntopology = random\ntarget_beta = 0.89\nweight_rule = metropolis\n",
+        "scenario = I\nn = 4\ntopology = line\n",
+    ],
+    ids=["edge_probability", "target_beta", "weight_rule"],
+)
+def test_run_suite_writes_nothing_for_a_network_it_cannot_build(text, tmp_path):
+    config = parse_config(text + f"horizon = 40\noutput_dir = {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError):
+        run_suite(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_writes_nothing_for_a_rejected_config(tmp_path, capsys, monkeypatch):
+    # A random graph with neither of its keys fails at parse time, before
+    # the default output directory suite_II is made.
+    monkeypatch.setenv("NETDRIFT_OUTPUT", str(tmp_path / "root"))
+    config_path = tmp_path / "random.cfg"
+    config_path.write_text("scenario = II\np = 2\ntopology = random\n")
+    assert cli.main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "error: random topology needs edge_probability or target_beta\n"
+    assert not (tmp_path / "root").exists()
 
 
 @st.composite
@@ -728,9 +801,11 @@ def test_cli_audit_rejects_record_without_drift_constants(tmp_path, capsys):
         (lambda payload: payload["metadata"].update(delta_x="0"),
          "delta_x must be a number or null, got '0'"),
         (lambda payload: payload["metadata"].update(n="21"), "n must be an integer, got '21'"),
+        (lambda payload: payload.update(tracker_identity_max="x"),
+         "tracker_identity_max must be a number or null, got 'x'"),
     ],
     ids=["unknown_key", "missing_key", "no_metadata", "header_only_csv",
-         "alpha_string", "beta_null", "delta_x_string", "n_string"],
+         "alpha_string", "beta_null", "delta_x_string", "n_string", "tracker_identity_max_string"],
 )
 def test_cli_audit_rejects_malformed_record(tmp_path, capsys, spoil, message):
     # Input the audit cannot process exits 2 with a one-line error naming the
@@ -794,6 +869,19 @@ def test_cli_audit_names_an_undecodable_csv(tmp_path, capsys, marker):
     assert code == 2
     assert err.startswith(f"error: record {path}: ") and err.count("\n") == 1
     assert f"can't decode byte 0xff in position {offset}" in err
+
+
+def test_cli_audit_reports_an_out_of_regime_record(tmp_path, capsys):
+    # circle_n5.cfg tunes dgt to a step far above the audit's regime
+    # alpha <= (1 - beta)/(2L) = 0.00886: the audit declines and exits 2.
+    config = replace(load_config(CONFIG_DIR / "circle_n5.cfg"), output_dir=str(tmp_path / "circle"))
+    assert run_suite(config).rows[1].alpha == pytest.approx(0.0769, abs=1e-4)
+    capsys.readouterr()
+    code = cli.main(["audit", "--record", str(tmp_path / "circle" / "dgt.csv")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("audit not applicable to this record: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_rejects_unknown_command():

@@ -215,6 +215,28 @@ def test_read_record_checks_the_json_type_of_each_sidecar_key(key, value, kind, 
     assert str(raised.value) == f"record sidecar {sidecar}: {key} must be {kind}, got {value!r}"
 
 
+@pytest.mark.parametrize("value, kind", [("x", "a number or null"), (True, "a number or null")])
+def test_read_record_checks_the_json_type_of_tracker_identity_max(value, kind, tmp_path):
+    path = tmp_path / "run.csv"
+    write_record(_record("dgt", 0.1, 2), path)
+    sidecar = sidecar_path(path)
+    payload = json.loads(sidecar.read_text())
+    payload["tracker_identity_max"] = value
+    sidecar.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as raised:
+        read_record(path)
+    assert str(raised.value) == (
+        f"record sidecar {sidecar}: tracker_identity_max must be {kind}, got {value!r}"
+    )
+
+
+@pytest.mark.parametrize("value", [0, 2.5e-16, None])
+def test_read_record_keeps_a_numeric_or_null_tracker_identity_max(value, tmp_path):
+    path = tmp_path / "run.csv"
+    write_record(replace(_record("dgt", 0.1, 2), tracker_identity_max=value), path)
+    assert read_record(path).tracker_identity_max == value
+
+
 def test_read_record_accepts_integral_numbers_and_null_drift(tmp_path):
     path = tmp_path / "run.csv"
     record = _record("dgt", 0.1, 2)
