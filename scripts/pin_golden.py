@@ -10,18 +10,32 @@ case is there because numpy sums fewer than 8 values in plain order, so only
 a network of 8 or more agents tells a pairwise sum over agents from a
 sequential one.
 
+It also runs ``netdrift run`` on scripts/configs/circle_n5.cfg and
+static_cycle.cfg and stores the sha256 of every file each run writes in
+tests/data/config_digests.json, which tests/test_golden.py checks. The two
+rotation configs are left out: their beta comes from ARPACK, whose last bits
+depend on the LAPACK build.
+
 Rerun it only when the recorded outputs are meant to change:
 
     PYTHONPATH=src python3 scripts/pin_golden.py
 """
 
 import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from netdrift import cli
 from netdrift.algorithms import ALGORITHMS
-from netdrift.experiment import build_network, build_objective, parse_config, run_single
+from netdrift.experiment import OUTPUT_ROOT_ENV, build_network, build_objective, parse_config, run_single
 
 # Row order of each stored (series, iteration) array; y_dev only for dgt.
 SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
@@ -34,7 +48,11 @@ CASES = {
     "static_p2": ("scenario = static\ntopology = cycle\np = 2\nhorizon = 30\nseed = 0\n", 0.2),
 }
 
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden.npz"
+REPO = Path(__file__).resolve().parent.parent
+DEFAULT_OUTPUT = REPO / "tests" / "data" / "golden.npz"
+# The configs whose whole output tree is pinned by digest, next to golden.npz.
+DIGEST_CONFIGS = ("circle_n5.cfg", "static_cycle.cfg")
+DIGESTS_NAME = "config_digests.json"
 
 
 def golden_arrays() -> dict:
@@ -52,6 +70,21 @@ def golden_arrays() -> dict:
     return arrays
 
 
+def config_digests() -> dict:
+    """{config name: {path under the output root: sha256}} of each ``netdrift run``."""
+    digests = {}
+    for name in DIGEST_CONFIGS:
+        with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: root}):
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["run", "--config", str(REPO / "scripts" / "configs" / name)]) != 0:
+                    raise SystemExit(f"netdrift run failed on {name}")
+            digests[name] = {
+                path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(root).rglob("*")) if path.is_file()
+            }
+    return digests
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
@@ -59,6 +92,9 @@ def main(argv=None) -> int:
     args.output.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(args.output, **golden_arrays())
     print(f"wrote {args.output} ({args.output.stat().st_size} bytes)")
+    digests = args.output.with_name(DIGESTS_NAME)
+    digests.write_text(json.dumps(config_digests(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {digests}")
     return 0
 
 

@@ -94,7 +94,7 @@ class ExperimentConfig:
     cols: int | None = None
     edge_probability: float | None = None
     target_beta: float | None = None
-    weight_rule: str = "uniform"
+    weight_rule: str = "metropolis"
     horizon: int = 1000
     stepsizes: tuple[float, ...] | None = None
     grid_points: int = 30
@@ -124,6 +124,8 @@ class ExperimentConfig:
                 raise ConfigError("stepsizes must be nonempty when given")
             if not all(a > 0 for a in self.stepsizes):  # also rejects nan
                 raise ConfigError(f"stepsizes must be positive, got {list(self.stepsizes)}")
+            if not all(map(math.isfinite, self.stepsizes)):
+                raise ConfigError(f"stepsizes must be finite, got {list(self.stepsizes)}")
             if any(b <= a for a, b in zip(self.stepsizes, self.stepsizes[1:])):
                 raise ConfigError("stepsizes must be strictly increasing")
         if self.grid_points < 1:

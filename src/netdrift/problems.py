@@ -35,27 +35,21 @@ _BLOCK_ENTRIES = 2**16
 
 @dataclass(frozen=True)
 class DriftProfile:
-    """Measured drift constants, with analytic values attached when known."""
+    """Drift constants (delta_x, grad_bound, grad_drift), all nonnegative.
+
+    ``drift_profile`` measures them and checks each against the objective's
+    ``analytic_*`` cap; a profile built by hand (``netdrift bounds``, a
+    record's sidecar) has no cap to meet.
+    """
 
     delta_x: float
     grad_bound: float
     grad_drift: float
-    analytic_delta_x: float | None = None
-    analytic_grad_bound: float | None = None
-    analytic_grad_drift: float | None = None
 
     def __post_init__(self):
         for value in (self.delta_x, self.grad_bound, self.grad_drift):
             if not value >= 0.0:
                 raise ValueError("drift constants must be nonnegative")
-        pairs = [
-            (self.delta_x, self.analytic_delta_x),
-            (self.grad_bound, self.analytic_grad_bound),
-            (self.grad_drift, self.analytic_grad_drift),
-        ]
-        for measured, analytic in pairs:
-            if analytic is not None and measured > analytic + 1e-9 * (1.0 + analytic):
-                raise ValueError(f"measured drift {measured} exceeds the analytic value {analytic}")
 
 
 class DynamicObjective(Protocol):
@@ -110,15 +104,14 @@ class LeastSquaresStream:
     Each agent i holds f_i^k(x) = 0.5 ||C_i^k x - r_i^k||^2. The constants
     are measured over the generated horizon: mu is the smallest eigenvalue
     of the average Hessian (1/n) sum_i (C_i^k)^T C_i^k across time, and
-    lipschitz is the largest per-agent Hessian spectral norm. ``points`` holds
-    the optimum x*_k of every step and ``delta_x`` its largest step.
+    lipschitz is the largest per-agent Hessian spectral norm. ``coefficients``
+    is (horizon + 1, n, r, d) for r rows per agent, ``points`` holds the
+    optimum x*_k of every step and ``delta_x`` its largest step.
     """
 
     n: int
     d: int
     horizon: int
-    rows_per_agent: int
-    seed: int
     coefficients: NDArray[np.float64]
     measurements: NDArray[np.float64]
     points: NDArray[np.float64]
@@ -213,8 +206,6 @@ def least_squares_stream(
         n=n,
         d=d,
         horizon=horizon,
-        rows_per_agent=rows_per_agent,
-        seed=seed,
         coefficients=coeff,
         measurements=measurements,
         points=points,
@@ -324,9 +315,9 @@ def drift_profile(objective: DynamicObjective) -> DriftProfile:
     so every step difference is formed. Every step is reduced in the order
     a one-step scan uses (norms over d, then a pairwise sum over agents), so
     the constants are bitwise those of such a scan; blocks rather than the
-    whole horizon keep the peak memory of large networks down. The
-    objective's analytic values are attached; measured values may never
-    exceed them.
+    whole horizon keep the peak memory of large networks down. No measured
+    constant may exceed the objective's ``analytic_*`` cap by more than
+    1e-9 relative.
     """
     n = objective.n
     scale = 1.0 / math.sqrt(n)
@@ -339,11 +330,9 @@ def drift_profile(objective: DynamicObjective) -> DriftProfile:
         grads = objective.optimal_gradients(first, min(start + block, steps))
         grad_bound = max(grad_bound, _largest_scaled_sum(grads, scale))
         grad_drift = max(grad_drift, _largest_scaled_sum(grads[1:] - grads[:-1], scale))
-    return DriftProfile(
-        delta_x=objective.delta_x,
-        grad_bound=grad_bound,
-        grad_drift=grad_drift,
-        analytic_delta_x=objective.analytic_delta_x,
-        analytic_grad_bound=objective.analytic_grad_bound,
-        analytic_grad_drift=objective.analytic_grad_drift,
-    )
+    profile = DriftProfile(delta_x=objective.delta_x, grad_bound=grad_bound, grad_drift=grad_drift)
+    caps = (objective.analytic_delta_x, objective.analytic_grad_bound, objective.analytic_grad_drift)
+    for measured, cap in zip((objective.delta_x, grad_bound, grad_drift), caps):
+        if measured > cap + 1e-9 * (1.0 + cap):
+            raise ValueError(f"measured drift {measured} exceeds the analytic value {cap}")
+    return profile

@@ -138,6 +138,10 @@ def read_record(csv_path: Path) -> TrajectoryRecord:
     # Structured fields are strided views; contiguous copies make every later
     # reduction sum in the order it does on the arrays that were written.
     k, tracking, consensus, avg, y_dev = (np.ascontiguousarray(table[c]) for c in CSV_HEADER)
+    wrong = np.flatnonzero(k != np.arange(k.size))  # write_record numbers the rows 0, 1, ..., M
+    if wrong.size:
+        row = int(wrong[0])
+        raise ValueError(f"record {csv_path}: data row {row + 1} has k = {k[row]}, expected {row}")
     sidecar = sidecar_path(csv_path)
     try:
         payload = json.loads(sidecar.read_text())

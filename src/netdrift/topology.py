@@ -3,10 +3,12 @@
 A graph is its symmetric CSR adjacency pattern: row i is agent i's neighbor
 set, agent i included, and agents exchange information only along it. The
 mixing matrix W is symmetric, doubly stochastic and built on that pattern, so
-no dense n x n array is ever formed. Its second-largest eigenvalue magnitude
-beta (near 1 means slow mixing) comes in closed form for cycles and complete
-graphs and otherwise from ARPACK's Lanczos method
-(``scipy.sparse.linalg.eigsh``).
+no dense n x n array is ever formed. One construction builds it: Metropolis
+weights, which on a regular graph are the uniform weights 1/|N_i|, so the
+uniform rule is that construction restricted to regular graphs. Its
+second-largest eigenvalue magnitude beta (near 1 means slow mixing) comes in
+closed form for cycles and complete graphs and otherwise from ARPACK's
+Lanczos method (``scipy.sparse.linalg.eigsh``).
 """
 
 from __future__ import annotations
@@ -197,48 +199,47 @@ def _validate_doubly_stochastic(w: sparse.csr_matrix, g: Graph) -> None:
 
 
 def uniform_neighbor_weights(g: Graph) -> WeightMatrix:
-    """W_ij = 1/|N_i| over neighbor sets; valid only on regular graphs.
+    """W_ij = 1/|N_i| over neighbor sets: :func:`metropolis_weights`, restricted to regular graphs.
 
-    On irregular graphs the row rule breaks column stochasticity, so those
-    are rejected; use :func:`metropolis_weights` instead.
+    On an irregular graph the row rule breaks column stochasticity, so those are rejected.
     """
-    if not is_connected(g):
-        raise ValueError("weight matrices require a connected graph")
-    adj, sizes = g.adjacency, np.diff(g.adjacency.indptr)
-    if (sizes != sizes[0]).any():
-        raise WeightRuleError(
-            "uniform neighbor weights need a regular graph; use metropolis_weights for irregular graphs"
-        )
-    # Copies: validation edits W's arrays in place and must not edit the graph.
-    data = np.repeat(1.0 / sizes, sizes)
-    w = sparse.csr_matrix((data, adj.indices.copy(), adj.indptr.copy()), shape=adj.shape)
-    _validate_doubly_stochastic(w, g)
-    if g.kind == "complete":
-        return WeightMatrix(csr=w, beta=0.0)
-    if g.kind != "cycle":
-        return WeightMatrix(csr=w, beta=spectral_gap(w))
-    # Circulant eigenvalues of (I + S + S^T)/3.
-    eigenvalues = (1.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(1, g.n) / g.n)) / 3.0
-    return WeightMatrix(csr=w, beta=float(np.abs(eigenvalues).max()))
+    return _metropolis(g, regular_only=True)
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
-    """Symmetric doubly stochastic rule W_ij = 1/(1 + max(deg_i, deg_j))."""
+    """Symmetric doubly stochastic W_ij = 1/(1 + max(deg_i, deg_j)); on a regular graph, 1/|N_i| exactly."""
+    return _metropolis(g, regular_only=False)
+
+
+def _metropolis(g: Graph, regular_only: bool) -> WeightMatrix:
+    """The one weight construction, validated, with beta: 0 on complete graphs, closed form on cycles."""
     if not is_connected(g):
         raise ValueError("weight matrices require a connected graph")
     adj = g.adjacency
     sizes, rows = np.diff(adj.indptr), _rows(adj)
-    diagonal = rows == adj.indices
-    # deg excludes the self-loop, so 1 + max(deg_i, deg_j) = max(|N_i|, |N_j|).
-    data = np.where(diagonal, 0.0, 1.0 / np.maximum(sizes[rows], sizes[adj.indices]))
+    regular = (sizes == sizes[0]).all()
+    if regular_only and not regular:
+        raise WeightRuleError(
+            "uniform neighbor weights need a regular graph; use metropolis_weights for irregular graphs"
+        )
+    # deg excludes the self-loop, so 1 + max(deg_i, deg_j) = max(|N_i|, |N_j|),
+    # and the diagonal holds 1/|N_i|: exact on a regular graph. Copies:
+    # validation edits W's arrays in place and must not edit the graph.
+    data = 1.0 / np.maximum(sizes[rows], sizes[adj.indices])
     w = sparse.csr_matrix((data, adj.indices.copy(), adj.indptr.copy()), shape=adj.shape)
-    # The diagonal absorbs the slack, keeping every row sum at exactly one.
-    # Rows are summed as dense blocks of 64, in numpy's pairwise order over all
-    # n columns, so W is bitwise the matrix a dense construction gives.
-    row_sums = [w[s : s + 64].toarray().sum(axis=1) for s in range(0, g.n, 64)]
-    w.data[diagonal] = 1.0 - np.concatenate(row_sums)
+    if not regular:
+        # The diagonal absorbs the slack, keeping every row sum at exactly one.
+        # Rows are summed as dense blocks of 64, in numpy's pairwise order over
+        # all n columns, so W is bitwise the matrix a dense construction gives.
+        diagonal = rows == adj.indices
+        w.data[diagonal] = 0.0
+        row_sums = [w[s : s + 64].toarray().sum(axis=1) for s in range(0, g.n, 64)]
+        w.data[diagonal] = 1.0 - np.concatenate(row_sums)
     _validate_doubly_stochastic(w, g)
-    return WeightMatrix(csr=w, beta=spectral_gap(w))
+    if g.kind == "cycle":  # circulant eigenvalues of (I + S + S^T)/3
+        eigenvalues = (1.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(1, g.n) / g.n)) / 3.0
+        return WeightMatrix(csr=w, beta=float(np.abs(eigenvalues).max()))
+    return WeightMatrix(csr=w, beta=0.0 if g.kind == "complete" else spectral_gap(w))
 
 
 def spectral_gap(w: sparse.csr_matrix) -> float:

@@ -128,6 +128,8 @@ REJECTED_CONFIGS = [
     ("scenario = static\np = 1\nstepsizes = -0.1, 0.01\n", "stepsizes must be positive, got [-0.1, 0.01]"),
     ("scenario = static\np = 1\nstepsizes = 0.01, nan\n", "stepsizes must be positive, got [0.01, nan]"),
     ("scenario = static\np = 1\nstepsizes = nan\n", "stepsizes must be positive, got [nan]"),
+    ("scenario = static\np = 1\nstepsizes = inf\n", "stepsizes must be finite, got [inf]"),
+    ("scenario = static\np = 1\nstepsizes = 0.1, inf\n", "stepsizes must be finite, got [0.1, inf]"),
     ("scenario = static\np = 1\nhorizon = 20\n\nhorizon = 30\n",
      "line 5: config key 'horizon' repeats the one on line 3"),
     ("scenario = static\np = 1\nalgorithms = sneaky\n", None),
@@ -181,7 +183,7 @@ REJECTED_CONFIGS = [
     ("scenario = I\nn = 6\ntopology = grid\ncols = 3\n", "grid topology needs rows and cols"),
     ("scenario = I\nn = 5\ntopology = grid\nrows = -1\ncols = -5\nweight_rule = metropolis\n",
      "grid rows x cols = -1x-5 does not hold 5 agents"),
-    ("scenario = II\np = 1\ntopology = random\ntarget_beta = 0.5\n",
+    ("scenario = II\np = 1\ntopology = random\ntarget_beta = 0.5\nweight_rule = uniform\n",
      "target_beta needs weight_rule = metropolis, got 'uniform'"),
 ]
 
@@ -289,25 +291,28 @@ def test_build_network_builds_complete_and_grid_topologies(text, graph):
 
 
 def test_cycle_network_imports_neither_sparse_linalg_nor_csgraph():
-    # A cycle's beta is closed form. Importing scipy.sparse.linalg or
-    # scipy.sparse.csgraph adds about 10 MB of resident memory to a run.
-    code = (
-        "import sys\n"
-        "from netdrift.experiment import build_network, parse_config\n"
-        "build_network(parse_config('scenario = I\\ntopology = cycle\\nn = 100\\n'))\n"
-        "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])\n"
-    )
+    # A cycle's beta is closed form under either weight rule. Importing
+    # scipy.sparse.linalg or scipy.sparse.csgraph adds about 10 MB of
+    # resident memory to a run.
     src = str(Path(netdrift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    for rule in WEIGHT_RULES:
+        text = f"scenario = I\ntopology = cycle\nn = 100\nweight_rule = {rule}\n"
+        code = (
+            "import sys\n"
+            "from netdrift.experiment import build_network, parse_config\n"
+            f"build_network(parse_config({text!r}))\n"
+            "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]", rule
 
 
 def test_build_network_names_weight_rule():
-    config = parse_config("scenario = I\nn = 4\nhorizon = 40\ntopology = line\n")
+    config = parse_config("scenario = I\nn = 4\nhorizon = 40\ntopology = line\nweight_rule = uniform\n")
     with pytest.raises(ConfigError) as excinfo:
         build_network(config)
     assert str(excinfo.value) == (
@@ -547,7 +552,7 @@ def test_run_suite_on_long_metropolis_line(tmp_path):
     [
         "scenario = II\np = 1\ntopology = random\nedge_probability = 1e-9\n",
         "scenario = II\np = 1\ntopology = random\ntarget_beta = 0.89\nweight_rule = metropolis\n",
-        "scenario = I\nn = 4\ntopology = line\n",
+        "scenario = I\nn = 4\ntopology = line\nweight_rule = uniform\n",
     ],
     ids=["edge_probability", "target_beta", "weight_rule"],
 )
@@ -803,9 +808,14 @@ def test_cli_audit_rejects_record_without_drift_constants(tmp_path, capsys):
         (lambda payload: payload["metadata"].update(n="21"), "n must be an integer, got '21'"),
         (lambda payload: payload.update(tracker_identity_max="x"),
          "tracker_identity_max must be a number or null, got 'x'"),
+        # A tuple is the k column the CSV's two rows are given instead of 0, 1.
+        ((0, 2), "data row 2 has k = 2, expected 1"),
+        ((1, 2), "data row 1 has k = 1, expected 0"),
+        ((0, 0), "data row 2 has k = 0, expected 1"),
     ],
     ids=["unknown_key", "missing_key", "no_metadata", "header_only_csv",
-         "alpha_string", "beta_null", "delta_x_string", "n_string", "tracker_identity_max_string"],
+         "alpha_string", "beta_null", "delta_x_string", "n_string", "tracker_identity_max_string",
+         "k_gap", "k_first_not_zero", "k_repeated"],
 )
 def test_cli_audit_rejects_malformed_record(tmp_path, capsys, spoil, message):
     # Input the audit cannot process exits 2 with a one-line error naming the
@@ -828,6 +838,10 @@ def test_cli_audit_rejects_malformed_record(tmp_path, capsys, spoil, message):
     )
     if spoil is None:
         path.write_text(",".join(CSV_HEADER) + "\n")
+    elif isinstance(spoil, tuple):
+        header, *rows = path.read_text().splitlines()
+        rows = [f"{k},{row.partition(',')[2]}" for k, row in zip(spoil, rows)]
+        path.write_text("\r\n".join([header, *rows, ""]))
     else:
         sidecar = tmp_path / "spoiled.meta.json"
         payload = json.loads(sidecar.read_text())

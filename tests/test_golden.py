@@ -1,23 +1,35 @@
-"""Regression test against pinned traces (tests/data/golden.npz).
+"""Regression tests against pinned outputs, both written by scripts/pin_golden.py.
 
-The file holds every method's recorded series on four small problems at a
-fixed step size and seed, written by scripts/pin_golden.py. The series must
-reproduce bitwise, except avg_error, which may differ by 1e-12 relative: it
-is a norm taken through the BLAS dot kernel, whose rounding is up to the
-BLAS build rather than to netdrift.
+tests/data/golden.npz holds every method's recorded series on four small
+problems at a fixed step size and seed. The series must reproduce bitwise,
+except avg_error, which may differ by 1e-12 relative: it is a norm taken
+through the BLAS dot kernel, whose rounding is up to the BLAS build rather
+than to netdrift.
+
+tests/data/config_digests.json holds the sha256 of every file that
+``netdrift run`` writes for scripts/configs/circle_n5.cfg and
+static_cycle.cfg, so those two trees must come out byte-identical. The
+records print avg_error in full, so a BLAS build that rounds that norm
+differently fails here too; the two rotation configs are compared by hand,
+because their beta comes from ARPACK.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netdrift import algorithms
+from netdrift import algorithms, cli
 from netdrift.algorithms import ALGORITHMS
-from netdrift.experiment import build_network, build_objective, parse_config, run_single
+from netdrift.experiment import OUTPUT_ROOT_ENV, build_network, build_objective, parse_config, run_single
 
-with np.load(Path(__file__).parent / "data" / "golden.npz") as _pinned:
+DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+with np.load(DATA / "golden.npz") as _pinned:
     GOLDEN = dict(_pinned)
+DIGESTS = json.loads((DATA / "config_digests.json").read_text())
 CASES = sorted({key.split("/")[0] for key in GOLDEN})
 SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
 
@@ -52,3 +64,14 @@ def test_series_match_golden_traces(case):
 @pytest.mark.parametrize("case", CASES)
 def test_series_match_golden_traces_in_blocks_of_steps(monkeypatch, case, steps):
     _check_case(case, monkeypatch, steps)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_config_trees_match_pinned_digests(name, tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main(["run", "--config", str(CONFIGS / name)]) == 0
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*")) if path.is_file()
+    }
+    assert written == DIGESTS[name]

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,14 +52,7 @@ def per_step_drift_profile(objective) -> DriftProfile:
             step_norms = np.linalg.norm(grads - prev, axis=1)
             grad_drift = max(grad_drift, scale * float(step_norms.sum()))
         prev = grads
-    return DriftProfile(
-        delta_x=objective.delta_x,
-        grad_bound=grad_bound,
-        grad_drift=grad_drift,
-        analytic_delta_x=getattr(objective, "analytic_delta_x", None),
-        analytic_grad_bound=getattr(objective, "analytic_grad_bound", None),
-        analytic_grad_drift=getattr(objective, "analytic_grad_drift", None),
-    )
+    return DriftProfile(delta_x=objective.delta_x, grad_bound=grad_bound, grad_drift=grad_drift)
 
 
 # ---------------------------------------------------------------- trajectory
@@ -100,8 +95,6 @@ def test_ls_gradient_hand_case():
         n=1,
         d=2,
         horizon=1,
-        rows_per_agent=1,
-        seed=0,
         coefficients=np.array([[[[1.0, 0.0]]], [[[1.0, 0.0]]]]),
         measurements=np.zeros((2, 1, 1)),
         points=np.zeros((2, 2)),
@@ -372,21 +365,33 @@ def test_drift_profile_static_shift_zero():
     assert profile.grad_bound > 0.0
 
 
-def test_drift_profile_attaches_analytic_values():
+def test_drift_profile_meets_the_analytic_values():
     sc = shifting_consensus(p=10, spacing_m=1.0, shift=11, horizon=60)
     profile = drift_profile(sc)
-    assert profile.analytic_grad_bound is not None
-    assert abs(profile.grad_bound - profile.analytic_grad_bound) <= 1e-9 * profile.analytic_grad_bound
-    assert abs(profile.grad_drift - profile.analytic_grad_drift) <= 1e-9 * profile.analytic_grad_drift
+    assert abs(profile.grad_bound - sc.analytic_grad_bound) <= 1e-9 * sc.analytic_grad_bound
+    assert abs(profile.grad_drift - sc.analytic_grad_drift) <= 1e-9 * sc.analytic_grad_drift
+
+
+@pytest.mark.parametrize("cap", ["analytic_delta_x", "analytic_grad_bound", "analytic_grad_drift"])
+def test_drift_profile_rejects_a_constant_above_its_analytic_cap(cap):
+    # A stub objective: the shifting-consensus gradients with a moving
+    # optimum, whose caps are the measured constants but for one below them.
+    sc = shifting_consensus(p=3, spacing_m=1.0, shift=4, horizon=20)
+    measured = drift_profile(sc)
+    caps = {"analytic_delta_x": 0.5, "analytic_grad_bound": measured.grad_bound,
+            "analytic_grad_drift": measured.grad_drift}
+    stub = SimpleNamespace(n=sc.n, d=sc.d, horizon=sc.horizon, delta_x=0.5,
+                           optimal_gradients=sc.optimal_gradients, **caps)
+    assert drift_profile(stub) == replace(measured, delta_x=0.5)
+    setattr(stub, cap, 0.9 * caps[cap])
+    with pytest.raises(ValueError, match="exceeds the analytic value"):
+        drift_profile(stub)
 
 
 def assert_same_profile(got: DriftProfile, expected: DriftProfile) -> None:
-    for field in ("delta_x", "grad_bound", "grad_drift", "analytic_delta_x", "analytic_grad_bound",
-                  "analytic_grad_drift"):
+    for field in ("delta_x", "grad_bound", "grad_drift"):
         a, b = getattr(got, field), getattr(expected, field)
-        assert (a is None) == (b is None), field
-        if a is not None:
-            assert np.float64(a).tobytes() == np.float64(b).tobytes(), (field, a, b)
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), (field, a, b)
 
 
 @pytest.mark.parametrize("shift", [1, 1001])

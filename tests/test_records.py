@@ -133,10 +133,13 @@ def test_column_writer_and_reader_match_the_per_row_oracle(name, tmp_path):
         ("diffusion", -1, lambda fields: fields[:-1], None),
         ("dgt", 2, lambda fields: fields + ["0.5"], None),
         ("diffusion", 2, lambda fields: fields + [""], None),
+        ("dgt", -1, lambda fields: ["6"] + fields[1:], "data row 6 has k = 6, expected 5"),
+        ("diffusion", 1, lambda fields: ["9"] + fields[1:], "data row 1 has k = 9, expected 0"),
+        ("dgt", 4, lambda fields: ["2"] + fields[1:], "data row 4 has k = 2, expected 3"),
     ],
     ids=["wrong_header", "fractional_k", "ragged_row", "non_numeric",
          "no_tracker_lost_trailing_comma", "last_row_lost_trailing_comma", "sixth_field",
-         "empty_sixth_field"],
+         "empty_sixth_field", "k_gap", "k_first_not_zero", "k_repeated"],
 )
 def test_read_record_rejects_malformed_csv(algorithm, line, edit, message, tmp_path):
     path = tmp_path / "run.csv"

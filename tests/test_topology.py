@@ -370,6 +370,26 @@ def test_uniform_csr_is_bitwise_the_dense_construction(n):
     assert_same_csr(uniform_neighbor_weights(g).csr, dense_uniform(g))
 
 
+REGULAR_GRAPHS = {
+    "cycle5": build_cycle(5),
+    "cycle100": build_cycle(100),
+    "cycle201": build_cycle(201),
+    "complete7": build_complete(7),
+    "grid2x2": build_grid(2, 2),
+    "line2": build_line(2),
+}
+
+
+@pytest.mark.parametrize("name", REGULAR_GRAPHS)
+def test_both_rules_give_the_uniform_matrix_on_regular_graphs(name):
+    # Every Metropolis weight of a regular graph is 1/|N_i|, the diagonal included.
+    g = REGULAR_GRAPHS[name]
+    uniform, metropolis = uniform_neighbor_weights(g), metropolis_weights(g)
+    assert_same_csr(metropolis.csr, uniform.csr)
+    assert_same_csr(uniform.csr, dense_uniform(g))
+    assert np.float64(metropolis.beta).tobytes() == np.float64(uniform.beta).tobytes()
+
+
 @pytest.mark.parametrize("rule", [uniform_neighbor_weights, metropolis_weights])
 def test_weights_leave_the_graph_pattern_untouched(rule):
     # Validation edits W's arrays in place, so W must not share them with the graph.
