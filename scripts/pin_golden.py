@@ -16,6 +16,14 @@ tests/data/config_digests.json, which tests/test_golden.py checks. The two
 rotation configs are left out: their beta comes from ARPACK, whose last bits
 depend on the LAPACK build.
 
+Last, it writes tests/data/setup_constants.json: the repr of mu, L, delta_x,
+the gradient bound and the gradient drift, with the config text they come
+from, for the benchmark's problem shapes at config seed 0 (lsq_tune,
+rotation_p1000 and audit_replay's two problems) and for every
+scripts/configs file. beta is pinned too where the graph is not random;
+on a random graph it comes from ARPACK. A set-up reduction that sums in a
+new order then fails tests/test_golden.py.
+
 Rerun it only when the recorded outputs are meant to change:
 
     PYTHONPATH=src python3 scripts/pin_golden.py
@@ -36,6 +44,7 @@ import numpy as np
 from netdrift import cli
 from netdrift.algorithms import ALGORITHMS
 from netdrift.experiment import OUTPUT_ROOT_ENV, build_network, build_objective, parse_config, run_single
+from netdrift.problems import drift_profile
 
 # Row order of each stored (series, iteration) array; y_dev only for dgt.
 SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
@@ -53,6 +62,17 @@ DEFAULT_OUTPUT = REPO / "tests" / "data" / "golden.npz"
 # The configs whose whole output tree is pinned by digest, next to golden.npz.
 DIGEST_CONFIGS = ("circle_n5.cfg", "static_cycle.cfg")
 DIGESTS_NAME = "config_digests.json"
+CONSTANTS_NAME = "setup_constants.json"
+# The problem keys of benchmarks/workloads.py, at config seed 0, by workload.
+BENCHMARK_SHAPES = {
+    "lsq_tune": "scenario = I\ntopology = cycle\nn = 100\nhorizon = 1000\nseed = 0\n",
+    "rotation_p1000": (
+        "scenario = III\ntopology = random\nedge_probability = 0.0055\n"
+        "weight_rule = metropolis\np = 1000\nhorizon = 600\nseed = 0\n"
+    ),
+    "audit_replay/lsq_n5": "scenario = I\ntopology = cycle\nn = 5\nhorizon = 2000\nseed = 0\n",
+    "audit_replay/rotation_p10": "scenario = II\ntopology = cycle\np = 10\nhorizon = 2000\nseed = 0\n",
+}
 
 
 def golden_arrays() -> dict:
@@ -85,6 +105,24 @@ def config_digests() -> dict:
     return digests
 
 
+def setup_constants() -> dict:
+    """{shape: {"config": its text, constant: repr}} for the benchmark shapes and scripts/configs."""
+    texts = dict(BENCHMARK_SHAPES)
+    for path in sorted((REPO / "scripts" / "configs").glob("*.cfg")):
+        texts[path.name] = path.read_text()
+    pinned = {}
+    for name, text in texts.items():
+        config = parse_config(text)
+        objective = build_objective(config)
+        drift = drift_profile(objective)
+        values = {"mu": objective.mu, "lipschitz": objective.lipschitz, "delta_x": drift.delta_x,
+                  "grad_bound": drift.grad_bound, "grad_drift": drift.grad_drift}
+        if config.topology != "random":
+            values["beta"] = build_network(config)[1].beta
+        pinned[name] = {"config": text, **{key: repr(value) for key, value in values.items()}}
+    return pinned
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
@@ -95,6 +133,9 @@ def main(argv=None) -> int:
     digests = args.output.with_name(DIGESTS_NAME)
     digests.write_text(json.dumps(config_digests(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {digests}")
+    constants = args.output.with_name(CONSTANTS_NAME)
+    constants.write_text(json.dumps(setup_constants(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {constants}")
     return 0
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .algorithms import ALGORITHMS, init_state, run
 from .analysis import RegimeError, steady_state_bound
 from .problems import DriftProfile, drift_profile, least_squares_stream, shifting_consensus
-from .records import TrajectoryRecord, read_record, write_record
+from .records import TrajectoryRecord, read_record, sidecar_path, write_record
 from .topology import (
     ConstructionError,
     Graph,
@@ -466,13 +466,15 @@ def _write_summary(rows, path: Path) -> None:
 
 def audit_record_file(csv_path: Path | str):
     """Load a persisted record plus its drift constants, ready for auditing."""
-    record = read_record(Path(csv_path))
+    csv_path = Path(csv_path)
+    record = read_record(csv_path)
     meta = record.metadata
     if meta.delta_x is None or meta.grad_bound is None or meta.grad_drift is None:
         raise ValueError(
             "record sidecar carries no drift constants; audit a record written by netdrift run"
         )
-    drift = DriftProfile(
-        delta_x=meta.delta_x, grad_bound=meta.grad_bound, grad_drift=meta.grad_drift
-    )
+    try:
+        drift = DriftProfile(delta_x=meta.delta_x, grad_bound=meta.grad_bound, grad_drift=meta.grad_drift)
+    except ValueError as exc:
+        raise ValueError(f"record sidecar {sidecar_path(csv_path)}: {exc}") from exc
     return record, drift

@@ -15,6 +15,15 @@ block, in the same per-step order as a one-step-at-a-time scan, so the
 constants are bitwise those of such a scan. Blocks of about 2^16 gradient
 entries, rather than the whole horizon at once, keep the peak memory of a
 large network where the simulation itself puts it.
+
+Set-up reductions run with the long axis innermost. A numpy reduction over a
+trailing axis of a few cells costs far more than its arithmetic, so the
+Hessians are summed over agents with the steps as the inner loop, and norms
+and squared row lengths add their d cells one at a time across all agents
+and steps. Each sum keeps the order numpy uses on the short axis, so every
+constant is bitwise what the direct reduction gives. That holds for norms
+over fewer than 8 cells only: numpy sums 8 or more cells pairwise, so wider
+norms stay with ``np.linalg.norm``.
 """
 
 from __future__ import annotations
@@ -29,17 +38,21 @@ from numpy.typing import NDArray
 
 _PD_FLOOR = 1e-12
 _RESAMPLE_BUDGET = 100
-# drift_profile evaluates about this many gradient entries per block of steps.
+# drift_profile evaluates about this many gradient entries per block of steps,
+# and _hessians forms about this many products per block.
 _BLOCK_ENTRIES = 2**16
+# numpy sums a reduction of this many cells or more pairwise, not in order.
+_PAIRWISE_CELLS = 8
 
 
 @dataclass(frozen=True)
 class DriftProfile:
-    """Drift constants (delta_x, grad_bound, grad_drift), all nonnegative.
+    """Drift constants (delta_x, grad_bound, grad_drift), all finite and nonnegative.
 
     ``drift_profile`` measures them and checks each against the objective's
     ``analytic_*`` cap; a profile built by hand (``netdrift bounds``, a
-    record's sidecar) has no cap to meet.
+    record's sidecar) has no cap to meet. An infinite constant is rejected,
+    because every bound and audit slack it enters would be infinite too.
     """
 
     delta_x: float
@@ -47,9 +60,10 @@ class DriftProfile:
     grad_drift: float
 
     def __post_init__(self):
-        for value in (self.delta_x, self.grad_bound, self.grad_drift):
-            if not value >= 0.0:
-                raise ValueError("drift constants must be nonnegative")
+        for name in ("delta_x", "grad_bound", "grad_drift"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"drift constant {name} must be finite and nonnegative, got {value!r}")
 
 
 class DynamicObjective(Protocol):
@@ -147,13 +161,45 @@ class LeastSquaresStream:
         return np.einsum("knrd,knr->knd", coeff, residual)
 
 
+def _cell_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    # Sums over the last axis, one cell at a time across every other axis:
+    # the order numpy's reduction uses on fewer than 8 cells.
+    total = values[..., 0]
+    for j in range(1, values.shape[-1]):
+        total = total + values[..., j]
+    return total
+
+
+def _norms(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    # Bitwise np.linalg.norm(values, axis=-1), which squares and then reduces.
+    if values.shape[-1] >= _PAIRWISE_CELLS:
+        return np.linalg.norm(values, axis=-1)
+    return np.sqrt(_cell_sums(values * values))
+
+
+def _hessians(coeff: NDArray[np.float64]) -> NDArray[np.float64]:
+    # sum_i (C_i^k)^T C_i^k of every step k, as a (steps, d, d) view: bitwise
+    # einsum("knrd,knre->kde"), which adds the (agent, row) products in
+    # order. Products are laid out (agent*row, d, e, step) so the in-order
+    # sum over axis 0 runs with the steps innermost, in blocks of steps.
+    steps, n, r, d = coeff.shape
+    rows = n * r
+    block = max(1, _BLOCK_ENTRIES // (rows * d * d))
+    out = np.empty((d, d, steps))
+    for start in range(0, steps, block):
+        chunk = coeff[start : start + block].reshape(-1, rows, d)
+        by_row = np.ascontiguousarray(chunk.transpose(1, 2, 0))
+        out[:, :, start : start + block] = np.add.reduce(by_row[:, :, None] * by_row[:, None], axis=0)
+    return out.transpose(2, 0, 1)
+
+
 def ls_trajectory(horizon: int) -> tuple[NDArray[np.float64], float]:
-    """Unit-circle optimum over three quarter turns: (points, delta_x, their largest step)."""
+    """Unit-circle optimum over three quarter turns: (points, the largest step between them)."""
     if horizon < 2:
         raise ValueError(f"trajectory horizon must be at least 2, got {horizon}")
     angles = 3.0 * math.pi * np.arange(horizon + 1) / (2.0 * horizon)
     points = np.column_stack([np.cos(angles), np.sin(angles)])
-    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    steps = _norms(np.diff(points, axis=0))
     return points, float(steps.max())
 
 
@@ -181,23 +227,23 @@ def least_squares_stream(
     rng = np.random.default_rng(bulk)
     coeff = rng.standard_normal((horizon + 1, n, rows_per_agent, d))
 
-    hessians = np.einsum("knrd,knre->kde", coeff, coeff)  # sum_i (C_i^k)^T C_i^k
+    hessians = _hessians(coeff)
     low = np.nonzero(np.linalg.eigvalsh(hessians)[:, 0] <= _PD_FLOOR)[0]
     for k in low:
         for attempt in range(_RESAMPLE_BUDGET):
             redraw = np.random.default_rng(respawn.spawn(1)[0])
             coeff[k] = redraw.standard_normal((n, rows_per_agent, d))
-            if np.linalg.eigvalsh(np.einsum("nrd,nre->de", coeff[k], coeff[k]))[0] > _PD_FLOOR:
+            if np.linalg.eigvalsh(_hessians(coeff[k : k + 1])[0])[0] > _PD_FLOOR:
                 break
         else:
             raise RuntimeError(f"could not draw a positive definite step at k={k}")
     if low.size:  # all steps in one pass again, so mu sums as it does with no redraw
-        hessians = np.einsum("knrd,knre->kde", coeff, coeff)
+        hessians = _hessians(coeff)
 
     measurements = _predict_steps(coeff, points)
     mu = float(np.linalg.eigvalsh(hessians / n)[:, 0].min())
     if rows_per_agent == 1:
-        lipschitz = float((coeff**2).sum(axis=(2, 3)).max())
+        lipschitz = float(_cell_sums(coeff[:, :, 0] ** 2).max())
     else:
         singular = np.linalg.svd(coeff.reshape(-1, rows_per_agent, d), compute_uv=False)
         lipschitz = float((singular[:, 0] ** 2).max())
@@ -302,7 +348,7 @@ def shifting_consensus(p: int, spacing_m: float, shift: int, horizon: int) -> Sh
 def _largest_scaled_sum(stacks: NDArray[np.float64], scale: float) -> float:
     # Per-agent norms of (steps, n, d) stacks, summed over agents: each
     # contiguous row of n norms sums pairwise, as a 1-D sum of one step does.
-    sums = np.add.reduce(np.linalg.norm(stacks, axis=2), axis=1)
+    sums = np.add.reduce(_norms(stacks), axis=1)
     return float((scale * sums).max(initial=0.0))
 
 

@@ -6,9 +6,10 @@ mixing matrix W is symmetric, doubly stochastic and built on that pattern, so
 no dense n x n array is ever formed. One construction builds it: Metropolis
 weights, which on a regular graph are the uniform weights 1/|N_i|, so the
 uniform rule is that construction restricted to regular graphs. Its
-second-largest eigenvalue magnitude beta (near 1 means slow mixing) comes in
-closed form for cycles and complete graphs and otherwise from ARPACK's
-Lanczos method (``scipy.sparse.linalg.eigsh``).
+second-largest eigenvalue magnitude beta (near 1 means slow mixing) is 0
+when every neighbor set holds every agent (a complete graph by any name: the
+3-cycle, the 2-agent line), is closed form on longer cycles, and otherwise
+comes from ARPACK's Lanczos method (``scipy.sparse.linalg.eigsh``).
 """
 
 from __future__ import annotations
@@ -236,10 +237,12 @@ def _metropolis(g: Graph, regular_only: bool) -> WeightMatrix:
         row_sums = [w[s : s + 64].toarray().sum(axis=1) for s in range(0, g.n, 64)]
         w.data[diagonal] = 1.0 - np.concatenate(row_sums)
     _validate_doubly_stochastic(w, g)
+    if (sizes == g.n).all():  # every neighbor set holds every agent: W is the averaging matrix
+        return WeightMatrix(csr=w, beta=0.0)
     if g.kind == "cycle":  # circulant eigenvalues of (I + S + S^T)/3
         eigenvalues = (1.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(1, g.n) / g.n)) / 3.0
         return WeightMatrix(csr=w, beta=float(np.abs(eigenvalues).max()))
-    return WeightMatrix(csr=w, beta=0.0 if g.kind == "complete" else spectral_gap(w))
+    return WeightMatrix(csr=w, beta=spectral_gap(w))
 
 
 def spectral_gap(w: sparse.csr_matrix) -> float:

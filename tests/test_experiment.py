@@ -694,6 +694,22 @@ def test_cli_bounds_reports_nan_stepsize_out_of_regime(capsys):
     ]
 
 
+def test_cli_bounds_rejects_an_infinite_drift_constant(capsys):
+    # An infinite gradient bound makes every bound infinite; it is an input
+    # error, not a bound.
+    code = cli.main(
+        [
+            "bounds",
+            "--mu", "1", "--L", "1", "--beta", "0.5",
+            "--alpha", "0.05", "--dx", "1e-3", "--D", "inf", "--dg", "0",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: drift constant grad_bound must be finite and nonnegative, got inf\n"
+
+
 def test_run_table_and_summary_csv_spell_the_summary_row_fields(tmp_path, capsys):
     config_path = tmp_path / "run.cfg"
     config_path.write_text(
@@ -812,10 +828,15 @@ def test_cli_audit_rejects_record_without_drift_constants(tmp_path, capsys):
         ((0, 2), "data row 2 has k = 2, expected 1"),
         ((1, 2), "data row 1 has k = 1, expected 0"),
         ((0, 0), "data row 2 has k = 0, expected 1"),
+        # json writes an infinite float as Infinity, which it also reads back.
+        (lambda payload: payload["metadata"].update(grad_bound=math.inf),
+         "drift constant grad_bound must be finite and nonnegative, got inf"),
+        (lambda payload: payload["metadata"].update(delta_x=math.inf),
+         "drift constant delta_x must be finite and nonnegative, got inf"),
     ],
     ids=["unknown_key", "missing_key", "no_metadata", "header_only_csv",
          "alpha_string", "beta_null", "delta_x_string", "n_string", "tracker_identity_max_string",
-         "k_gap", "k_first_not_zero", "k_repeated"],
+         "k_gap", "k_first_not_zero", "k_repeated", "grad_bound_infinity", "delta_x_infinity"],
 )
 def test_cli_audit_rejects_malformed_record(tmp_path, capsys, spoil, message):
     # Input the audit cannot process exits 2 with a one-line error naming the

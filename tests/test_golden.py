@@ -12,6 +12,12 @@ static_cycle.cfg, so those two trees must come out byte-identical. The
 records print avg_error in full, so a BLAS build that rounds that norm
 differently fails here too; the two rotation configs are compared by hand,
 because their beta comes from ARPACK.
+
+tests/data/setup_constants.json holds the repr of mu, L, delta_x, the
+gradient bound and the gradient drift of the benchmark's problem shapes and
+of every scripts/configs file, and beta where the graph is not random. Each
+must come out bitwise, so a set-up reduction that sums in a new order fails
+here and not only in the benchmark's reference check.
 """
 
 import hashlib
@@ -24,12 +30,14 @@ import pytest
 from netdrift import algorithms, cli
 from netdrift.algorithms import ALGORITHMS
 from netdrift.experiment import OUTPUT_ROOT_ENV, build_network, build_objective, parse_config, run_single
+from netdrift.problems import drift_profile
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 with np.load(DATA / "golden.npz") as _pinned:
     GOLDEN = dict(_pinned)
 DIGESTS = json.loads((DATA / "config_digests.json").read_text())
+CONSTANTS = json.loads((DATA / "setup_constants.json").read_text())
 CASES = sorted({key.split("/")[0] for key in GOLDEN})
 SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
 
@@ -75,3 +83,20 @@ def test_config_trees_match_pinned_digests(name, tmp_path, monkeypatch):
         for path in sorted(tmp_path.rglob("*")) if path.is_file()
     }
     assert written == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANTS))
+def test_setup_constants_match_pinned_reprs(name):
+    pinned = dict(CONSTANTS[name])
+    config = parse_config(pinned.pop("config"))
+    objective = build_objective(config)
+    drift = drift_profile(objective)
+    got = {"mu": objective.mu, "lipschitz": objective.lipschitz, "delta_x": drift.delta_x,
+           "grad_bound": drift.grad_bound, "grad_drift": drift.grad_drift}
+    if "beta" in pinned:
+        got["beta"] = build_network(config)[1].beta
+    assert {key: repr(value) for key, value in got.items()} == pinned
+
+
+def test_setup_constants_cover_every_script_config():
+    assert set(CONSTANTS) >= {path.name for path in CONFIGS.glob("*.cfg")}

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netdrift import problems
+from netdrift.experiment import parse_config
 from netdrift.problems import (
     DriftProfile,
     DynamicObjective,
@@ -196,14 +198,20 @@ def test_ls_gradient_matches_finite_differences():
 
 
 def test_least_squares_constants_match_direct_eigen_scan():
-    stream = least_squares_stream(n=4, horizon=6, seed=21)
-    C = stream.coefficients
-    avg_hessians = np.einsum("knrd,knre->kde", C, C) / stream.n
-    mu_expected = float(np.linalg.eigvalsh(avg_hessians)[:, 0].min())
-    lip_expected = float((C**2).sum(axis=(2, 3)).max())
-    assert abs(stream.mu - mu_expected) <= 1e-14
-    assert abs(stream.lipschitz - lip_expected) <= 1e-14
-    assert 0.0 < stream.mu <= stream.lipschitz
+    # Bitwise the direct reductions. At n = 100 an in-order sum over agents
+    # differs from a pairwise one, so mu pins the order of the Hessian sums.
+    cases = [(4, 6, 21, 1)] + [(100, 1000, seed, rows) for seed in (0, 1, 2) for rows in (1, 3)]
+    for n, horizon, seed, rows_per_agent in cases:
+        stream = least_squares_stream(n=n, horizon=horizon, seed=seed, rows_per_agent=rows_per_agent)
+        C = stream.coefficients
+        avg_hessians = np.einsum("knrd,knre->kde", C, C) / stream.n
+        assert stream.mu == float(np.linalg.eigvalsh(avg_hessians)[:, 0].min())
+        if rows_per_agent == 1:
+            assert stream.lipschitz == float((C**2).sum(axis=(2, 3)).max())
+        else:
+            singular = np.linalg.svd(C.reshape(-1, rows_per_agent, 2), compute_uv=False)
+            assert stream.lipschitz == float((singular[:, 0] ** 2).max())
+        assert 0.0 < stream.mu <= stream.lipschitz
 
 
 def test_least_squares_aggregate_hessians_positive_definite():
@@ -418,6 +426,49 @@ def test_drift_profile_matches_per_step_scan_consensus(monkeypatch, block_entrie
 def test_drift_profile_matches_per_step_scan_least_squares(rows_per_agent):
     stream = least_squares_stream(n=100, horizon=1000, seed=5, rows_per_agent=rows_per_agent)
     assert_same_profile(drift_profile(stream), per_step_drift_profile(stream))
+
+
+@pytest.mark.parametrize("block_entries", [50, None])
+@pytest.mark.parametrize("d", [2, 3, 7, 8])
+def test_drift_profile_matches_per_step_scan_on_nonzero_gradients(monkeypatch, d, block_entries):
+    # Least squares has gradients of exactly zero at its optimum and consensus
+    # has d = 1, so neither tells an in-order sum of d cells from numpy's,
+    # which is pairwise from 8 cells on. A stub hands out random gradients
+    # spanning six decades. The largest sum over agents hides a last-bit
+    # difference of most single norms, so most draws have one or two agents.
+    if block_entries is not None:
+        monkeypatch.setattr(problems, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(d)
+    for n, horizon in [(1, 1)] * 10 + [(2, 1)] * 10 + [(1, 60), (37, 60)]:
+        shape = (horizon + 1, n, d)
+        grads = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        stub = SimpleNamespace(
+            n=n, d=d, horizon=horizon, delta_x=0.0,
+            optimum=lambda k: np.zeros(d),
+            gradient_stack=lambda k, x_stack, grads=grads: grads[k],
+            optimal_gradients=lambda start, stop, grads=grads: grads[start:stop],
+            analytic_delta_x=0.0, analytic_grad_bound=math.inf, analytic_grad_drift=math.inf,
+        )
+        profile = drift_profile(stub)
+        assert profile.grad_bound > 0.0 and profile.grad_drift > 0.0
+        assert_same_profile(profile, per_step_drift_profile(stub))
+
+
+@pytest.mark.parametrize("bound", ["low", "high"])
+@pytest.mark.parametrize("p", [1, 10, 1000])
+def test_drift_profile_matches_per_step_scan_at_spacing_bounds(p, bound):
+    # The extreme spacings ExperimentConfig accepts: at the low one the
+    # squared gradients are subnormal, at the high one near overflow.
+    n = 2 * p + 1
+    spacing = {"low": math.sqrt(sys.float_info.min) / (p + 1),
+               "high": math.sqrt(sys.float_info.max / n) / n}[bound]
+    config = parse_config(f"scenario = III\np = {p}\nspacing_m = {spacing!r}\nhorizon = 40\n")
+    for shift in (0, 1, p + 1):
+        sc = shifting_consensus(p=p, spacing_m=config.spacing_m, shift=shift, horizon=config.horizon)
+        squares = sc.optimal_gradients(0, 1) ** 2
+        if bound == "low":
+            assert 0.0 < squares[squares > 0.0].min() < sys.float_info.min
+        assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
 
 
 def test_objectives_have_every_declared_member():

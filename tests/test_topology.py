@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +262,28 @@ def test_uniform_complete_is_averaging_matrix():
     wm = uniform_neighbor_weights(build_complete(6))
     np.testing.assert_allclose(wm.csr.toarray(), np.full((6, 6), 1.0 / 6.0), atol=1e-15)
     assert wm.beta == 0.0
+
+
+def test_graphs_where_every_agent_neighbors_all_have_beta_exactly_zero():
+    # The 3-cycle is the complete graph on 3 agents, and the 2-agent line and
+    # the 1x2 grid are the complete graph on 2. W is then the averaging
+    # matrix, so beta is 0 exactly under either rule, without the eigensolver:
+    # importing scipy.sparse.linalg adds about 10 MB to a run.
+    code = (
+        "import sys\n"
+        "from netdrift.topology import build_cycle, build_grid, build_line, metropolis_weights, "
+        "uniform_neighbor_weights\n"
+        "for g in (build_cycle(3), build_line(2), build_grid(1, 2)):\n"
+        "    print(g.kind, metropolis_weights(g).beta, uniform_neighbor_weights(g).beta)\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.splitlines() == ["cycle 0.0 0.0", "line 0.0 0.0", "grid 0.0 0.0", "False"]
 
 
 def test_uniform_weights_reject_irregular_graph():
