@@ -290,7 +290,7 @@ class ShiftingConsensus:
         if self.horizon < 1:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return 2 * self.p + 1
 
@@ -318,6 +318,17 @@ class ShiftingConsensus:
         doubled.setflags(write=False)
         return doubled
 
+    @cached_property
+    def _target_column(self) -> NDArray[np.float64]:
+        # The doubled targets as a read-only (2n, 1) column, for gradient_stack.
+        return self._doubled_targets[:, None]
+
+    @cached_property
+    def _optimum(self) -> NDArray[np.float64]:
+        optimum = np.array([(self.p + 1) * self.spacing_m])
+        optimum.setflags(write=False)
+        return optimum
+
     def _window_start(self, k):
         # Rolling the targets by s puts y^k at entries n-s .. 2n-s-1.
         return self.n - (k * (self.shift % self.n)) % self.n
@@ -328,10 +339,12 @@ class ShiftingConsensus:
         return self._doubled_targets[start : start + self.n]
 
     def optimum(self, k: int) -> NDArray[np.float64]:
-        return np.array([(self.p + 1) * self.spacing_m])
+        """The optimum (p+1)*spacing_m, the same read-only array at every step."""
+        return self._optimum
 
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
-        return x_stack - self.targets(k)[:, None]
+        start = self._window_start(k)
+        return x_stack - self._target_column[start : start + self.n]
 
     def optimal_gradients(self, start: int, stop: int) -> NDArray[np.float64]:
         """(stop-start, n, 1) gradients at the optimum of steps start..stop-1."""

@@ -10,12 +10,20 @@ second-largest eigenvalue magnitude beta (near 1 means slow mixing) is 0
 when every neighbor set holds every agent (a complete graph by any name: the
 3-cycle, the 2-agent line), is closed form on longer cycles, and otherwise
 comes from ARPACK's Lanczos method (``scipy.sparse.linalg.eigsh``).
+
+A random network's set-up does each job once. A graph searches its
+connectivity on first use and keeps the answer, so ``build_random``'s retry
+test and the weight construction share one search. The pair draws, the
+dense rows that sum an irregular W's diagonal and ARPACK's products with W
+use reused blocks and scipy's compiled CSR kernels, without scipy's
+per-call dispatch, and give bitwise the values that dispatch gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,6 +65,11 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
+    @cached_property
+    def connected(self) -> bool:
+        """:func:`is_connected` of this graph, searched on first read only."""
+        return is_connected(self)
+
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
@@ -65,9 +78,13 @@ class WeightMatrix:
     csr: sparse.csr_matrix
     beta: float
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.csr.shape[0]
+
+    @cached_property
+    def _kernel_arrays(self) -> tuple[NDArray, NDArray, NDArray]:
+        return self.csr.indptr, self.csr.indices, self.csr.data
 
     def mix(self, stack: NDArray[np.float64]) -> NDArray[np.float64]:
         """W applied to an (n, c) float stack: bitwise ``csr @ stack``, without its dispatch.
@@ -81,12 +98,12 @@ class WeightMatrix:
         column comes out bitwise the same too. ``stack.ravel()`` copies a
         non-C-contiguous stack, as scipy does.
         """
-        w, n = self.csr, self.n
+        n = self.n
         rows, columns = stack.shape
         if rows != n:  # the kernel would read past the stack's end
             raise ValueError(f"cannot mix a stack of {rows} rows with a {n}x{n} weight matrix")
         out = np.zeros((n, columns))
-        _sparsetools.csr_matvecs(n, n, columns, w.indptr, w.indices, w.data, stack.ravel(), out.ravel())
+        _sparsetools.csr_matvecs(n, n, columns, *self._kernel_arrays, stack.ravel(), out.ravel())
         return out
 
 
@@ -164,17 +181,30 @@ def build_random(n: int, edge_probability: float, seed: int) -> Graph:
     starts = i * (2 * n - i - 1) // 2
     pairs = n * (n - 1) // 2
     for child in np.random.SeedSequence(seed).spawn(_RANDOM_ATTEMPTS):
-        rng = np.random.default_rng(child)
-        kept = np.concatenate([
-            np.flatnonzero(rng.random(min(_PAIR_BLOCK, pairs - q)) < edge_probability) + q
-            for q in range(0, pairs, _PAIR_BLOCK)
-        ])
+        kept = _kept_pairs(np.random.default_rng(child), pairs, edge_probability)
         heads = np.searchsorted(starts, kept, side="right") - 1
         g = _graph(n, heads, kept - starts[heads] + heads + 1, kind="random")
-        if is_connected(g):
+        if g.connected:
             return g
     message = f"no connected graph with n={n}, p={edge_probability} in {_RANDOM_ATTEMPTS} attempts"
     raise ConstructionError(message)
+
+
+def _kept_pairs(rng: np.random.Generator, pairs: int, edge_probability: float) -> NDArray[np.intp]:
+    """Indices of the pairs whose uniform is below ``edge_probability``, in stream order.
+
+    Every block of ``_PAIR_BLOCK`` uniforms is drawn into one buffer and
+    compared into one mask, both reused across the blocks and released
+    before the caller builds and searches the graph.
+    """
+    uniforms = np.empty(min(_PAIR_BLOCK, pairs))
+    below = np.empty(uniforms.size, dtype=bool)
+    blocks = []
+    for q in range(0, pairs, _PAIR_BLOCK):
+        size = min(_PAIR_BLOCK, pairs - q)
+        np.less(rng.random(out=uniforms[:size]), edge_probability, out=below[:size])
+        blocks.append(np.flatnonzero(below[:size]) + q)
+    return np.concatenate(blocks)
 
 
 def _rows(m: sparse.csr_matrix) -> NDArray[np.intp]:
@@ -214,7 +244,7 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
 
 def _metropolis(g: Graph, regular_only: bool) -> WeightMatrix:
     """The one weight construction, validated, with beta: 0 on complete graphs, closed form on cycles."""
-    if not is_connected(g):
+    if not g.connected:
         raise ValueError("weight matrices require a connected graph")
     adj = g.adjacency
     sizes, rows = np.diff(adj.indptr), _rows(adj)
@@ -232,10 +262,18 @@ def _metropolis(g: Graph, regular_only: bool) -> WeightMatrix:
         # The diagonal absorbs the slack, keeping every row sum at exactly one.
         # Rows are summed as dense blocks of 64, in numpy's pairwise order over
         # all n columns, so W is bitwise the matrix a dense construction gives.
+        # One (64, n) block is zeroed and refilled by scipy's ``toarray``
+        # kernel for each row range.
         diagonal = rows == adj.indices
         w.data[diagonal] = 0.0
-        row_sums = [w[s : s + 64].toarray().sum(axis=1) for s in range(0, g.n, 64)]
-        w.data[diagonal] = 1.0 - np.concatenate(row_sums)
+        block = np.empty((min(64, g.n), g.n))
+        row_sums = np.empty(g.n)
+        for s in range(0, g.n, 64):
+            dense = block[: min(64, g.n - s)]
+            dense.fill(0.0)
+            _sparsetools.csr_todense(len(dense), g.n, w.indptr[s : s + 65], w.indices, w.data, dense)
+            np.add.reduce(dense, axis=1, out=row_sums[s : s + 64])
+        w.data[diagonal] = 1.0 - row_sums
     _validate_doubly_stochastic(w, g)
     if (sizes == g.n).all():  # every neighbor set holds every agent: W is the averaging matrix
         return WeightMatrix(csr=w, beta=0.0)
@@ -250,17 +288,27 @@ def spectral_gap(w: sparse.csr_matrix) -> float:
 
     The deflated operator v -> Wv - mean(v), that is W - (1/n) 11^T, has
     spectral radius |lambda_2(W)|. One ARPACK Lanczos call (``eigsh``, k=1,
-    largest magnitude) finds it to machine precision. The start vector is
-    drawn from a fixed seed, so beta does not depend on earlier calls.
+    largest magnitude) finds it to machine precision. The operator calls
+    scipy's ``csr_matvec`` kernel, the one ``w @ v`` reaches for a vector,
+    directly, so each Lanczos product skips the operator dispatch and Wv is
+    bitwise ``w @ v``. The start vector is drawn from a fixed seed, so beta
+    does not depend on earlier calls.
     """
     # Imported on first use: it adds about 10 MB that cycle-only runs never need.
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    deflated = LinearOperator(w.shape, matvec=lambda v: w @ v - v.mean(), dtype=np.float64)
-    v0 = np.random.default_rng(0).standard_normal(w.shape[0])
+    n = w.shape[0]
+
+    def deflated_product(v: NDArray[np.float64]) -> NDArray[np.float64]:
+        wv = np.zeros(n)
+        _sparsetools.csr_matvec(n, n, w.indptr, w.indices, w.data, v, wv)
+        return wv - v.mean()
+
+    deflated = LinearOperator((n, n), matvec=deflated_product, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(n)
     # W equal to the averaging matrix up to rounding has beta zero. ARPACK
     # would return process-dependent noise there, or fail if Wv0 = mean(v0).
-    if np.linalg.norm(deflated.matvec(v0)) <= w.shape[0] * np.finfo(float).eps * np.linalg.norm(v0):
+    if np.linalg.norm(deflated.matvec(v0)) <= n * np.finfo(float).eps * np.linalg.norm(v0):
         return 0.0
     (lam,) = eigsh(deflated, k=1, which="LM", v0=v0, return_eigenvectors=False)
     return float(abs(lam))

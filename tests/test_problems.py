@@ -316,6 +316,23 @@ def test_consensus_optimum_constant():
     assert sc.normalization == 64.0
 
 
+def test_consensus_optimum_is_one_read_only_array():
+    sc = shifting_consensus(p=3, spacing_m=2.0, shift=4, horizon=15)
+    assert sc.optimum(0) is sc.optimum(15)
+    with pytest.raises(ValueError):
+        sc.optimum(3)[0] = 0.0
+
+
+@pytest.mark.parametrize("p, shift", [(1, 0), (3, 4), (10, 11), (50, 7)])
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_consensus_gradient_stack_is_bitwise_the_target_difference(p, shift, lanes):
+    sc = shifting_consensus(p=p, spacing_m=0.7, shift=shift, horizon=40)
+    x = np.random.default_rng(p).standard_normal((sc.n, lanes))
+    for k in range(41):
+        expected = x - np.array(brute_force_targets(p, 0.7, shift, k))[:, None]
+        assert np.array_equal(sc.gradient_stack(k, x), expected)
+
+
 # ---------------------------------------------------------------- drift profiles
 
 

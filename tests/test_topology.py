@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
+from netdrift import topology
 from netdrift.topology import (
     ConstructionError,
     Graph,
@@ -234,6 +235,40 @@ def test_build_random_memory_grows_with_the_kept_edges(traced_peak):
 def test_build_random_connected(seed):
     g = build_random(30, 0.15, seed=seed)
     assert is_connected(g)
+
+
+def test_random_network_searches_each_graph_once(monkeypatch):
+    # build_random tests every drawn graph for connectivity and the weights
+    # need the kept one connected; the graph caches the answer, so the
+    # kept graph is not searched again.
+    drawn, searched = [], []
+    graph, search = topology._graph, topology.is_connected
+
+    def counted_graph(*args, **kwargs):
+        drawn.append(graph(*args, **kwargs))
+        return drawn[-1]
+
+    def counted_search(g):
+        searched.append(g)
+        return search(g)
+
+    monkeypatch.setattr(topology, "_graph", counted_graph)
+    monkeypatch.setattr(topology, "is_connected", counted_search)
+    g = build_random(2001, 0.0055, seed=0)
+    metropolis_weights(g)
+    assert drawn[-1] is g
+    assert len(searched) == len(drawn)
+    assert all(a is b for a, b in zip(searched, drawn))
+
+
+def test_weights_reject_a_disconnected_graph():
+    # Two components: {0, 1} and {2}.
+    adjacency = sparse.csr_matrix(np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool))
+    g = Graph(adjacency)
+    for rule in (metropolis_weights, uniform_neighbor_weights):
+        with pytest.raises(ValueError, match="weight matrices require a connected graph"):
+            rule(g)
+    assert not g.connected
 
 
 def test_build_random_retry_budget_error():
@@ -520,6 +555,30 @@ def test_spectral_gap_matches_dense_eigensolve(wm):
 def test_metropolis_beta_matches_dense_eigensolve_on_poorly_connected_graphs(graph):
     wm = metropolis_weights(graph)
     assert abs(wm.beta - eig_beta(wm.csr)) <= 1e-12
+
+
+def operator_dispatch_beta(w) -> float:
+    # Reference: the deflated operator through scipy's ``w @ v`` dispatch,
+    # with the start vector spectral_gap draws.
+    deflated = LinearOperator(w.shape, matvec=lambda v: w @ v - v.mean(), dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(w.shape[0])
+    (lam,) = eigsh(deflated, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    return float(abs(lam))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_random(2001, 0.0055, seed=0),
+        lambda: build_random(2001, 0.0055, seed=1),
+        lambda: build_random(2001, 0.0055, seed=2),
+        lambda: calibrate_beta(201, target_beta=0.89, seed=0)[1],
+    ],
+    ids=["random2001_seed0", "random2001_seed1", "random2001_seed2", "calibrated201"],
+)
+def test_spectral_gap_is_bitwise_the_operator_dispatch_beta(build):
+    w = metropolis_weights(build()).csr
+    assert repr(spectral_gap(w)) == repr(operator_dispatch_beta(w))
 
 
 def test_spectral_gap_is_independent_of_earlier_eigensolves():
