@@ -21,8 +21,10 @@ function on a plain tuple of the stacks, which ``step`` wraps into an
 ``AlgorithmState``; ``run`` advances the tuple directly, so both take one
 path through the arithmetic and the loop builds no state object per step.
 Mixing goes through ``WeightMatrix.mix``, which applies the sparse view of
-the weight matrix with scipy's compiled kernel and none of its operator
-dispatch, so each update touches neighbor values only. EXTRA keeps its
+the weight matrix with scipy's compiled kernels and none of its operator
+dispatch, so each update touches neighbor values only: the one-column
+kernel for a one-lane run of a one-dimensional problem, the multi-column
+kernel for every wider stack, both with 64-bit indices. EXTRA keeps its
 product ``W x`` in the state and reads it back as ``W x_prev`` on its next
 step, so every method makes one sparse product per step, except dgt, which
 makes two.
@@ -33,12 +35,14 @@ coordinate-major in its (n, G*d) columns: column j*G + g is coordinate j of
 lane g, so the lanes are the innermost, contiguous axis of every operand.
 ``run`` builds the step sizes once as a contiguous (n, G*d) array, entry
 (i, j*G + g) holding lane g's, so every product with ``alpha`` is a
-same-shape loop; mixing is one sparse product over all lanes and gradients
-broadcast over them. Every operation acts on each lane separately, and each
-recorded metric reduces over agents within one lane in the same order as a
-one-lane run, so lane g of a sweep is bitwise identical to a one-lane run at
-that step size. A lane that diverges fills with non-finite values without
-touching the others.
+same-shape loop; mixing is one sparse product over all lanes, and the
+gradients of all lanes come from one call: least squares broadcasts its
+coefficients over the lanes, and the consensus family subtracts a target
+tile as wide as the stack. Every operation acts on each lane separately,
+and each recorded metric reduces over agents within one lane in the same
+order as a one-lane run, so lane g of a sweep is bitwise identical to a
+one-lane run at that step size. A lane that diverges fills with non-finite
+values without touching the others.
 
 Blocks of recorded steps: the metrics cost about fifteen small numpy calls,
 which dominate a step on small networks. So ``run`` files each step's

@@ -30,6 +30,7 @@ from netdrift.experiment import (
     TuningError,
     build_network,
     build_objective,
+    default_grid,
     run_single,
     steady_state_error,
     tune_stepsize,
@@ -537,6 +538,30 @@ def test_lanes_match_one_lane_runs(algorithm, scenario, size, rows_per_agent, ho
     alpha, record = tune_stepsize(config, algorithm, objective, wm)
     assert alpha == expected[0] and alpha != DIVERGENT_ALPHA
     assert _same_record(record, expected[1])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(scenario="III", topology="random", edge_probability=0.0055,
+                         weight_rule="metropolis", p=1000, horizon=20, seed=0, grid_points=8),
+        ExperimentConfig(scenario="I", topology="cycle", n=100, horizon=20, seed=0),
+    ],
+    ids=["rotation_p1000_8_lanes", "lsq_n100_60_columns"],
+)
+def test_full_scale_lanes_match_one_lane_runs(config):
+    # At the benchmark's sizes a sweep mixes 8 or 60 columns through
+    # csr_matvecs and a one-lane run mixes through csr_matvec (d = 1) or
+    # csr_matvecs (d = 2); every lane must still be bitwise its one-lane run.
+    objective = build_objective(config)
+    _, wm = build_network(config)
+    grid = default_grid(config, objective.mu, objective.lipschitz)
+    assert len(grid) * objective.d == (8 if config.scenario == "III" else 60)
+    for algorithm in ALGORITHMS:
+        records = run_single(config, objective, wm, algorithm, grid)
+        for alpha, record in zip(grid, records):
+            expected = run_single(config, objective, wm, algorithm, alpha)
+            assert _same_record(record, expected), (algorithm, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Regression tests against pinned outputs, both written by scripts/pin_golden.py.
 
 tests/data/golden.npz holds every method's recorded series on four small
-problems at a fixed step size and seed. The series must reproduce bitwise,
-except avg_error, which may differ by 1e-12 relative: it is a norm taken
-through the BLAS dot kernel, whose rounding is up to the BLAS build rather
-than to netdrift.
+problems and on scenario III with p=1000, at a fixed step size and seed.
+The series must reproduce bitwise, except avg_error, which may differ by
+1e-12 relative: it is a norm taken through the BLAS dot kernel, whose
+rounding is up to the BLAS build rather than to netdrift.
 
 tests/data/config_digests.json holds the sha256 of every file that
 ``netdrift run`` writes for scripts/configs/circle_n5.cfg and

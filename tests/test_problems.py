@@ -323,14 +323,40 @@ def test_consensus_optimum_is_one_read_only_array():
         sc.optimum(3)[0] = 0.0
 
 
+def _consensus_stacks(n, lanes, seed):
+    # A C-ordered stack, its F-ordered copy, and a column slice of a wider one.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, lanes))
+    return x, np.asfortranarray(x), rng.standard_normal((n, 2 * lanes + 1))[:, 1::2]
+
+
 @pytest.mark.parametrize("p, shift", [(1, 0), (3, 4), (10, 11), (50, 7)])
-@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("lanes", [1, 3, 8])
 def test_consensus_gradient_stack_is_bitwise_the_target_difference(p, shift, lanes):
     sc = shifting_consensus(p=p, spacing_m=0.7, shift=shift, horizon=40)
-    x = np.random.default_rng(p).standard_normal((sc.n, lanes))
-    for k in range(41):
-        expected = x - np.array(brute_force_targets(p, 0.7, shift, k))[:, None]
-        assert np.array_equal(sc.gradient_stack(k, x), expected)
+    for x in _consensus_stacks(sc.n, lanes, p):
+        for k in range(41):
+            expected = x - np.array(brute_force_targets(p, 0.7, shift, k))[:, None]
+            assert np.array_equal(sc.gradient_stack(k, x), expected)
+
+
+def test_consensus_gradient_tiles_are_cached_read_only_per_column_count():
+    # gradient_stack keeps one target tile per column count; switching the
+    # count back and forth on one objective must reuse, never mix them up.
+    sc = shifting_consensus(p=10, spacing_m=0.7, shift=3, horizon=12)
+    tiles = {}
+    for lanes in (1, 8, 1, 3):
+        for x in _consensus_stacks(sc.n, lanes, lanes):
+            for k in range(13):
+                expected = x - np.array(brute_force_targets(10, 0.7, 3, k))[:, None]
+                assert np.array_equal(sc.gradient_stack(k, x), expected)
+        tiles.setdefault(lanes, sc._target_tiles[lanes])
+        assert sc._target_tiles[lanes] is tiles[lanes]
+    assert sorted(sc._target_tiles) == [1, 3, 8]
+    for lanes, tile in sc._target_tiles.items():
+        assert tile.shape == (2 * sc.n, lanes)
+        with pytest.raises(ValueError):
+            tile[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------- drift profiles
