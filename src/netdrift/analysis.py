@@ -12,7 +12,8 @@ when ``rho`` is read: an audit uses A and b alone.
 builder, the bound, the drift constant both take besides delta_x (diffusion
 pays for the size of the optimal gradients, tracking for their drift) and
 the audited rows. ``contraction_model``, ``steady_state_bound`` and
-``audit_recursions``, which replays the rows against a record, read it.
+``audit_recursions``, which replays the rows against a record, read it;
+``ANALYSED_METHODS`` lists its keys.
 """
 
 from __future__ import annotations
@@ -215,6 +216,8 @@ _AUDITED = {
                     (("tracker_step", "y_dev"), ("consensus_step", "consensus_dev"),
                      ("avg_error_step", "avg_error"))),
 }
+
+ANALYSED_METHODS = tuple(_AUDITED)  # the methods with a contraction model, a bound and an audit
 
 
 def _audited(algorithm: str, what: str) -> _Audited:

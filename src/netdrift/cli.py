@@ -16,7 +16,7 @@ import functools
 import sys
 from dataclasses import astuple, fields
 
-from .analysis import RegimeError, audit_recursions, contraction_model, steady_state_bound
+from .analysis import ANALYSED_METHODS, RegimeError, audit_recursions, contraction_model, steady_state_bound
 from .experiment import SummaryRow, audit_record_file, load_config, run_suite
 from .problems import DriftProfile
 
@@ -77,7 +77,7 @@ def _cmd_audit(args) -> int:
 def _cmd_bounds(args) -> int:
     drift = DriftProfile(delta_x=args.dx, grad_bound=args.D, grad_drift=args.dg)
     constants = (args.alpha, args.mu, args.lipschitz, args.beta, drift)
-    for algorithm in ("diffusion", "dgt"):
+    for algorithm in ANALYSED_METHODS:
         try:
             rho_text = f"rho(A) = {contraction_model(algorithm, *constants).rho:.6f}"
         except RegimeError as exc:

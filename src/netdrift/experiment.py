@@ -18,6 +18,7 @@ Scenarios:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import ALGORITHMS, init_state, run
-from .analysis import RegimeError, steady_state_bound
+from .analysis import ANALYSED_METHODS, RegimeError, steady_state_bound
 from .problems import DriftProfile, drift_profile, least_squares_stream, shifting_consensus
 from .records import TrajectoryRecord, read_record, sidecar_path, write_record
 from .topology import (
@@ -404,8 +405,9 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
 
     The summary's theory_bound column holds the steady-state bound divided by
     the problem's normalization constant, so it compares directly against the
-    steady_state_error column; it is left empty when the tuned step size
-    falls outside the regime where the bound applies.
+    steady_state_error column; it is left empty for a method outside
+    ``ANALYSED_METHODS`` and when the tuned step size falls outside the
+    regime where the bound applies.
     """
     objective = build_objective(config)
     _, wm = build_network(config)
@@ -417,13 +419,12 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     for algorithm in config.algorithms:
         alpha, record = tune_stepsize(config, algorithm, objective, wm)
         error = steady_state_error(record, config.tail_fraction)
-        try:
-            bound = steady_state_bound(
-                algorithm, alpha, objective.mu, objective.lipschitz, wm.beta, drift
-            )
-            bound /= record.metadata.normalization
-        except (RegimeError, ValueError):
-            bound = None
+        bound = None
+        if algorithm in ANALYSED_METHODS:
+            with contextlib.suppress(RegimeError):
+                bound = steady_state_bound(
+                    algorithm, alpha, objective.mu, objective.lipschitz, wm.beta, drift
+                ) / record.metadata.normalization
         meta = replace(
             record.metadata,
             delta_x=drift.delta_x,

@@ -11,12 +11,11 @@ when every neighbor set holds every agent (a complete graph by any name: the
 3-cycle, the 2-agent line), is closed form on longer cycles, and otherwise
 comes from ARPACK's Lanczos method (``scipy.sparse.linalg.eigsh``).
 
-A random network's set-up does each job once. A graph searches its
-connectivity on first use and keeps the answer, so ``build_random``'s retry
-test and the weight construction share one search. The pair draws, the
-dense rows that sum an irregular W's diagonal and ARPACK's products with W
-use reused blocks and scipy's compiled CSR kernels, without scipy's
-per-call dispatch, and give bitwise the values that dispatch gives.
+A builder's graph is connected by construction: ``build_random`` keeps the
+first draw that scipy's breadth-first search finds connected, and the weights
+search only graphs of other kinds. The pair draws, the diagonal sums of an
+irregular W and ARPACK's products with W run scipy's compiled CSR kernels on
+reused blocks, skip its per-call dispatch, and give bitwise its values.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ _RANDOM_ATTEMPTS = 50  # seeds build_random tries before ConstructionError
 _PAIR_BLOCK = 2**16  # pair uniforms build_random draws at a time
 _CALIBRATION_TOL = 0.02  # largest |beta - target| calibrate_beta accepts
 _CALIBRATION_STEPS = 40  # most bisection steps calibrate_beta takes
+_BUILDER_KINDS = frozenset({"cycle", "line", "grid", "complete", "random"})  # connected by construction
 
 
 class InvalidSizeError(ValueError):
@@ -51,7 +51,10 @@ class WeightRuleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected network as a symmetric CSR adjacency; row i is agent i's neighbor set, i included."""
+    """Undirected network as a symmetric CSR adjacency; row i is agent i's neighbor set, i included.
+
+    A builder's ``kind`` vouches that the graph is connected (a ``"cycle"`` also that it is a ring).
+    """
 
     adjacency: sparse.csr_matrix
     kind: str = "custom"
@@ -64,11 +67,6 @@ class Graph:
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
-
-    @cached_property
-    def connected(self) -> bool:
-        """:func:`is_connected` of this graph, searched on first read only."""
-        return is_connected(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +123,10 @@ def _graph(n: int, heads: NDArray[np.intp], tails: NDArray[np.intp], kind: str) 
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first search from agent 0 over the adjacency rows; true if it reaches every agent."""
-    indptr, indices = g.adjacency.indptr.tolist(), g.adjacency.indices.tolist()
-    seen = [True] + [False] * (g.n - 1)
-    queue = [0]
-    for i in queue:  # the loop also visits the agents appended while it runs
-        for j in indices[indptr[i] : indptr[i + 1]]:
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
-    return len(queue) == g.n
+    """True if scipy's breadth-first search from agent 0 reaches every agent; imported on first use."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    return breadth_first_order(g.adjacency, 0, return_predecessors=False).size == g.n
 
 
 def build_cycle(n: int) -> Graph:
@@ -192,7 +184,7 @@ def build_random(n: int, edge_probability: float, seed: int) -> Graph:
         kept = _kept_pairs(np.random.default_rng(child), pairs, edge_probability)
         heads = np.searchsorted(starts, kept, side="right") - 1
         g = _graph(n, heads, kept - starts[heads] + heads + 1, kind="random")
-        if g.connected:
+        if is_connected(g):
             return g
     message = f"no connected graph with n={n}, p={edge_probability} in {_RANDOM_ATTEMPTS} attempts"
     raise ConstructionError(message)
@@ -252,7 +244,7 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
 
 def _metropolis(g: Graph, regular_only: bool) -> WeightMatrix:
     """The one weight construction, validated, with beta: 0 on complete graphs, closed form on cycles."""
-    if not g.connected:
+    if g.kind not in _BUILDER_KINDS and not is_connected(g):
         raise ValueError("weight matrices require a connected graph")
     adj = g.adjacency
     sizes, rows = np.diff(adj.indptr), _rows(adj)

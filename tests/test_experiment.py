@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import netdrift
 from netdrift import cli, experiment, records
 from netdrift.algorithms import ALGORITHMS
-from netdrift.analysis import max_stepsize
+from netdrift.analysis import ANALYSED_METHODS, RegimeError, max_stepsize
 from netdrift.experiment import (
     INITS,
     SCENARIOS,
@@ -291,24 +291,40 @@ def test_build_network_builds_complete_and_grid_topologies(text, graph):
 
 
 def test_cycle_network_imports_neither_sparse_linalg_nor_csgraph():
-    # A cycle's beta is closed form under either weight rule. Importing
-    # scipy.sparse.linalg or scipy.sparse.csgraph adds about 10 MB of
-    # resident memory to a run.
+    # A builder's graph is connected by construction, so no builder kind but
+    # random searches it with scipy.sparse.csgraph. A cycle's and a complete
+    # graph's beta is closed form under either weight rule, so they skip
+    # scipy.sparse.linalg too; line and grid need ARPACK for beta. Each
+    # import adds resident memory to a run (about 10 MB for linalg). One
+    # process builds the networks in this order, so a module that an
+    # earlier build imports shows in every later report.
     src = str(Path(netdrift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    for rule in WEIGHT_RULES:
-        text = f"scenario = I\ntopology = cycle\nn = 100\nweight_rule = {rule}\n"
-        code = (
-            "import sys\n"
-            "from netdrift.experiment import build_network, parse_config\n"
-            f"build_network(parse_config({text!r}))\n"
-            "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, check=True,
-        )
-        assert result.stdout.strip() == "[]", rule
+    cases = [
+        (f"scenario = I\ntopology = {topology}\nn = {n}\nweight_rule = {rule}\n", expected)
+        for topology, n, expected in (("cycle", 100, []), ("complete", 6, []))
+        for rule in WEIGHT_RULES
+    ] + [
+        ("scenario = I\ntopology = line\nn = 50\n", ["scipy.sparse.linalg"]),
+        ("scenario = I\ntopology = grid\nn = 12\nrows = 3\ncols = 4\n", ["scipy.sparse.linalg"]),
+        ("scenario = I\ntopology = grid\nn = 4\nrows = 2\ncols = 2\nweight_rule = uniform\n",
+         ["scipy.sparse.linalg"]),
+    ]
+    code = (
+        "import json, sys\n"
+        "from netdrift.experiment import build_network, parse_config\n"
+        "reports = []\n"
+        f"for text in {[text for text, _ in cases]!r}:\n"
+        "    build_network(parse_config(text))\n"
+        "    reports.append([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])\n"
+        "print(json.dumps(reports))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    for (text, expected), imported in zip(cases, json.loads(result.stdout), strict=True):
+        assert imported == expected, text
 
 
 def test_build_network_names_weight_rule():
@@ -523,6 +539,27 @@ def test_run_suite_reports_bound_for_admissible_stepsize(tmp_path):
     assert "steady_state_tail_max" in sidecar["metadata"]["extra"]
 
 
+def test_run_suite_leaves_the_bound_empty_only_for_unanalysed_methods_and_regime_errors(tmp_path, monkeypatch):
+    alpha = max_stepsize("diffusion", 1.0, 1.0, uniform_cycle_beta_5())
+    config = _static_config(horizon=200, stepsizes=(alpha,), algorithms=("diffusion", "extra"))
+    rows = run_suite(replace(config, output_dir=str(tmp_path / "a"))).rows
+    assert [row.theory_bound is None for row in rows] == [False, True]
+
+    def out_of_regime(*args):
+        raise RegimeError("step size outside the regime")
+
+    monkeypatch.setattr(experiment, "steady_state_bound", out_of_regime)
+    rows = run_suite(replace(config, output_dir=str(tmp_path / "b"))).rows
+    assert [row.theory_bound for row in rows] == [None, None]
+
+    def broken(*args):
+        raise ValueError("a fault in the bound")
+
+    monkeypatch.setattr(experiment, "steady_state_bound", broken)
+    with pytest.raises(ValueError, match="a fault in the bound"):
+        run_suite(replace(config, output_dir=str(tmp_path / "c")))
+
+
 def test_run_suite_honors_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("NETDRIFT_OUTPUT", str(tmp_path))
     config = _static_config(horizon=200, output_dir="nested/demo")
@@ -663,6 +700,20 @@ def test_cli_bounds_prints_reference_arithmetic(capsys):
     assert code == 0
     assert "0.384" in out
     assert "rho" in out
+
+
+def test_cli_bounds_prints_every_analysed_method(capsys):
+    assert ANALYSED_METHODS == ("diffusion", "dgt")
+    code = cli.main(
+        [
+            "bounds",
+            "--mu", "1", "--L", "1", "--beta", "0.5",
+            "--alpha", "0.05", "--dx", "1e-3", "--D", "1", "--dg", "0",
+        ]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.split(":")[0] for line in lines] == list(ANALYSED_METHODS)
 
 
 def test_cli_bounds_reports_out_of_regime(capsys):

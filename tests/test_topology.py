@@ -72,6 +72,28 @@ def dense_uniform(g) -> sparse.csr_matrix:
     return sparse.csr_matrix(entries)
 
 
+def python_search_connected(g) -> bool:
+    # Independent oracle: breadth-first search from agent 0 over the adjacency
+    # rows, in pure Python.
+    indptr, indices = g.adjacency.indptr.tolist(), g.adjacency.indices.tolist()
+    seen = [True] + [False] * (g.n - 1)
+    queue = [0]
+    for i in queue:  # the loop also visits the agents appended while it runs
+        for j in indices[indptr[i] : indptr[i + 1]]:
+            if not seen[j]:
+                seen[j] = True
+                queue.append(j)
+    return len(queue) == g.n
+
+
+def hand_made_graph(n: int, pairs) -> Graph:
+    # Agents 0..n-1 with a self-loop each and the listed undirected edges.
+    entries = np.eye(n, dtype=bool)
+    for i, j in pairs:
+        entries[i, j] = entries[j, i] = True
+    return Graph(sparse.csr_matrix(entries))
+
+
 def triu_random(n: int, p: float, seed: int, max_retries: int = 50) -> sparse.csr_matrix:
     # Independent oracle: draw over every pair that np.triu_indices(n, 1) lists,
     # under the same child seeds, and keep the first connected draw.
@@ -82,7 +104,7 @@ def triu_random(n: int, p: float, seed: int, max_retries: int = 50) -> sparse.cs
         heads = np.concatenate((rows[mask], cols[mask], loops))
         tails = np.concatenate((cols[mask], rows[mask], loops))
         adjacency = sparse.csr_matrix((np.ones(heads.size, dtype=bool), (heads, tails)), shape=(n, n))
-        if is_connected(Graph(adjacency)):
+        if python_search_connected(Graph(adjacency)):
             return adjacency
     raise AssertionError("oracle found no connected draw")
 
@@ -239,8 +261,8 @@ def test_build_random_connected(seed):
 
 def test_random_network_searches_each_graph_once(monkeypatch):
     # build_random tests every drawn graph for connectivity and the weights
-    # need the kept one connected; the graph caches the answer, so the
-    # kept graph is not searched again.
+    # need the kept one connected; its kind says it was searched when it
+    # was drawn, so the weights do not search it again.
     drawn, searched = [], []
     graph, search = topology._graph, topology.is_connected
 
@@ -262,13 +284,80 @@ def test_random_network_searches_each_graph_once(monkeypatch):
 
 
 def test_weights_reject_a_disconnected_graph():
-    # Two components: {0, 1} and {2}.
-    adjacency = sparse.csr_matrix(np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool))
-    g = Graph(adjacency)
-    for rule in (metropolis_weights, uniform_neighbor_weights):
-        with pytest.raises(ValueError, match="weight matrices require a connected graph"):
-            rule(g)
-    assert not g.connected
+    # Two components: {0, 1} and {2}. Only the five builders' kinds are
+    # trusted to be connected; a graph named anything else is searched.
+    adjacency = hand_made_graph(3, [(0, 1)]).adjacency
+    for kind in ("custom", "star", "ring", "Cycle", "random_regular", ""):
+        g = Graph(adjacency, kind)
+        assert not python_search_connected(g) and not is_connected(g)
+        for rule in (metropolis_weights, uniform_neighbor_weights):
+            with pytest.raises(ValueError, match="weight matrices require a connected graph"):
+                rule(g)
+
+
+def test_weights_do_not_search_builder_graphs(monkeypatch):
+    # A builder's graph is connected by construction; a random one was
+    # searched when it was drawn. So the weights search none of them.
+    graphs = [build_cycle(9), build_line(7), build_grid(3, 4), build_complete(5), build_random(40, 0.2, seed=1)]
+    assert {g.kind for g in graphs} == topology._BUILDER_KINDS
+
+    def no_search(g):
+        raise AssertionError(f"searched a {g.kind} graph")
+
+    monkeypatch.setattr(topology, "is_connected", no_search)
+    for g in graphs:
+        metropolis_weights(g)
+
+
+def test_is_connected_matches_the_python_search_on_drawn_patterns():
+    # 200 pattern graphs drawn with build_random's own pair stream, many of
+    # them below the connectivity threshold, with no retry for a disconnected one.
+    rng = np.random.default_rng(26)
+    disconnected = 0
+    for _ in range(200):
+        n, p = int(rng.integers(2, 80)), float(rng.uniform(0.01, 0.2))
+        rows, cols = np.triu_indices(n, 1)
+        kept = topology._kept_pairs(rng, rows.size, p)
+        g = topology._graph(n, rows[kept], cols[kept], kind="custom")
+        expected = python_search_connected(g)
+        assert is_connected(g) == expected, (n, p)
+        disconnected += not expected
+    assert disconnected >= 100  # 116 of the 200
+
+
+@pytest.mark.parametrize(
+    "n, pairs, connected",
+    [
+        (1, [], True),
+        (2, [], False),
+        (5, [], False),
+        (3, [(0, 1)], False),
+        (3, [(1, 2)], False),  # agent 0, where the search starts, alone
+        (4, [(0, 1), (1, 2)], False),  # the last agent alone
+        (6, [(0, 1), (1, 2), (3, 4), (4, 5)], False),  # two paths
+        (6, [(0, 2), (2, 4), (1, 3), (3, 5)], False),  # even and odd agents apart
+        (6, [(0, 2), (2, 4), (1, 3), (3, 5), (4, 5)], True),
+        (5, [(0, 4), (4, 3), (3, 2), (2, 1)], True),  # a path in reverse agent order
+        (5, [(0, i) for i in range(1, 5)], True),  # a star
+    ],
+)
+def test_is_connected_matches_the_python_search_on_hand_made_graphs(n, pairs, connected):
+    g = hand_made_graph(n, pairs)
+    assert python_search_connected(g) == connected
+    assert is_connected(g) == connected
+
+
+def test_every_builder_graph_is_connected():
+    graphs = (
+        [build_cycle(n) for n in range(3, 41)]
+        + [build_line(n) for n in range(2, 41)]
+        + [build_grid(rows, cols) for rows in range(1, 8) for cols in range(1, 8) if rows * cols >= 2]
+        + [build_complete(n) for n in range(2, 25)]
+        + [build_random(n, p, seed) for n, p in ((2, 1.0), (10, 0.4), (40, 0.15), (200, 0.04)) for seed in range(4)]
+    )
+    assert {g.kind for g in graphs} == topology._BUILDER_KINDS
+    for g in graphs:
+        assert python_search_connected(g), (g.kind, g.n)
 
 
 def test_build_random_retry_budget_error():
