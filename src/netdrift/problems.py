@@ -9,21 +9,20 @@ and drift at a controllable rate).
 Drift is summarized by three constants: delta_x, the largest per-step move
 of the optimum; grad_bound, the largest scaled sum of gradient norms at the
 optimum; and grad_drift, the largest per-step change of those gradients.
-Both families hand out their gradients at the optimum for a block of steps
-at once (`optimal_gradients`), and `drift_profile` reduces them block by
-block, in the same per-step order as a one-step-at-a-time scan, so the
-constants are bitwise those of such a scan. Blocks of about 2^16 gradient
-entries, rather than the whole horizon at once, keep the peak memory of a
-large network where the simulation itself puts it.
+Each family states its own: least squares has exact measurements, so its
+gradients at the optimum vanish and both gradient constants are 0; shifting
+consensus rolls one fixed gradient vector and one fixed jump vector from
+step to step, and sums each distinct window once, in the order a per-step
+scan of ``np.linalg.norm`` uses, so its constants are bitwise that scan's.
+``drift_profile`` reads the three and checks them against their caps.
 
 Set-up reductions run with the long axis innermost. A numpy reduction over a
 trailing axis of a few cells costs far more than its arithmetic, so the
-Hessians are summed over agents with the steps as the inner loop, and norms
-and squared row lengths add their d cells one at a time across all agents
-and steps. Each sum keeps the order numpy uses on the short axis, so every
-constant is bitwise what the direct reduction gives. That holds for norms
-over fewer than 8 cells only: numpy sums 8 or more cells pairwise, so wider
-norms stay with ``np.linalg.norm``.
+Hessians are summed over agents with the steps as the inner loop, and the
+optimum's step lengths and squared row lengths add their d = 2 cells one at
+a time across all agents and steps. Each sum keeps the order numpy uses on the short
+axis (in order below 8 cells), so every constant is bitwise what the direct
+reduction gives.
 """
 
 from __future__ import annotations
@@ -38,18 +37,15 @@ from numpy.typing import NDArray
 
 _PD_FLOOR = 1e-12
 _RESAMPLE_BUDGET = 100
-# drift_profile evaluates about this many gradient entries per block of steps,
-# and _hessians forms about this many products per block.
+# _hessians forms about this many products per block of steps.
 _BLOCK_ENTRIES = 2**16
-# numpy sums a reduction of this many cells or more pairwise, not in order.
-_PAIRWISE_CELLS = 8
 
 
 @dataclass(frozen=True)
 class DriftProfile:
     """Drift constants (delta_x, grad_bound, grad_drift), all finite and nonnegative.
 
-    ``drift_profile`` measures them and checks each against the objective's
+    ``drift_profile`` reads them off an objective and checks each against its
     ``analytic_*`` cap; a profile built by hand (``netdrift bounds``, a
     record's sidecar) has no cap to meet. An infinite constant is rejected,
     because every bound and audit slack it enters would be infinite too.
@@ -69,8 +65,11 @@ class DriftProfile:
 class DynamicObjective(Protocol):
     """Everything ``run`` and ``drift_profile`` read of an objective family.
 
-    ``delta_x`` is the optimum's largest per-step move, ``normalization`` divides
-    the tracking error, and the ``analytic_*`` constants cap the measured drift.
+    ``delta_x`` is the optimum's largest per-step move; ``grad_bound`` and
+    ``grad_drift`` are the largest sum over agents of the gradient norms at the
+    optimum, and of their change from one step to the next, both over sqrt(n)
+    and over the whole horizon. ``normalization`` divides the tracking error,
+    and the ``analytic_*`` constants cap the three drift constants.
     """
 
     n: int
@@ -79,15 +78,14 @@ class DynamicObjective(Protocol):
     mu: float
     lipschitz: float
     delta_x: float
+    grad_bound: float
+    grad_drift: float
     normalization: float
     analytic_delta_x: float
     analytic_grad_bound: float
     analytic_grad_drift: float
 
     def optimum(self, k: int) -> NDArray[np.float64]: ...
-
-    def optimal_gradients(self, start: int, stop: int) -> NDArray[np.float64]:
-        """(stop-start, n, d) gradients at the optimum of steps start..stop-1."""
 
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
         """Per-agent gradients at time k of an (n, d) stack.
@@ -100,15 +98,9 @@ class DynamicObjective(Protocol):
 
 def _predict(coeff_k: NDArray[np.float64], x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
     # Per-step evaluation of an (n, d) x_stack, or of lanes (n, d, G) into
-    # (n, r, G). With d = 2 its sums are bitwise those of _predict_steps.
+    # (n, r, G). With d = 2 its sums are bitwise those that generate the
+    # measurements, so the residual at the optimum is bitwise zero.
     return np.einsum("nrd,nd...->nr...", coeff_k, x_stack)
-
-
-def _predict_steps(coeff: NDArray[np.float64], points: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Predictions of a block of steps, each at its own point. Shared by
-    # generation and optimal_gradients, so the residual at the optimum is
-    # bitwise zero.
-    return np.einsum("knrd,kd->knr", coeff, points)
 
 
 @dataclass(frozen=True)
@@ -133,7 +125,7 @@ class LeastSquaresStream:
     mu: float
     lipschitz: float
     # Exact measurements: the gradients at the optimum vanish.
-    analytic_grad_bound = analytic_grad_drift = 0.0
+    grad_bound = grad_drift = analytic_grad_bound = analytic_grad_drift = 0.0
 
     @property
     def normalization(self) -> float:
@@ -154,12 +146,6 @@ class LeastSquaresStream:
         grads = np.einsum("nrd,nrg->ndg", self.coefficients[k], residual)
         return grads.reshape(x_stack.shape)
 
-    def optimal_gradients(self, start: int, stop: int) -> NDArray[np.float64]:
-        """(stop-start, n, d) gradients at the optimum of steps start..stop-1."""
-        coeff = self.coefficients[start:stop]
-        residual = _predict_steps(coeff, self.points[start:stop]) - self.measurements[start:stop]
-        return np.einsum("knrd,knr->knd", coeff, residual)
-
 
 def _cell_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
     # Sums over the last axis, one cell at a time across every other axis:
@@ -168,13 +154,6 @@ def _cell_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
     for j in range(1, values.shape[-1]):
         total = total + values[..., j]
     return total
-
-
-def _norms(values: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Bitwise np.linalg.norm(values, axis=-1), which squares and then reduces.
-    if values.shape[-1] >= _PAIRWISE_CELLS:
-        return np.linalg.norm(values, axis=-1)
-    return np.sqrt(_cell_sums(values * values))
 
 
 def _hessians(coeff: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -199,7 +178,8 @@ def ls_trajectory(horizon: int) -> tuple[NDArray[np.float64], float]:
         raise ValueError(f"trajectory horizon must be at least 2, got {horizon}")
     angles = 3.0 * math.pi * np.arange(horizon + 1) / (2.0 * horizon)
     points = np.column_stack([np.cos(angles), np.sin(angles)])
-    steps = _norms(np.diff(points, axis=0))
+    chords = np.diff(points, axis=0)
+    steps = np.sqrt(_cell_sums(chords * chords))  # bitwise np.linalg.norm(chords, axis=1)
     return points, float(steps.max())
 
 
@@ -240,7 +220,7 @@ def least_squares_stream(
     if low.size:  # all steps in one pass again, so mu sums as it does with no redraw
         hessians = _hessians(coeff)
 
-    measurements = _predict_steps(coeff, points)
+    measurements = np.einsum("knrd,kd->knr", coeff, points)
     mu = float(np.linalg.eigvalsh(hessians / n)[:, 0].min())
     if rows_per_agent == 1:
         lipschitz = float(_cell_sums(coeff[:, :, 0] ** 2).max())
@@ -283,8 +263,8 @@ class ShiftingConsensus:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be a positive integer, got {self.p}")
-        if self.spacing_m <= 0.0:
-            raise ValueError(f"spacing must be positive, got {self.spacing_m}")
+        if not (math.isfinite(self.spacing_m) and self.spacing_m > 0.0):
+            raise ValueError(f"spacing must be finite and positive, got {self.spacing_m}")
         if self.shift < 0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
         if self.horizon < 1:
@@ -361,11 +341,31 @@ class ShiftingConsensus:
         start = self._window_start(k)
         return x_stack - tile[start : start + self.n]
 
-    def optimal_gradients(self, start: int, stop: int) -> NDArray[np.float64]:
-        """(stop-start, n, 1) gradients at the optimum of steps start..stop-1."""
-        windows = np.lib.stride_tricks.sliding_window_view(self._doubled_targets, self.n)
-        targets = windows[self._window_start(np.arange(start, stop))]
-        return ((self.p + 1) * self.spacing_m - targets)[:, :, None]
+    @cached_property
+    def grad_bound(self) -> float:
+        return self._largest_window_sum(self._gradients_at_optimum, first_step=0)
+
+    @cached_property
+    def grad_drift(self) -> float:
+        # Step k's jumps g^k - g^(k-1) are g_j - g_(j+shift mod n), rolled to k's window.
+        gradients = self._gradients_at_optimum
+        return self._largest_window_sum(gradients - np.roll(gradients, -(self.shift % self.n)), first_step=1)
+
+    @property
+    def _gradients_at_optimum(self) -> NDArray[np.float64]:
+        # Step 0's gradients at the optimum; step k's are this vector rolled to k's window.
+        return self._optimum[0] - self._doubled_targets[: self.n]
+
+    def _largest_window_sum(self, vector: NDArray[np.float64], first_step: int) -> float:
+        # The largest sum over agents of |vector| rolled to the windows of
+        # steps first_step..horizon, over sqrt(n). Each distinct window is one
+        # contiguous slice of n magnitudes, summed pairwise as a per-step scan
+        # sums its fresh (n,) array of np.linalg.norm, which squares first.
+        n = self.n
+        magnitudes = np.tile(np.sqrt(vector * vector), 2)
+        starts = np.unique(self._window_start(np.arange(first_step, self.horizon + 1)))
+        sums = np.array([magnitudes[start : start + n].sum() for start in starts])
+        return float(np.max((1.0 / math.sqrt(n)) * sums))
 
 
 def shifting_consensus(p: int, spacing_m: float, shift: int, horizon: int) -> ShiftingConsensus:
@@ -373,40 +373,15 @@ def shifting_consensus(p: int, spacing_m: float, shift: int, horizon: int) -> Sh
     return ShiftingConsensus(p=p, spacing_m=spacing_m, shift=shift, horizon=horizon)
 
 
-def _largest_scaled_sum(stacks: NDArray[np.float64], scale: float) -> float:
-    # Per-agent norms of (steps, n, d) stacks, summed over agents: each
-    # contiguous row of n norms sums pairwise, as a 1-D sum of one step does.
-    sums = np.add.reduce(_norms(stacks), axis=1)
-    return float((scale * sums).max(initial=0.0))
-
-
 def drift_profile(objective: DynamicObjective) -> DriftProfile:
-    """Measure (delta_x, grad_bound, grad_drift) by direct evaluation.
+    """The objective's (delta_x, grad_bound, grad_drift), each checked against its cap.
 
-    Scans the full horizon, evaluating every agent's gradient at the exact
-    optimum. The steps are taken in blocks of about 2^16 gradient entries,
-    each block after the first starting at the previous block's last step,
-    so every step difference is formed. Every step is reduced in the order
-    a one-step scan uses (norms over d, then a pairwise sum over agents), so
-    the constants are bitwise those of such a scan; blocks rather than the
-    whole horizon keep the peak memory of large networks down. No measured
-    constant may exceed the objective's ``analytic_*`` cap by more than
-    1e-9 relative.
+    Each family states its own constants (see the module docstring). None
+    may exceed the objective's ``analytic_*`` cap by more than 1e-9 relative.
     """
-    n = objective.n
-    scale = 1.0 / math.sqrt(n)
-    block = max(2, _BLOCK_ENTRIES // (n * objective.d))
-    steps = objective.horizon + 1
-    grad_bound = 0.0
-    grad_drift = 0.0
-    for start in range(0, steps, block):
-        first = max(start - 1, 0)
-        grads = objective.optimal_gradients(first, min(start + block, steps))
-        grad_bound = max(grad_bound, _largest_scaled_sum(grads, scale))
-        grad_drift = max(grad_drift, _largest_scaled_sum(grads[1:] - grads[:-1], scale))
-    profile = DriftProfile(delta_x=objective.delta_x, grad_bound=grad_bound, grad_drift=grad_drift)
-    caps = (objective.analytic_delta_x, objective.analytic_grad_bound, objective.analytic_grad_drift)
-    for measured, cap in zip((objective.delta_x, grad_bound, grad_drift), caps):
+    profile = DriftProfile(objective.delta_x, objective.grad_bound, objective.grad_drift)
+    for name in ("delta_x", "grad_bound", "grad_drift"):
+        measured, cap = getattr(profile, name), getattr(objective, f"analytic_{name}")
         if measured > cap + 1e-9 * (1.0 + cap):
             raise ValueError(f"measured drift {measured} exceeds the analytic value {cap}")
     return profile

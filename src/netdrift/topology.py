@@ -21,7 +21,7 @@ reused blocks, skip its per-call dispatch, and give bitwise its values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,11 +53,12 @@ class WeightRuleError(ValueError):
 class Graph:
     """Undirected network as a symmetric CSR adjacency; row i is agent i's neighbor set, i included.
 
-    A builder's ``kind`` vouches that the graph is connected (a ``"cycle"`` also that it is a ring).
+    Only a builder sets ``kind``, which vouches that the graph is connected (a
+    ``"cycle"`` also that it is a ring); a hand-made graph is ``"custom"``.
     """
 
     adjacency: sparse.csr_matrix
-    kind: str = "custom"
+    kind: str = field(default="custom", init=False)
 
     def __post_init__(self):
         missing = np.flatnonzero(self.adjacency.diagonal() == 0)
@@ -119,7 +120,9 @@ def _graph(n: int, heads: NDArray[np.intp], tails: NDArray[np.intp], kind: str) 
     rows, cols = np.concatenate((heads, tails, loops)), np.concatenate((tails, heads, loops))
     # COO to CSR sorts every row's column indices.
     adjacency = sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
-    return Graph(adjacency, kind)
+    g = Graph(adjacency)
+    object.__setattr__(g, "kind", kind)  # frozen, and not a constructor argument
+    return g
 
 
 def is_connected(g: Graph) -> bool:

@@ -77,7 +77,7 @@ def test_ls_trajectory_step_is_chord_length(M):
     chord = 2.0 * math.sin(3.0 * math.pi / (4.0 * M))
     assert abs(delta_x - chord) <= 1e-12
     steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    assert abs(delta_x - steps.max()) <= 1e-15
+    assert delta_x == steps.max()
 
 
 def test_ls_trajectory_value_at_5000():
@@ -173,6 +173,20 @@ def test_ls_gradient_lanes_are_coordinate_major(rows_per_agent, lanes):
         assert np.all(stream.gradient_stack(k, at_optimum) == 0.0), k
 
 
+@pytest.mark.parametrize("lanes", [1, 4])
+@pytest.mark.parametrize("rows_per_agent", [1, 2, 3])
+def test_ls_gradient_stack_at_the_optimum_is_exactly_zero(rows_per_agent, lanes):
+    # Least squares states both gradient constants as 0: its measurements are
+    # exact, so every step's residual at the optimum vanishes, in every lane.
+    stream = least_squares_stream(n=7, horizon=60, seed=2, rows_per_agent=rows_per_agent)
+    assert stream.grad_bound == stream.grad_drift == 0.0
+    for k in range(stream.horizon + 1):
+        at_optimum = np.repeat(np.tile(stream.optimum(k), (stream.n, 1)), lanes, axis=1)
+        grads = stream.gradient_stack(k, at_optimum)
+        assert grads.shape == (stream.n, 2 * lanes)
+        assert np.array_equal(grads, np.zeros_like(grads)), k
+
+
 def test_ls_gradient_matches_finite_differences():
     stream = least_squares_stream(n=5, horizon=30, seed=11)
     rng = np.random.default_rng(0)
@@ -258,6 +272,22 @@ def test_least_squares_normalization_is_one():
 
 
 # ---------------------------------------------------------------- shifting consensus
+
+
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_consensus_rejects_a_spacing_that_is_not_finite_and_positive(spacing):
+    with pytest.raises(ValueError, match="spacing must be finite and positive"):
+        shifting_consensus(p=3, spacing_m=spacing, shift=4, horizon=10)
+
+
+def test_consensus_drift_constants_propagate_a_nan():
+    # The constructor rejects a nan spacing; past it, a nan still reaches the
+    # constants and DriftProfile rejects them, instead of reading as 0.
+    sc = shifting_consensus(p=3, spacing_m=1.0, shift=4, horizon=10)
+    object.__setattr__(sc, "spacing_m", math.nan)
+    assert math.isnan(sc.grad_bound) and math.isnan(sc.grad_drift)
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        drift_profile(sc)
 
 
 def test_consensus_gradient_zero_at_target():
@@ -425,14 +455,13 @@ def test_drift_profile_meets_the_analytic_values():
 
 @pytest.mark.parametrize("cap", ["analytic_delta_x", "analytic_grad_bound", "analytic_grad_drift"])
 def test_drift_profile_rejects_a_constant_above_its_analytic_cap(cap):
-    # A stub objective: the shifting-consensus gradients with a moving
-    # optimum, whose caps are the measured constants but for one below them.
+    # A stub objective: the shifting-consensus gradient constants with a
+    # moving optimum, whose caps are those constants but for one below them.
     sc = shifting_consensus(p=3, spacing_m=1.0, shift=4, horizon=20)
     measured = drift_profile(sc)
     caps = {"analytic_delta_x": 0.5, "analytic_grad_bound": measured.grad_bound,
             "analytic_grad_drift": measured.grad_drift}
-    stub = SimpleNamespace(n=sc.n, d=sc.d, horizon=sc.horizon, delta_x=0.5,
-                           optimal_gradients=sc.optimal_gradients, **caps)
+    stub = SimpleNamespace(delta_x=0.5, grad_bound=sc.grad_bound, grad_drift=sc.grad_drift, **caps)
     assert drift_profile(stub) == replace(measured, delta_x=0.5)
     setattr(stub, cap, 0.9 * caps[cap])
     with pytest.raises(ValueError, match="exceeds the analytic value"):
@@ -445,23 +474,32 @@ def assert_same_profile(got: DriftProfile, expected: DriftProfile) -> None:
         assert np.float64(a).tobytes() == np.float64(b).tobytes(), (field, a, b)
 
 
-@pytest.mark.parametrize("shift", [1, 1001])
+@pytest.mark.parametrize("shift", [0, 1, 7, 1000, 1001, 2000, 2001, 3005])
 def test_drift_profile_matches_per_step_scan_full_scale_consensus(shift):
-    # 2001 agents: blocks of 32 steps, so the horizon spans 19 blocks.
-    sc = shifting_consensus(p=1000, spacing_m=1.0, shift=shift, horizon=600)
+    # 2001 agents over 600 steps: up to 601 distinct windows of 2001 magnitudes.
+    sc = shifting_consensus(p=1000, spacing_m=0.7, shift=shift, horizon=600)
     assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
 
 
-@pytest.mark.parametrize("block_entries", [1, 50, None])
-@pytest.mark.parametrize("p", [1, 4, 10])
-def test_drift_profile_matches_per_step_scan_consensus(monkeypatch, block_entries, p):
-    # Small networks fit a long horizon into one default block, so smaller
-    # blocks (down to the two-step minimum) put many block edges in view.
-    if block_entries is not None:
-        monkeypatch.setattr(problems, "_BLOCK_ENTRIES", block_entries)
-    for shift in (0, 1, p + 1, 2 * p):
-        for horizon in (1, 2, 57, 300):
-            sc = shifting_consensus(p=p, spacing_m=0.7, shift=shift, horizon=horizon)
+def spacing_bounds(p: int) -> tuple[float, float]:
+    # The extreme spacings ExperimentConfig accepts: at the low one the
+    # squared gradients are subnormal, at the high one near overflow.
+    n = 2 * p + 1
+    return math.sqrt(sys.float_info.min) / (p + 1), math.sqrt(sys.float_info.max / n) / n
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 50, None])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 10])
+def test_drift_profile_matches_per_step_scan_consensus(p, horizon):
+    # Shifts that freeze, step by one, wrap to a block, go past n, and do
+    # not divide n; horizons shorter and longer than every shift's period
+    # (at most n <= 21 steps). None runs n * n + 1 steps, so every window
+    # recurs at least n times.
+    n = 2 * p + 1
+    horizon = n * n + 1 if horizon is None else horizon
+    for spacing in (*spacing_bounds(p), 1e-3, 0.7, 1.0, 3.3, 1e5):
+        for shift in sorted({0, 1, p, p + 1, 2 * p, n, 7, 3 * p + 5}):
+            sc = shifting_consensus(p=p, spacing_m=spacing, shift=shift, horizon=horizon)
             assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
 
 
@@ -471,44 +509,14 @@ def test_drift_profile_matches_per_step_scan_least_squares(rows_per_agent):
     assert_same_profile(drift_profile(stream), per_step_drift_profile(stream))
 
 
-@pytest.mark.parametrize("block_entries", [50, None])
-@pytest.mark.parametrize("d", [2, 3, 7, 8])
-def test_drift_profile_matches_per_step_scan_on_nonzero_gradients(monkeypatch, d, block_entries):
-    # Least squares has gradients of exactly zero at its optimum and consensus
-    # has d = 1, so neither tells an in-order sum of d cells from numpy's,
-    # which is pairwise from 8 cells on. A stub hands out random gradients
-    # spanning six decades. The largest sum over agents hides a last-bit
-    # difference of most single norms, so most draws have one or two agents.
-    if block_entries is not None:
-        monkeypatch.setattr(problems, "_BLOCK_ENTRIES", block_entries)
-    rng = np.random.default_rng(d)
-    for n, horizon in [(1, 1)] * 10 + [(2, 1)] * 10 + [(1, 60), (37, 60)]:
-        shape = (horizon + 1, n, d)
-        grads = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
-        stub = SimpleNamespace(
-            n=n, d=d, horizon=horizon, delta_x=0.0,
-            optimum=lambda k: np.zeros(d),
-            gradient_stack=lambda k, x_stack, grads=grads: grads[k],
-            optimal_gradients=lambda start, stop, grads=grads: grads[start:stop],
-            analytic_delta_x=0.0, analytic_grad_bound=math.inf, analytic_grad_drift=math.inf,
-        )
-        profile = drift_profile(stub)
-        assert profile.grad_bound > 0.0 and profile.grad_drift > 0.0
-        assert_same_profile(profile, per_step_drift_profile(stub))
-
-
 @pytest.mark.parametrize("bound", ["low", "high"])
 @pytest.mark.parametrize("p", [1, 10, 1000])
 def test_drift_profile_matches_per_step_scan_at_spacing_bounds(p, bound):
-    # The extreme spacings ExperimentConfig accepts: at the low one the
-    # squared gradients are subnormal, at the high one near overflow.
-    n = 2 * p + 1
-    spacing = {"low": math.sqrt(sys.float_info.min) / (p + 1),
-               "high": math.sqrt(sys.float_info.max / n) / n}[bound]
+    spacing = dict(zip(("low", "high"), spacing_bounds(p)))[bound]
     config = parse_config(f"scenario = III\np = {p}\nspacing_m = {spacing!r}\nhorizon = 40\n")
     for shift in (0, 1, p + 1):
         sc = shifting_consensus(p=p, spacing_m=config.spacing_m, shift=shift, horizon=config.horizon)
-        squares = sc.optimal_gradients(0, 1) ** 2
+        squares = sc.gradient_stack(0, np.broadcast_to(sc.optimum(0), (sc.n, 1))) ** 2
         if bound == "low":
             assert 0.0 < squares[squares > 0.0].min() < sys.float_info.min
         assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
@@ -519,7 +527,7 @@ def test_objectives_have_every_declared_member():
         name for name, value in vars(DynamicObjective).items()
         if callable(value) and not name.startswith("_")
     }
-    engine_reads = {"normalization", "optimal_gradients", "analytic_delta_x",
+    engine_reads = {"normalization", "delta_x", "grad_bound", "grad_drift", "analytic_delta_x",
                     "analytic_grad_bound", "analytic_grad_drift", "gradient_stack", "optimum"}
     assert engine_reads <= declared
     built = (least_squares_stream(n=4, horizon=10, seed=0),
@@ -527,14 +535,3 @@ def test_objectives_have_every_declared_member():
     for objective in built:
         missing = [name for name in sorted(declared) if not hasattr(objective, name)]
         assert missing == [], type(objective).__name__
-
-
-def test_optimal_gradients_blocks_match_gradient_stack():
-    sc = shifting_consensus(p=6, spacing_m=1.5, shift=8, horizon=40)
-    stream = least_squares_stream(n=7, horizon=40, seed=2, rows_per_agent=2)
-    for objective in (sc, stream):
-        block = objective.optimal_gradients(3, 29)
-        assert block.shape == (26, objective.n, objective.d)
-        for offset, k in enumerate(range(3, 29)):
-            x_stack = np.broadcast_to(objective.optimum(k), (objective.n, objective.d))
-            assert block[offset].tobytes() == objective.gradient_stack(k, x_stack).tobytes()

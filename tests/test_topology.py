@@ -284,15 +284,26 @@ def test_random_network_searches_each_graph_once(monkeypatch):
 
 
 def test_weights_reject_a_disconnected_graph():
-    # Two components: {0, 1} and {2}. Only the five builders' kinds are
-    # trusted to be connected; a graph named anything else is searched.
-    adjacency = hand_made_graph(3, [(0, 1)]).adjacency
-    for kind in ("custom", "star", "ring", "Cycle", "random_regular", ""):
-        g = Graph(adjacency, kind)
+    # A hand-made graph is always searched: three agents in components {0, 1}
+    # and {2}, and four in two 2-agent components (regular, as a ring is).
+    for g in (hand_made_graph(3, [(0, 1)]), hand_made_graph(4, [(0, 1), (2, 3)])):
+        assert g.kind == "custom"
         assert not python_search_connected(g) and not is_connected(g)
         for rule in (metropolis_weights, uniform_neighbor_weights):
             with pytest.raises(ValueError, match="weight matrices require a connected graph"):
                 rule(g)
+
+
+def test_a_hand_made_graph_cannot_claim_a_builder_kind():
+    # A builder's kind skips the connectivity search ("cycle" also the
+    # eigensolver), so only the builders may set it.
+    adjacency = hand_made_graph(4, [(0, 1), (2, 3)]).adjacency
+    for kind in sorted(topology._BUILDER_KINDS):
+        with pytest.raises(TypeError):
+            Graph(adjacency, kind)
+        with pytest.raises(TypeError):
+            Graph(adjacency, kind=kind)
+    assert Graph(adjacency).kind == "custom"
 
 
 def test_weights_do_not_search_builder_graphs(monkeypatch):
