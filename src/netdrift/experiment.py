@@ -61,6 +61,26 @@ _SCENARIO_KEYS = {"n": ("I", None), "rows_per_agent": ("I", 1), "p": ("II/III/st
                   "shift": ("II/III/static", None), "spacing_m": ("II/III/static", 1.0)}
 
 
+# What ExperimentConfig accepts for each annotation: the value's types, its
+# items' types for a tuple or list, and how to name them. A bool is no number,
+# though Python counts it an int; numpy's integers and floats are numbers.
+_INTEGER, _NUMBER, _SEQUENCE = (int, np.integer), (int, float, np.integer, np.floating), (tuple, list)
+_TYPES = {
+    "str": ((str,), None, "a string"),
+    "str | None": ((str, type(None)), None, "a string or None"),
+    "int": (_INTEGER, None, "an integer"),
+    "int | None": ((*_INTEGER, type(None)), None, "an integer or None"),
+    "float": (_NUMBER, None, "a number"),
+    "float | None": ((*_NUMBER, type(None)), None, "a number or None"),
+    "tuple[float, ...] | None": ((*_SEQUENCE, type(None)), _NUMBER, "a tuple of numbers or None"),
+    "tuple[str, ...]": (_SEQUENCE, (str,), "a tuple of strings"),
+}
+
+
+def _is(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
@@ -110,6 +130,11 @@ class ExperimentConfig:
     init: str = "zeros"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, items, kind = _TYPES[f.type]
+            if not _is(value, types) or (items and value is not None and not all(_is(v, items) for v in value)):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         for key, choices in _CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}; expected one of {choices}")

@@ -11,9 +11,12 @@ when every neighbor set holds every agent (a complete graph by any name: the
 3-cycle, the 2-agent line), is closed form on longer cycles, and otherwise
 comes from ARPACK's Lanczos method (``scipy.sparse.linalg.eigsh``).
 
-A builder's graph is connected by construction: ``build_random`` keeps the
-first draw that scipy's breadth-first search finds connected, and the weights
-search only graphs of other kinds. The pair draws, the diagonal sums of an
+Metropolis weights are symmetric, nonnegative and doubly stochastic by
+construction on a square, duplicate-free, zero-free, symmetric and connected
+pattern, so W is not checked once built. A builder's graph is all of these by
+construction (``build_random`` keeps the first draw that scipy's breadth-first
+search finds connected); a hand-made one is checked for each, in that order,
+before any weight is computed. The pair draws, the diagonal sums of an
 irregular W and ARPACK's products with W run scipy's compiled CSR kernels on
 reused blocks, skip its per-call dispatch, and give bitwise its values.
 """
@@ -29,12 +32,11 @@ from numpy.typing import NDArray
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-STOCHASTICITY_TOL = 1e-12
 _RANDOM_ATTEMPTS = 50  # seeds build_random tries before ConstructionError
 _PAIR_BLOCK = 2**16  # pair uniforms build_random draws at a time
 _CALIBRATION_TOL = 0.02  # largest |beta - target| calibrate_beta accepts
 _CALIBRATION_STEPS = 40  # most bisection steps calibrate_beta takes
-_BUILDER_KINDS = frozenset({"cycle", "line", "grid", "complete", "random"})  # connected by construction
+_BUILDER_KINDS = frozenset({"cycle", "line", "grid", "complete", "random"})  # valid by construction
 
 
 class InvalidSizeError(ValueError):
@@ -53,8 +55,10 @@ class WeightRuleError(ValueError):
 class Graph:
     """Undirected network as a symmetric CSR adjacency; row i is agent i's neighbor set, i included.
 
-    Only a builder sets ``kind``, which vouches that the graph is connected (a
-    ``"cycle"`` also that it is a ring); a hand-made graph is ``"custom"``.
+    Only a builder sets ``kind``, which vouches that the pattern is square,
+    free of duplicate and zero entries, symmetric and connected (a ``"cycle"``
+    also that it is a ring). A hand-made graph is ``"custom"``; the weights
+    check it for each of these, in that order, before building W.
     """
 
     adjacency: sparse.csr_matrix
@@ -210,28 +214,6 @@ def _kept_pairs(rng: np.random.Generator, pairs: int, edge_probability: float) -
     return np.concatenate(blocks)
 
 
-def _rows(m: sparse.csr_matrix) -> NDArray[np.intp]:
-    """Row index of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-
-
-def _validate_doubly_stochastic(w: sparse.csr_matrix, g: Graph) -> None:
-    # In place and value-preserving: ``mix`` then sums each row's nonzeros only.
-    w.sum_duplicates()
-    w.eliminate_zeros()
-    if (w.data < 0.0).any():
-        raise ValueError("weight matrix has negative entries")
-    err = max(np.abs(np.bincount(axis, w.data, g.n) - 1.0).max() for axis in (_rows(w), w.indices))
-    if err > STOCHASTICITY_TOL:
-        raise ValueError(f"weight matrix is not doubly stochastic (error {err:.3e})")
-    if (w != w.T).nnz:
-        raise ValueError("weight matrix is not symmetric")
-    rows, cols = ((w != 0) > g.adjacency).nonzero()
-    if rows.size:
-        outside = cols[rows == rows[0]].tolist()
-        raise ValueError(f"agent {rows[0]} has weights outside its neighbor set: {outside}")
-
-
 def uniform_neighbor_weights(g: Graph) -> WeightMatrix:
     """W_ij = 1/|N_i| over neighbor sets: :func:`metropolis_weights`, restricted to regular graphs.
 
@@ -246,19 +228,31 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
 
 
 def _metropolis(g: Graph, regular_only: bool) -> WeightMatrix:
-    """The one weight construction, validated, with beta: 0 on complete graphs, closed form on cycles."""
-    if g.kind not in _BUILDER_KINDS and not is_connected(g):
-        raise ValueError("weight matrices require a connected graph")
+    """The one weight construction, on a checked pattern, with beta: 0 on complete graphs, closed form on cycles."""
     adj = g.adjacency
-    sizes, rows = np.diff(adj.indptr), _rows(adj)
+    if g.kind not in _BUILDER_KINDS:
+        if adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+        adj = adj.sorted_indices()  # a copy: W's rows are sorted, the graph's are left as they are
+        if not adj.has_canonical_format:
+            raise ValueError("adjacency stores duplicate entries; sum_duplicates() merges them")
+        if not adj.data.all():
+            raise ValueError("adjacency stores explicit zeros; eliminate_zeros() drops them")
+        i, j = (adj.astype(bool) > adj.T.astype(bool)).nonzero()
+        if i.size:
+            raise ValueError(f"adjacency is not symmetric: agent {i[0]} lists agent {j[0]}, not the reverse")
+        if not is_connected(g):
+            raise ValueError("weight matrices require a connected graph")
+    sizes = np.diff(adj.indptr)
+    rows = np.repeat(np.arange(g.n), sizes)
     regular = (sizes == sizes[0]).all()
     if regular_only and not regular:
         raise WeightRuleError(
             "uniform neighbor weights need a regular graph; use metropolis_weights for irregular graphs"
         )
     # deg excludes the self-loop, so 1 + max(deg_i, deg_j) = max(|N_i|, |N_j|),
-    # and the diagonal holds 1/|N_i|: exact on a regular graph. Copies:
-    # validation edits W's arrays in place and must not edit the graph.
+    # and the diagonal holds 1/|N_i|: exact on a regular graph. Copies: an
+    # in-place scipy call on W (eliminate_zeros, say) must not edit the graph.
     data = 1.0 / np.maximum(sizes[rows], sizes[adj.indices])
     w = sparse.csr_matrix((data, adj.indices.copy(), adj.indptr.copy()), shape=adj.shape)
     if not regular:
@@ -277,7 +271,6 @@ def _metropolis(g: Graph, regular_only: bool) -> WeightMatrix:
             _sparsetools.csr_todense(len(dense), g.n, w.indptr[s : s + 65], w.indices, w.data, dense)
             np.add.reduce(dense, axis=1, out=row_sums[s : s + 64])
         w.data[diagonal] = 1.0 - row_sums
-    _validate_doubly_stochastic(w, g)
     if (sizes == g.n).all():  # every neighbor set holds every agent: W is the averaging matrix
         return WeightMatrix(csr=w, beta=0.0)
     if g.kind == "cycle":  # circulant eigenvalues of (I + S + S^T)/3

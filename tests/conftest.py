@@ -1,8 +1,13 @@
 """Helpers shared by the test modules."""
 
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def _traced_peak(call):
@@ -18,3 +23,20 @@ def _traced_peak(call):
 @pytest.fixture
 def traced_peak():
     return _traced_peak
+
+
+def _load_benchmark_module(name):
+    """Import ``benchmarks/<name>.py`` under a private name, leaving the file and sys.modules as they were."""
+    spec = importlib.util.spec_from_file_location(f"netdrift_bench_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.fixture
+def benchmark_module():
+    return _load_benchmark_module

@@ -117,7 +117,7 @@ def test_parse_config_applies_defaults():
     assert config.init == "zeros"
 
 
-# (config text, pinned message or None)
+# (config text or ExperimentConfig keywords, pinned message or None)
 REJECTED_CONFIGS = [
     ("scenario = static\np = 1\nwidget = 3\n", None),
     ("scenario = IV\np = 1\n", None),
@@ -185,20 +185,56 @@ REJECTED_CONFIGS = [
      "grid rows x cols = -1x-5 does not hold 5 agents"),
     ("scenario = II\np = 1\ntopology = random\ntarget_beta = 0.5\nweight_rule = uniform\n",
      "target_beta needs weight_rule = metropolis, got 'uniform'"),
+    # Mistyped Python values, given to ExperimentConfig directly: each used to
+    # fail inside the run, or to run with a truncated value.
+    ({"scenario": "II", "p": 2.5}, "p must be an integer or None, got 2.5"),
+    ({"scenario": "I", "n": 5.5}, "n must be an integer or None, got 5.5"),
+    ({"scenario": "static", "p": 2, "horizon": 20.5}, "horizon must be an integer, got 20.5"),
+    ({"scenario": "static", "p": 2, "grid_points": 2.5}, "grid_points must be an integer, got 2.5"),
+    ({"scenario": "III", "p": 2, "shift": 1.5}, "shift must be an integer or None, got 1.5"),
+    ({"scenario": "I", "n": 4, "topology": "grid", "rows": 2.0, "cols": 2.0},
+     "rows must be an integer or None, got 2.0"),
+    ({"scenario": "I", "n": 5, "seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"scenario": "II", "p": 2, "seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"scenario": "static", "p": 2, "stepsizes": "0.1"},
+     "stepsizes must be a tuple of numbers or None, got '0.1'"),
+    ({"scenario": "static", "p": 2, "tail_fraction": "0.2"}, "tail_fraction must be a number, got '0.2'"),
+    ({"scenario": "II", "p": 2, "spacing_m": "1"}, "spacing_m must be a number, got '1'"),
+    # A bool is no number, though Python counts it an int.
+    ({"scenario": "static", "p": True}, "p must be an integer or None, got True"),
+    ({"scenario": "static", "p": 2, "stepsizes": (0.1, True)},
+     "stepsizes must be a tuple of numbers or None, got (0.1, True)"),
+    # A numpy array is no tuple; a 0-d one used to raise a TypeError.
+    ({"scenario": "static", "p": 2, "stepsizes": np.array(0.1)},
+     "stepsizes must be a tuple of numbers or None, got array(0.1)"),
+    ({"scenario": "static", "p": 2, "algorithms": "dgt"}, "algorithms must be a tuple of strings, got 'dgt'"),
 ]
 
 
-@pytest.mark.parametrize("text, message", REJECTED_CONFIGS, ids=[text for text, _ in REJECTED_CONFIGS])
-def test_parse_config_rejects_invalid(text, message):
+@pytest.mark.parametrize("config, message", REJECTED_CONFIGS, ids=[str(config) for config, _ in REJECTED_CONFIGS])
+def test_parse_config_rejects_invalid(config, message):
+    # A config is a text for parse_config or the keywords of ExperimentConfig.
     with pytest.raises(ConfigError) as excinfo:
-        parse_config(text)
+        parse_config(config) if isinstance(config, str) else ExperimentConfig(**config)
     if message is not None:
         assert str(excinfo.value) == message
+
+
+def test_config_accepts_numpy_numbers():
+    numpy_values = ExperimentConfig(
+        scenario="II", p=np.int64(3), horizon=np.int32(50), seed=np.uint8(4), spacing_m=np.float64(0.5),
+        stepsizes=[np.float64(0.1), 0.2], tail_fraction=np.float32(0.25),
+    )
+    python_values = ExperimentConfig(
+        scenario="II", p=3, horizon=50, seed=4, spacing_m=0.5, stepsizes=(0.1, 0.2), tail_fraction=0.25
+    )
+    assert numpy_values == python_values
 
 
 def test_every_config_and_sidecar_annotation_has_a_converter():
     # A field of a new type fails here, not at the first config or sidecar that sets it.
     assert [f.name for f in fields(ExperimentConfig) if f.type not in experiment._PARSERS] == []
+    assert [f.name for f in fields(ExperimentConfig) if f.type not in experiment._TYPES] == []
     assert [f.name for f in fields(RunMetadata) if f.type not in records._JSON_TYPES] == []
 
 

@@ -17,7 +17,6 @@ from netdrift.topology import (
     Graph,
     InvalidSizeError,
     WeightRuleError,
-    _validate_doubly_stochastic,
     build_complete,
     build_cycle,
     build_grid,
@@ -476,44 +475,95 @@ def test_weight_support_matches_neighbor_sets():
         assert support <= set(g.adjacency[i].indices.tolist())
 
 
-@pytest.mark.parametrize(
-    "graph, entries, message",
-    [
-        (
-            build_cycle(5),
-            np.full((5, 5), 0.2),
-            "agent 0 has weights outside its neighbor set: [2, 3]",
+def stored_graph(neighbors, values=None, columns=None) -> Graph:
+    # A hand-made graph whose CSR row i stores neighbors[i] exactly as listed:
+    # in that order, with any repeat, and with the given values, zeros included.
+    indices = [j for row in neighbors for j in row]
+    indptr = np.cumsum([0] + [len(row) for row in neighbors])
+    data = np.ones(len(indices), dtype=bool) if values is None else np.array(values)
+    shape = (len(neighbors), columns or len(neighbors))
+    return Graph(sparse.csr_matrix((data, indices, indptr), shape=shape))
+
+
+# The 4-cycle 0-1-2-3-0, stored row by row.
+RING4 = [[0, 1, 3], [0, 1, 2], [1, 2, 3], [0, 2, 3]]
+
+# Hand-made graphs that are each valid but for one fault, and the message that names it.
+FAULTY_GRAPHS = {
+    "non_square": (
+        lambda: stored_graph([[0, 1, 2], [0, 1, 2], [0, 1, 2, 3]], columns=4),
+        "adjacency must be square, got shape (3, 4)",
+    ),
+    "duplicate": (
+        lambda: stored_graph([[0, 1, 1, 3], *RING4[1:]]),
+        "adjacency stores duplicate entries; sum_duplicates() merges them",
+    ),
+    "explicit_zero": (
+        # Agents 0 and 2 store each other, with the value zero.
+        lambda: stored_graph(
+            [[0, 1, 2, 3], [0, 1, 2], [0, 1, 2, 3], [0, 2, 3]],
+            values=[1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1],
         ),
-        (
-            # Swaps agents 1 and 3 of a 4-agent line: row 0 is inside, row 1 is the first outside.
-            build_line(4),
-            np.eye(4)[[0, 3, 2, 1]],
-            "agent 1 has weights outside its neighbor set: [3]",
-        ),
-    ],
-)
-def test_weight_outside_neighbor_set_message(graph, entries, message):
+        "adjacency stores explicit zeros; eliminate_zeros() drops them",
+    ),
+    "asymmetric": (
+        lambda: stored_graph([[0, 1, 2, 3], *RING4[1:]]),
+        "adjacency is not symmetric: agent 0 lists agent 2, not the reverse",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTY_GRAPHS)
+@pytest.mark.parametrize("rule", [uniform_neighbor_weights, metropolis_weights])
+def test_weights_reject_a_faulty_hand_made_graph_before_building_w(fault, rule, monkeypatch):
+    # Each fault is named before the connectivity search, and so before any
+    # weight is computed. The uniform rule names it too, although the faulty
+    # pattern is irregular, or not square.
+    build, message = FAULTY_GRAPHS[fault]
+    g = build()
+    assert g.kind == "custom"
+
+    def no_search(g):
+        raise AssertionError("searched a faulty graph")
+
+    monkeypatch.setattr(topology, "is_connected", no_search)
     with pytest.raises(ValueError) as excinfo:
-        _validate_doubly_stochastic(sparse.csr_matrix(entries), graph)
+        rule(g)
+    assert type(excinfo.value) is ValueError
     assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
-    "entries, message",
+    "g, rules",
     [
-        (-np.eye(3), "weight matrix has negative entries"),
-        (0.5 * np.eye(3), "weight matrix is not doubly stochastic (error 5.000e-01)"),
-        # Rows and columns sum to one, but W_10 != W_01.
-        (
-            np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.25, 0.0, 0.75]]),
-            "weight matrix is not symmetric",
-        ),
+        (build_cycle(9), [uniform_neighbor_weights, metropolis_weights]),
+        (build_grid(3, 4), [metropolis_weights]),
+        (build_random(40, 0.2, seed=1), [metropolis_weights]),
     ],
+    ids=["cycle9", "grid3x4", "random40"],
 )
-def test_invalid_weight_matrix_messages(entries, message):
-    with pytest.raises(ValueError) as excinfo:
-        _validate_doubly_stochastic(sparse.csr_matrix(entries), build_line(3))
-    assert str(excinfo.value) == message
+def test_an_unsorted_hand_made_graph_gets_the_sorted_graphs_weights(g, rules):
+    # Every row of the builder's pattern stored in reverse order: a valid
+    # pattern, so W is bitwise the builder's and beta that of the same
+    # pattern stored sorted, and the graph keeps its own order.
+    neighbors = [g.adjacency.indices[a:b][::-1].tolist() for a, b in zip(g.adjacency.indptr, g.adjacency.indptr[1:])]
+    unsorted, ordered = stored_graph(neighbors), Graph(g.adjacency.copy())
+    assert not unsorted.adjacency.has_sorted_indices
+    before = unsorted.adjacency.copy()
+    for rule in rules:
+        wm, expected = rule(unsorted), rule(ordered)
+        assert_same_csr(wm.csr, expected.csr)
+        assert_same_csr(wm.csr, rule(g).csr)
+        assert repr(wm.beta) == repr(expected.beta)
+    assert_same_csr(unsorted.adjacency, before)
+
+
+@pytest.mark.parametrize("value", [0.5, -1.0, 2.0])
+def test_weights_read_only_the_pattern_of_a_hand_made_graph(value):
+    # Any nonzero stored value is an edge: W is the builder's, whatever the values.
+    g = build_grid(3, 4)
+    valued = Graph(sparse.csr_matrix((np.full(g.adjacency.nnz, value), g.adjacency.indices, g.adjacency.indptr)))
+    assert_same_csr(metropolis_weights(valued).csr, metropolis_weights(g).csr)
 
 
 @pytest.mark.parametrize(
@@ -553,7 +603,7 @@ def test_both_rules_give_the_uniform_matrix_on_regular_graphs(name):
 
 @pytest.mark.parametrize("rule", [uniform_neighbor_weights, metropolis_weights])
 def test_weights_leave_the_graph_pattern_untouched(rule):
-    # Validation edits W's arrays in place, so W must not share them with the graph.
+    # W owns its index arrays: an in-place scipy call on W must not edit the graph.
     g = build_complete(6)
     before = g.adjacency.copy()
     wm = rule(g)

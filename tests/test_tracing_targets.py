@@ -5,26 +5,9 @@ drops or moves one of them would break the traced benchmark only when it
 runs; this test names the missing attribute instead.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("netdrift_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
-def test_every_traced_attribute_exists():
-    targets = _load_tracing().Tracer()._targets()
+def test_every_traced_attribute_exists(benchmark_module):
+    targets = benchmark_module("tracing").Tracer()._targets()
     assert targets
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
