@@ -16,10 +16,11 @@ harness:
 
 ``step`` is pure: it takes a state and returns a new one, never mutating
 arrays in place. It makes one gradient call and one update per method, in
-that method's own order of operations. The update itself is a private
-function on a plain tuple of the stacks, which ``step`` wraps into an
-``AlgorithmState``; ``run`` advances the tuple directly, so both take one
-path through the arithmetic and the loop builds no state object per step.
+that method's own order of operations. ``AlgorithmState`` is a named tuple
+of the stacks, and the update itself is a private function on a tuple of
+them: ``step`` hands it the state and names the plain tuple it returns,
+while ``run`` advances plain tuples, so both take one path through the
+arithmetic and the loop builds no state object per step.
 Mixing goes through ``WeightMatrix.mix``, which applies the sparse view of
 the weight matrix with scipy's compiled kernels and none of its operator
 dispatch, so each update touches neighbor values only: the one-column
@@ -66,7 +67,7 @@ by coordinate and then over agents pairwise, per lane and step.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,9 +90,8 @@ class ShapeMismatchError(ValueError):
     """Objective, weight matrix, and state disagree on network size or dimension."""
 
 
-@dataclass(frozen=True)
-class AlgorithmState:
-    """Iterate stacks for one method at one time index.
+class AlgorithmState(NamedTuple):
+    """Iterate stacks for one method at one time index, in the order ``_update`` takes them.
 
     ``x_stack`` holds one row per agent, and the lanes of a multi-step-size
     run side by side in its columns. The optional stacks are only
@@ -167,7 +167,7 @@ def step(
     stacks, such as a row of G*d whose entry j*G + g is lane g's step size,
     or ``run``'s full (n, G*d) array of them.
     """
-    return AlgorithmState(*_update(algorithm, tuple(vars(state).values()), objective, wm, alpha, k))
+    return AlgorithmState(*_update(algorithm, state, objective, wm, alpha, k))
 
 
 def _update(algorithm, stacks, objective, wm, alpha, k) -> tuple:
@@ -200,7 +200,7 @@ def _widen(state: AlgorithmState, lanes: int) -> tuple:
     """The stacks of a one-lane state, each column replicated as ``lanes`` columns."""
     return tuple(
         stack if stack is None or lanes == 1 else np.repeat(stack, lanes, axis=1)
-        for stack in vars(state).values()
+        for stack in state
     )
 
 

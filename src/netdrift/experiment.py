@@ -22,7 +22,7 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,19 +61,20 @@ _SCENARIO_KEYS = {"n": ("I", None), "rows_per_agent": ("I", 1), "p": ("II/III/st
                   "shift": ("II/III/static", None), "spacing_m": ("II/III/static", 1.0)}
 
 
-# What ExperimentConfig accepts for each annotation: the value's types, its
-# items' types for a tuple or list, and how to name them. A bool is no number,
-# though Python counts it an int; numpy's integers and floats are numbers.
+# Each ExperimentConfig annotation: how to read a value (for a tuple, each of its
+# items), the value's types, its items' types for a tuple or list, and how to name
+# them. A bool is no number, though Python counts it an int; numpy's integers and
+# floats are numbers, stored as the Python int or float the reader gives.
 _INTEGER, _NUMBER, _SEQUENCE = (int, np.integer), (int, float, np.integer, np.floating), (tuple, list)
-_TYPES = {
-    "str": ((str,), None, "a string"),
-    "str | None": ((str, type(None)), None, "a string or None"),
-    "int": (_INTEGER, None, "an integer"),
-    "int | None": ((*_INTEGER, type(None)), None, "an integer or None"),
-    "float": (_NUMBER, None, "a number"),
-    "float | None": ((*_NUMBER, type(None)), None, "a number or None"),
-    "tuple[float, ...] | None": ((*_SEQUENCE, type(None)), _NUMBER, "a tuple of numbers or None"),
-    "tuple[str, ...]": (_SEQUENCE, (str,), "a tuple of strings"),
+_FIELD_TYPES = {
+    "str": (str, (str,), None, "a string"),
+    "str | None": (str, (str, type(None)), None, "a string or None"),
+    "int": (int, _INTEGER, None, "an integer"),
+    "int | None": (int, (*_INTEGER, type(None)), None, "an integer or None"),
+    "float": (float, _NUMBER, None, "a number"),
+    "float | None": (float, (*_NUMBER, type(None)), None, "a number or None"),
+    "tuple[float, ...] | None": (float, (*_SEQUENCE, type(None)), _NUMBER, "a tuple of numbers or None"),
+    "tuple[str, ...]": (str, _SEQUENCE, (str,), "a tuple of strings"),
 }
 
 
@@ -106,6 +107,10 @@ class ExperimentConfig:
     ``grid_points`` log-spaced values spanning [1e-4, 1] * 2/(mu+L).
     ``shift`` defaults to p+1 for scenario II, 1 for III, and 0 for static.
     Construction checks every key; what depends on the graph, build_network checks.
+    Each value is checked against its field's type and then stored as that
+    Python type (a numpy number as an ``int`` or ``float``, a list as a
+    tuple), through the same ``_FIELD_TYPES`` reader that ``parse_config``
+    applies to text.
     """
 
     scenario: str
@@ -132,9 +137,15 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            types, items, kind = _TYPES[f.type]
+            read, types, items, kind = _FIELD_TYPES[f.type]
             if not _is(value, types) or (items and value is not None and not all(_is(v, items) for v in value)):
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            if value is None:
+                continue
+            try:  # float() overflows on an int beyond the float range
+                object.__setattr__(self, f.name, tuple(map(read, value)) if items else read(value))
+            except OverflowError:
+                raise ConfigError(f"{f.name} must be {kind} in the float range, got {value!r}") from None
         for key, choices in _CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}; expected one of {choices}")
@@ -145,7 +156,6 @@ class ExperimentConfig:
         if not 0 < self.tail_fraction <= 0.5:
             raise ConfigError(f"tail_fraction must lie in (0, 0.5], got {self.tail_fraction}")
         if self.stepsizes is not None:
-            object.__setattr__(self, "stepsizes", tuple(float(a) for a in self.stepsizes))
             if not self.stepsizes:
                 raise ConfigError("stepsizes must be nonempty when given")
             if not all(a > 0 for a in self.stepsizes):  # also rejects nan
@@ -156,7 +166,6 @@ class ExperimentConfig:
                 raise ConfigError("stepsizes must be strictly increasing")
         if self.grid_points < 1:
             raise ConfigError("grid_points must be positive")
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
@@ -226,17 +235,9 @@ class ExperimentConfig:
         return {"II": self.p + 1, "III": 1, "static": 0}.get(self.scenario, 0)
 
 
-# How parse_config reads a value, for each ExperimentConfig annotation.
-_PARSERS = {
-    "str": str, "str | None": str, "int": int, "int | None": int, "float": float, "float | None": float,
-    "tuple[float, ...] | None": lambda value: tuple(float(tok) for tok in value.split(",")),
-    "tuple[str, ...]": lambda value: tuple(tok.strip() for tok in value.split(",")),
-}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the ``key = value`` config format (# comments, blank lines ok)."""
-    known = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+    known = {f.name: _FIELD_TYPES[f.type] for f in fields(ExperimentConfig)}
     kwargs: dict = {}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -254,8 +255,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: config key {key!r} repeats the one on line {first_line[key]}"
             )
         first_line[key] = lineno
+        read, _, items, _ = known[key]
         try:
-            kwargs[key] = known[key](value)
+            kwargs[key] = tuple(read(tok.strip()) for tok in value.split(",")) if items else read(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
     try:
@@ -426,8 +428,11 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
-    """Build the problem and network, then tune each method, persist its tuned record, summarize.
+    """Build the problem and network, tune each method, then persist every tuned record and the summary.
 
+    Every method is tuned, bounded and stamped with the drift constants
+    before the output directory is created, so a ``TuningError`` (or any
+    other failure before the writes) leaves no directory and no file.
     The summary's theory_bound column holds the steady-state bound divided by
     the problem's normalization constant, so it compares directly against the
     steady_state_error column; it is left empty for a method outside
@@ -437,42 +442,25 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     objective = build_objective(config)
     _, wm = build_network(config)
     drift = drift_profile(objective)
-    directory = resolve_output_dir(config)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    rows = []
+    records, rows = [], []
     for algorithm in config.algorithms:
         alpha, record = tune_stepsize(config, algorithm, objective, wm)
-        error = steady_state_error(record, config.tail_fraction)
         bound = None
         if algorithm in ANALYSED_METHODS:
             with contextlib.suppress(RegimeError):
                 bound = steady_state_bound(
                     algorithm, alpha, objective.mu, objective.lipschitz, wm.beta, drift
                 ) / record.metadata.normalization
-        meta = replace(
-            record.metadata,
-            delta_x=drift.delta_x,
-            grad_bound=drift.grad_bound,
-            grad_drift=drift.grad_drift,
-            extra={
-                **record.metadata.extra,
-                "steady_state_tail_max": float(_tail(record, config.tail_fraction).max()),
-            },
-        )
-        record = replace(record, metadata=meta)
-        write_record(record, directory / f"{algorithm}.csv")
-        rows.append(
-            SummaryRow(
-                algorithm=algorithm,
-                alpha=alpha,
-                beta=float(wm.beta),
-                n=objective.n,
-                steady_state_error=error,
-                theory_bound=bound,
-            )
-        )
+        tail_max = float(_tail(record, config.tail_fraction).max())
+        meta = replace(record.metadata, **asdict(drift), extra={"steady_state_tail_max": tail_max})
+        records.append(replace(record, metadata=meta))
+        error = steady_state_error(record, config.tail_fraction)
+        rows.append(SummaryRow(algorithm, alpha, float(wm.beta), objective.n, error, bound))
 
+    directory = resolve_output_dir(config)
+    directory.mkdir(parents=True, exist_ok=True)
+    for record in records:
+        write_record(record, directory / f"{record.metadata.algorithm}.csv")
     _write_summary(rows, directory / "summary.csv")
     return SuiteResult(directory=directory, rows=tuple(rows))
 
@@ -494,13 +482,13 @@ def audit_record_file(csv_path: Path | str):
     """Load a persisted record plus its drift constants, ready for auditing."""
     csv_path = Path(csv_path)
     record = read_record(csv_path)
-    meta = record.metadata
-    if meta.delta_x is None or meta.grad_bound is None or meta.grad_drift is None:
+    constants = {f.name: getattr(record.metadata, f.name) for f in fields(DriftProfile)}
+    if None in constants.values():
         raise ValueError(
             "record sidecar carries no drift constants; audit a record written by netdrift run"
         )
     try:
-        drift = DriftProfile(delta_x=meta.delta_x, grad_bound=meta.grad_bound, grad_drift=meta.grad_drift)
+        drift = DriftProfile(**constants)
     except ValueError as exc:
         raise ValueError(f"record sidecar {sidecar_path(csv_path)}: {exc}") from exc
     return record, drift

@@ -28,7 +28,7 @@ reduction gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Protocol
 
@@ -56,10 +56,10 @@ class DriftProfile:
     grad_drift: float
 
     def __post_init__(self):
-        for name in ("delta_x", "grad_bound", "grad_drift"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"drift constant {name} must be finite and nonnegative, got {value!r}")
+                raise ValueError(f"drift constant {f.name} must be finite and nonnegative, got {value!r}")
 
 
 class DynamicObjective(Protocol):
@@ -380,8 +380,8 @@ def drift_profile(objective: DynamicObjective) -> DriftProfile:
     may exceed the objective's ``analytic_*`` cap by more than 1e-9 relative.
     """
     profile = DriftProfile(objective.delta_x, objective.grad_bound, objective.grad_drift)
-    for name in ("delta_x", "grad_bound", "grad_drift"):
-        measured, cap = getattr(profile, name), getattr(objective, f"analytic_{name}")
+    for f in fields(DriftProfile):
+        measured, cap = getattr(profile, f.name), getattr(objective, f"analytic_{f.name}")
         if measured > cap + 1e-9 * (1.0 + cap):
             raise ValueError(f"measured drift {measured} exceeds the analytic value {cap}")
     return profile

@@ -111,7 +111,11 @@ def write_record(record: TrajectoryRecord, csv_path: Path) -> None:
 
 
 def read_record(csv_path: Path) -> TrajectoryRecord:
-    """Load a record written by :func:`write_record`, parsing its rows in one ``np.loadtxt``."""
+    """Load a record written by :func:`write_record`, parsing its rows in one ``np.loadtxt``.
+
+    The rows must number 0, 1, ..., horizon, where horizon is the sidecar's,
+    so a record cut short at a line end is rejected rather than read.
+    """
     csv_path = Path(csv_path)
     try:
         lines = csv_path.read_bytes().decode("utf-8").splitlines()
@@ -159,6 +163,11 @@ def read_record(csv_path: Path) -> TrajectoryRecord:
         types, kind = _JSON_TYPES[annotation]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"record sidecar {sidecar}: {name} must be {kind}, got {value!r}")
+    if k.size != metadata.horizon + 1:  # a CSV cut at a line end still numbers its rows 0, 1, ...
+        raise ValueError(
+            f"record {csv_path} has {k.size} rows, but its sidecar's horizon {metadata.horizon} "
+            f"needs {metadata.horizon + 1}"
+        )
     return TrajectoryRecord(
         metadata=metadata,
         iterations=k,

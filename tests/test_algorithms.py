@@ -264,8 +264,8 @@ def test_extra_cached_product_is_bitwise_the_recomputation(case):
     alpha_row = np.tile(alphas, objective.d)
     for k in range(50):
         out = step("extra", state, objective, wm, alpha_row, k)
-        recomputed = step("extra", replace(state, prev_mix_stack=None), objective, wm, alpha_row, k)
-        for name, stack in vars(out).items():
+        recomputed = step("extra", state._replace(prev_mix_stack=None), objective, wm, alpha_row, k)
+        for name, stack in out._asdict().items():
             other = getattr(recomputed, name)
             assert (stack is None) == (other is None), (name, k)
             assert stack is None or np.array_equal(stack, other), (name, k)

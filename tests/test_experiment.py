@@ -105,6 +105,7 @@ def test_parse_config_reads_every_field():
     assert config.spacing_m == 0.5
     assert config.shift == 11
     assert config.init == "optimum"
+    assert_python_values(config)
 
 
 def test_parse_config_applies_defaults():
@@ -231,10 +232,42 @@ def test_config_accepts_numpy_numbers():
     assert numpy_values == python_values
 
 
+def assert_python_values(config):
+    """Every field holds None or exactly a Python type its annotation names, as does every tuple item."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        for item in (value if isinstance(value, tuple) else (value,)):
+            assert ("None" if item is None else type(item).__name__) in f.type, (f.name, value)
+
+
+def test_numpy_p_sizes_the_network_as_a_python_int():
+    # 2p + 1 wrapped to -55 in int8, and the spacing bound took a root of it.
+    config = ExperimentConfig(scenario="II", p=np.int8(100))
+    assert config.network_size == 201
+    assert_python_values(config)
+
+
+def test_numpy_sizes_run_as_their_python_values(tmp_path):
+    # n * horizon used to overflow int8 inside the least-squares stream.
+    numpy_sizes = ExperimentConfig(scenario="I", n=np.int8(100), horizon=np.int8(100),
+                                   output_dir=str(tmp_path / "a"))
+    python_sizes = replace(numpy_sizes, n=100, horizon=100, output_dir=str(tmp_path / "b"))
+    assert run_suite(numpy_sizes).rows == run_suite(python_sizes).rows
+    for name in ("diffusion.csv", "diffusion.meta.json", "dgt.csv", "dgt.meta.json", "summary.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("tail_fraction", 10**400), ("stepsizes", (0.1, 10**400))],
+                         ids=["tail_fraction", "stepsizes"])
+def test_an_int_beyond_the_float_range_names_its_key(key, value):
+    kind = "a number" if key == "tail_fraction" else "a tuple of numbers or None"
+    with pytest.raises(ConfigError, match=rf"^{key} must be {kind} in the float range, got "):
+        ExperimentConfig(scenario="static", p=2, **{key: value})
+
+
 def test_every_config_and_sidecar_annotation_has_a_converter():
     # A field of a new type fails here, not at the first config or sidecar that sets it.
-    assert [f.name for f in fields(ExperimentConfig) if f.type not in experiment._PARSERS] == []
-    assert [f.name for f in fields(ExperimentConfig) if f.type not in experiment._TYPES] == []
+    assert [f.name for f in fields(ExperimentConfig) if f.type not in experiment._FIELD_TYPES] == []
     assert [f.name for f in fields(RunMetadata) if f.type not in records._JSON_TYPES] == []
 
 
@@ -707,6 +740,69 @@ def test_accepted_configs_run_or_name_their_key(kwargs):
             assert ("stepsizes" if "stepsizes" in kwargs else "grid_points") in str(exc)
 
 
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+NUMPY_FLOATS = (np.float16, np.float32, np.float64)
+
+
+def numpy_scalars(value):
+    """``value`` as a scalar of a numpy dtype whose range holds it: an int in any, a float in a float one."""
+    def holds(dtype):
+        if dtype in NUMPY_FLOATS:
+            return not math.isfinite(value) or abs(value) <= float(np.finfo(dtype).max)
+        return isinstance(value, int) and np.iinfo(dtype).min <= value <= np.iinfo(dtype).max
+
+    return st.sampled_from([dtype for dtype in (*NUMPY_INTEGERS, *NUMPY_FLOATS) if holds(dtype)]).map(
+        lambda dtype: dtype(value)
+    )
+
+
+def as_python(value):
+    if isinstance(value, np.integer):
+        return int(value)
+    return float(value) if isinstance(value, np.floating) else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(kwargs=config_draws(), data=st.data())
+def test_numpy_numbers_are_stored_as_the_python_numbers(kwargs, data):
+    # Each number of a config, stepsizes' items too, wrapped in a numpy dtype
+    # that holds it: the config is the one built from the Python numbers
+    # those scalars convert to, or both fail with a ConfigError naming a key.
+    def wrap(value):
+        return value if isinstance(value, str) or value is None else data.draw(numpy_scalars(value))
+
+    wrapped = {key: tuple(map(wrap, v)) if key == "stepsizes" else wrap(v) for key, v in kwargs.items()
+               if key != "algorithms"}
+    converted = {key: tuple(map(as_python, v)) if key == "stepsizes" else as_python(v)
+                 for key, v in wrapped.items()}
+    try:
+        expected = ExperimentConfig(**converted)
+    except ConfigError:
+        expected = None
+    try:
+        config = ExperimentConfig(**wrapped)
+    except ConfigError as exc:
+        assert expected is None
+        assert any(re.search(rf"\b{key}\b", str(exc)) for key in kwargs), str(exc)
+        return
+    assert config == expected
+    assert_python_values(config)
+
+
+def test_a_suite_whose_tuning_fails_writes_nothing(tmp_path, capsys):
+    # extra diverges at the one step size after diffusion and dgt have tuned;
+    # no record of theirs is left without a summary.
+    config_path = tmp_path / "diverges.cfg"
+    config_path.write_text(
+        "scenario = II\np = 5\nhorizon = 400\nstepsizes = 3.0\n"
+        f"algorithms = diffusion, dgt, extra, exact_diffusion\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", "--config", str(config_path)]) == 2
+    message = "every step size diverged: [3.0]; the grid comes from stepsizes"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
@@ -962,6 +1058,21 @@ def test_cli_audit_rejects_malformed_record(tmp_path, capsys, spoil, message):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "spoiled." in err and message in err
+
+
+def test_cli_audit_rejects_a_record_cut_at_a_line_end(tmp_path, capsys):
+    # The first 50 of a dgt record's 201 rows still number 0, 1, ..., 49.
+    alpha = max_stepsize("dgt", 1.0, 1.0, uniform_cycle_beta_5())
+    config = ExperimentConfig(scenario="II", p=2, horizon=200, stepsizes=(alpha,), algorithms=("dgt",),
+                              init="optimum", output_dir=str(tmp_path / "out"))
+    path = run_suite(config).directory / "dgt.csv"
+    assert cli.main(["audit", "--record", str(path)]) == 0
+    capsys.readouterr()
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:51]))
+    assert cli.main(["audit", "--record", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: record {path} has 50 rows, but its sidecar's horizon 200 needs 201\n"
+    )
 
 
 @pytest.mark.parametrize("marker", [b"", b"\r\n1,"], ids=["first_byte", "second_data_row"])

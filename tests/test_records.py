@@ -153,6 +153,20 @@ def test_read_record_rejects_malformed_csv(algorithm, line, edit, message, tmp_p
     assert str(path) in str(raised.value)
 
 
+@pytest.mark.parametrize("rows", [1, 4, 7], ids=["cut_to_one_row", "cut_to_four_rows", "one_row_too_many"])
+def test_read_record_rejects_a_row_count_other_than_horizon_plus_one(rows, tmp_path):
+    # Each file numbers its rows 0, 1, ..., and each cut ends at a line end,
+    # so only the sidecar's horizon tells that rows are missing or added.
+    path = tmp_path / "run.csv"
+    write_record(_record("dgt", 0.1, 5), path)
+    header, *lines = path.read_text().splitlines()
+    lines.append(f"6,{lines[-1].partition(',')[2]}")
+    path.write_text("\r\n".join([header, *lines[:rows], ""]))
+    with pytest.raises(ValueError) as raised:
+        read_record(path)
+    assert str(raised.value) == f"record {path} has {rows} rows, but its sidecar's horizon 5 needs 6"
+
+
 # Files that ``netdrift run`` does not write but that read the same arrays as
 # the per-row oracle: (method, rows whose y_dev cell is emptied, line end,
 # end of the last line).
