@@ -59,6 +59,10 @@ _TOPOLOGY_KEYS = {"edge_probability": "random", "target_beta": "random", "rows":
 # Keys that only some scenarios read: those scenarios, and the default the others keep.
 _SCENARIO_KEYS = {"n": ("I", None), "rows_per_agent": ("I", 1), "p": ("II/III/static", None),
                   "shift": ("II/III/static", None), "spacing_m": ("II/III/static", 1.0)}
+# Counts that size an array axis, each with the (a, b) of its axis length a * value + b:
+# p sizes 2p + 1 agents, horizon the horizon + 1 recorded rows.
+_AXIS_COUNTS = {"n": (1, 0), "p": (2, 1), "horizon": (1, 1), "grid_points": (1, 0), "rows": (1, 0),
+                "cols": (1, 0), "rows_per_agent": (1, 0)}
 
 
 # Each ExperimentConfig annotation: how to read a value (for a tuple, each of its
@@ -184,6 +188,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} applies to a {topology} topology only, not to {self.topology}")
         if self.rows_per_agent < 1:
             raise ConfigError(f"rows_per_agent must be at least 1, got {self.rows_per_agent}")
+        for key, (a, b) in _AXIS_COUNTS.items():  # numpy indexes an axis with np.intp
+            value, limit = getattr(self, key), (np.iinfo(np.intp).max - b) // a
+            if value is not None and value > limit:
+                raise ConfigError(f"{key} must be at most {limit}, got {value}")
         for key, (readers, default) in _SCENARIO_KEYS.items():
             if self.scenario not in readers.split("/") and getattr(self, key) != default:
                 raise ConfigError(f"{key} applies to scenario {readers} only, not to {self.scenario}")

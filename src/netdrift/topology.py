@@ -76,7 +76,10 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Doubly stochastic mixing matrix in CSR form with its spectral gap beta = |lambda_2|."""
+    """Doubly stochastic mixing matrix in CSR form with its spectral gap beta = |lambda_2|.
+
+    ``csr`` has one set of ``np.intp`` index arrays, read by ``mix``, ``csr @ x`` and ARPACK alike.
+    """
 
     csr: sparse.csr_matrix
     beta: float
@@ -84,12 +87,6 @@ class WeightMatrix:
     @cached_property
     def n(self) -> int:
         return self.csr.shape[0]
-
-    @cached_property
-    def _kernel_arrays(self) -> tuple[NDArray, NDArray, NDArray]:
-        # np.intp index copies select scipy's faster 64-bit kernels (see
-        # mix); ``csr`` keeps its 32-bit arrays for ``csr @ x`` and ARPACK.
-        return self.csr.indptr.astype(np.intp), self.csr.indices.astype(np.intp), self.csr.data
 
     def mix(self, stack: NDArray[np.float64]) -> NDArray[np.float64]:
         """W applied to an (n, c) float stack: bitwise ``csr @ stack``, without its dispatch.
@@ -100,21 +97,20 @@ class WeightMatrix:
         kernels directly: ``csr_matvec`` for one column and ``csr_matvecs``
         for more, the ones ``csr @ stack`` picks. Both sum a row's entries in
         stored order into a fresh zero output, so the product is bitwise
-        that of ``csr @ stack``. They are called with 64-bit copies of the
-        index arrays, cached on first use: the same loop as the 32-bit
-        instantiation that ``csr @ stack`` reaches, and faster from about
-        a hundred agents up. ``stack.ravel()`` copies a non-C-contiguous
-        stack, as scipy does.
+        that of ``csr @ stack``. They read W's one set of index arrays,
+        64-bit as the weights build them, so ``csr @ stack`` runs the same
+        int64 loop. ``stack.ravel()`` copies a non-C-contiguous stack, as
+        scipy does.
         """
-        n = self.n
+        n, w = self.n, self.csr
         rows, columns = stack.shape
         if rows != n:  # the kernel would read past the stack's end
             raise ValueError(f"cannot mix a stack of {rows} rows with a {n}x{n} weight matrix")
         out = np.zeros((n, columns))
         if columns == 1:
-            _sparsetools.csr_matvec(n, n, *self._kernel_arrays, stack.ravel(), out.ravel())
+            _sparsetools.csr_matvec(n, n, w.indptr, w.indices, w.data, stack.ravel(), out.ravel())
         else:
-            _sparsetools.csr_matvecs(n, n, columns, *self._kernel_arrays, stack.ravel(), out.ravel())
+            _sparsetools.csr_matvecs(n, n, columns, w.indptr, w.indices, w.data, stack.ravel(), out.ravel())
         return out
 
 
@@ -251,10 +247,12 @@ def _metropolis(g: Graph, regular_only: bool) -> WeightMatrix:
             "uniform neighbor weights need a regular graph; use metropolis_weights for irregular graphs"
         )
     # deg excludes the self-loop, so 1 + max(deg_i, deg_j) = max(|N_i|, |N_j|),
-    # and the diagonal holds 1/|N_i|: exact on a regular graph. Copies: an
-    # in-place scipy call on W (eliminate_zeros, say) must not edit the graph.
+    # and the diagonal holds 1/|N_i|: exact on a regular graph. W's own np.intp
+    # index copies are set after the constructor, which narrows them to 32 bits;
+    # an in-place scipy call on W (eliminate_zeros, say) must not edit the graph.
     data = 1.0 / np.maximum(sizes[rows], sizes[adj.indices])
-    w = sparse.csr_matrix((data, adj.indices.copy(), adj.indptr.copy()), shape=adj.shape)
+    w = sparse.csr_matrix((data, adj.indices, adj.indptr), shape=adj.shape)
+    w.indices, w.indptr = adj.indices.astype(np.intp), adj.indptr.astype(np.intp)
     if not regular:
         # The diagonal absorbs the slack, keeping every row sum at exactly one.
         # Rows are summed as dense blocks of 64, in numpy's pairwise order over

@@ -6,8 +6,10 @@ points and checks every output: the tuned step sizes and tail errors against
 ``netdrift audit`` exit code against the library's verdict. A refactor that
 breaks one of the calls it makes (``audit_recursions(..., strict=False)``,
 ``AuditEntry.enforced``, ``run_single``) or moves a pinned figure would
-otherwise pass the tests and fail only when the benchmark runs. The
-full-scale ``rotation_p1000`` workload is left to its golden case.
+otherwise pass the tests and fail only when the benchmark runs.
+``rotation_p1000`` is the one workload on an irregular random graph whose
+beta comes from ARPACK; its round checks the full-scale (2,001-agent) suite
+run on that weight matrix against ``reference.json``.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 
-@pytest.mark.parametrize("name", ["audit_replay", "lsq_tune"])
+@pytest.mark.parametrize("name", ["audit_replay", "lsq_tune", "rotation_p1000"])
 def test_round_zero_passes_every_benchmark_check(name, tmp_path, benchmark_module):
     workload = benchmark_module("workloads").WORKLOADS[name]
     reference = json.loads(REFERENCE.read_text())[name]

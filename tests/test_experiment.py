@@ -118,6 +118,8 @@ def test_parse_config_applies_defaults():
     assert config.init == "zeros"
 
 
+INTP_MAX = int(np.iinfo(np.intp).max)  # the longest array axis numpy can index
+
 # (config text or ExperimentConfig keywords, pinned message or None)
 REJECTED_CONFIGS = [
     ("scenario = static\np = 1\nwidget = 3\n", None),
@@ -209,6 +211,12 @@ REJECTED_CONFIGS = [
     ({"scenario": "static", "p": 2, "stepsizes": np.array(0.1)},
      "stepsizes must be a tuple of numbers or None, got array(0.1)"),
     ({"scenario": "static", "p": 2, "algorithms": "dgt"}, "algorithms must be a tuple of strings, got 'dgt'"),
+    # Counts whose array axis numpy cannot index: each used to end in an
+    # OverflowError, an error naming spacing_m, or a numpy error naming no key.
+    (f"scenario = II\np = {10**400}\n", f"p must be at most {(INTP_MAX - 1) // 2}, got {10**400}"),
+    (f"scenario = II\np = {10**200}\n", f"p must be at most {(INTP_MAX - 1) // 2}, got {10**200}"),
+    (f"scenario = I\nn = {10**20}\n", f"n must be at most {INTP_MAX}, got {10**20}"),
+    (f"scenario = I\nn = 5\nhorizon = {10**20}\n", f"horizon must be at most {INTP_MAX - 1}, got {10**20}"),
 ]
 
 
@@ -937,6 +945,25 @@ def test_cli_run_and_audit_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "tracker_step" in out
+
+
+def test_cli_run_and_audit_are_clean_in_dev_mode(tmp_path):
+    # Dev mode reports unclosed files and resource warnings, which -W error
+    # turns into failures; in-process, pytest's warning filter misses them.
+    # A random graph imports and uses csgraph's search and ARPACK.
+    config_path = tmp_path / "random.cfg"
+    config_path.write_text(
+        "scenario = III\np = 5\ntopology = random\nedge_probability = 0.4\nhorizon = 200\n"
+        f"grid_points = 5\ninit = optimum\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    src = str(Path(netdrift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for args in (["run", "--config", str(config_path)], ["audit", "--record", str(tmp_path / "out" / "dgt.csv")]):
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "netdrift", *args], env=env,
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, ""), args
 
 
 def test_cli_audit_flags_planted_violation(tmp_path, capsys):

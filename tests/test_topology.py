@@ -16,6 +16,7 @@ from netdrift.topology import (
     ConstructionError,
     Graph,
     InvalidSizeError,
+    WeightMatrix,
     WeightRuleError,
     build_complete,
     build_cycle,
@@ -54,6 +55,14 @@ def neighbor_counts(g) -> list[int]:
     return np.diff(g.adjacency.indptr).tolist()
 
 
+def wide_csr(entries) -> sparse.csr_matrix:
+    # CSR of a dense array with np.intp index arrays, the width W is built
+    # with: scipy's constructor narrows index arrays that fit in 32 bits.
+    csr = sparse.csr_matrix(entries)
+    csr.indices, csr.indptr = csr.indices.astype(np.intp), csr.indptr.astype(np.intp)
+    return csr
+
+
 def dense_metropolis(g) -> sparse.csr_matrix:
     # The former dense construction: edge loop, diagonal from dense row sums, then CSR.
     entries = np.zeros((g.n, g.n))
@@ -61,14 +70,14 @@ def dense_metropolis(g) -> sparse.csr_matrix:
     for i, j in edges(g):
         entries[i, j] = entries[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(entries, 1.0 - entries.sum(axis=1))
-    return sparse.csr_matrix(entries)
+    return wide_csr(entries)
 
 
 def dense_uniform(g) -> sparse.csr_matrix:
     entries = np.zeros((g.n, g.n))
     for i, count in enumerate(neighbor_counts(g)):
         entries[i, g.adjacency[i].indices] = 1.0 / count
-    return sparse.csr_matrix(entries)
+    return wide_csr(entries)
 
 
 def python_search_connected(g) -> bool:
@@ -641,6 +650,37 @@ def test_mix_is_bitwise_the_sparse_product(wm, columns):
         assert mixed.shape == (wm.n, columns) and mixed.dtype == np.float64
         assert np.array_equal(mixed, wm.csr @ x, equal_nan=True)
         assert np.array_equal(x, before, equal_nan=True)
+
+
+WIDTH_CASES = {
+    "cycle9_uniform": lambda: uniform_neighbor_weights(build_cycle(9)),
+    "cycle9_metropolis": lambda: metropolis_weights(build_cycle(9)),
+    "line7_metropolis": lambda: metropolis_weights(build_line(7)),
+    "grid2x2_uniform": lambda: uniform_neighbor_weights(build_grid(2, 2)),
+    "grid3x4_metropolis": lambda: metropolis_weights(build_grid(3, 4)),
+    "complete6_uniform": lambda: uniform_neighbor_weights(build_complete(6)),
+    "complete6_metropolis": lambda: metropolis_weights(build_complete(6)),
+    "random40_metropolis": lambda: metropolis_weights(build_random(40, 0.2, seed=1)),
+    "random2001_metropolis": lambda: metropolis_weights(build_random(2001, 0.0055, seed=0)),
+    "hand_made_metropolis": lambda: metropolis_weights(hand_made_graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)])),
+    "hand_made_uniform": lambda: uniform_neighbor_weights(stored_graph(RING4)),
+}
+
+
+@pytest.mark.parametrize("case", WIDTH_CASES)
+def test_index_width_carries_no_value(case):
+    # W holds one set of np.intp index arrays; with 32-bit copies of them,
+    # scipy's int32 loop gives every product and beta bitwise.
+    wm = WIDTH_CASES[case]()
+    w = wm.csr
+    assert w.indices.dtype == w.indptr.dtype == np.intp
+    narrow = WeightMatrix(sparse.csr_matrix((w.data, w.indices.astype(np.int32), w.indptr.astype(np.int32))), wm.beta)
+    assert narrow.csr.indices.dtype == narrow.csr.indptr.dtype == np.int32
+    for columns in (1, 8):
+        stack = np.random.default_rng(columns).standard_normal((wm.n, columns))
+        assert wm.mix(stack).tobytes() == narrow.mix(stack).tobytes()
+        assert (w @ stack).tobytes() == (narrow.csr @ stack).tobytes()
+    assert repr(spectral_gap(w)) == repr(spectral_gap(narrow.csr))
 
 
 def test_mix_rejects_a_stack_of_another_size():
