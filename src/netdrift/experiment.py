@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -56,13 +55,12 @@ INITS = ("zeros", "optimum")
 _CHOICES = {"scenario": SCENARIOS, "topology": TOPOLOGIES, "weight_rule": WEIGHT_RULES, "init": INITS}
 # Keys that only one topology reads, and that topology.
 _TOPOLOGY_KEYS = {"edge_probability": "random", "target_beta": "random", "rows": "grid", "cols": "grid"}
-# Keys that only some scenarios read: those scenarios, and the default the others keep.
-_SCENARIO_KEYS = {"n": ("I", None), "rows_per_agent": ("I", 1), "p": ("II/III/static", None),
-                  "shift": ("II/III/static", None), "spacing_m": ("II/III/static", 1.0)}
+# Keys that only some scenarios read, and those scenarios.
+_SCENARIO_KEYS = {"n": "I", "p": "II/III/static", "shift": "II/III/static"}
 # Counts that size an array axis, each with the (a, b) of its axis length a * value + b:
 # p sizes 2p + 1 agents, horizon the horizon + 1 recorded rows.
 _AXIS_COUNTS = {"n": (1, 0), "p": (2, 1), "horizon": (1, 1), "grid_points": (1, 0), "rows": (1, 0),
-                "cols": (1, 0), "rows_per_agent": (1, 0)}
+                "cols": (1, 0)}
 
 
 # Each ExperimentConfig annotation: how to read a value (for a tuple, each of its
@@ -110,6 +108,8 @@ class ExperimentConfig:
     n = 2p+1 from ``p``. ``stepsizes`` overrides the default tuning grid of
     ``grid_points`` log-spaced values spanning [1e-4, 1] * 2/(mu+L).
     ``shift`` defaults to p+1 for scenario II, 1 for III, and 0 for static.
+    Scenario I gives each agent one least-squares row per step, and the
+    consensus targets are 1, ..., n; neither is a key.
     Construction checks every key; what depends on the graph, build_network checks.
     Each value is checked against its field's type and then stored as that
     Python type (a numpy number as an ``int`` or ``float``, a list as a
@@ -133,9 +133,7 @@ class ExperimentConfig:
     tail_fraction: float = 0.2
     output_dir: str | None = None
     p: int | None = None
-    spacing_m: float = 1.0
     shift: int | None = None
-    rows_per_agent: int = 1
     init: str = "zeros"
 
     def __post_init__(self):
@@ -186,14 +184,12 @@ class ExperimentConfig:
         for key, topology in _TOPOLOGY_KEYS.items():
             if getattr(self, key) is not None and self.topology != topology:
                 raise ConfigError(f"{key} applies to a {topology} topology only, not to {self.topology}")
-        if self.rows_per_agent < 1:
-            raise ConfigError(f"rows_per_agent must be at least 1, got {self.rows_per_agent}")
         for key, (a, b) in _AXIS_COUNTS.items():  # numpy indexes an axis with np.intp
             value, limit = getattr(self, key), (np.iinfo(np.intp).max - b) // a
             if value is not None and value > limit:
                 raise ConfigError(f"{key} must be at most {limit}, got {value}")
-        for key, (readers, default) in _SCENARIO_KEYS.items():
-            if self.scenario not in readers.split("/") and getattr(self, key) != default:
+        for key, readers in _SCENARIO_KEYS.items():
+            if self.scenario not in readers.split("/") and getattr(self, key) is not None:
                 raise ConfigError(f"{key} applies to scenario {readers} only, not to {self.scenario}")
         if self.scenario == "I":
             if self.n is None:
@@ -210,16 +206,6 @@ class ExperimentConfig:
                 raise ConfigError("the static scenario has shift 0 by definition")
             if self.shift is not None and self.shift < 0:
                 raise ConfigError(f"shift must be nonnegative, got {self.shift}")
-            if not (math.isfinite(self.spacing_m) and self.spacing_m > 0):
-                raise ConfigError(f"spacing_m must be positive and finite, got {self.spacing_m}")
-            # Runs divide by ((p+1) spacing_m)^2, kept normal, and sum n squares of up
-            # to n spacing_m, kept finite; the bounds come from roots, so nothing overflows.
-            n = self.network_size
-            low = math.sqrt(sys.float_info.min) / (self.p + 1)
-            high = math.sqrt(sys.float_info.max / n) / n
-            if not low <= self.spacing_m <= high:
-                bounds = f"[{low:.3g}, {high:.3g}] at p = {self.p}"
-                raise ConfigError(f"spacing_m must lie in {bounds}, got {self.spacing_m}")
         # What each topology needs; calibrate_beta builds Metropolis weights only.
         if self.topology == "random" and self.edge_probability is None and self.target_beta is None:
             raise ConfigError("random topology needs edge_probability or target_beta")
@@ -317,18 +303,8 @@ def build_network(config: ExperimentConfig) -> tuple[Graph, WeightMatrix]:
 
 def build_objective(config: ExperimentConfig):
     if config.scenario == "I":
-        return least_squares_stream(
-            n=config.n,
-            horizon=config.horizon,
-            seed=config.seed,
-            rows_per_agent=config.rows_per_agent,
-        )
-    return shifting_consensus(
-        p=config.p,
-        spacing_m=config.spacing_m,
-        shift=config.resolved_shift,
-        horizon=config.horizon,
-    )
+        return least_squares_stream(n=config.n, horizon=config.horizon, seed=config.seed)
+    return shifting_consensus(p=config.p, shift=config.resolved_shift, horizon=config.horizon)
 
 
 def _tail(record: TrajectoryRecord, tail_fraction: float) -> np.ndarray:

@@ -97,22 +97,23 @@ class DynamicObjective(Protocol):
 
 
 def _predict(coeff_k: NDArray[np.float64], x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Per-step evaluation of an (n, d) x_stack, or of lanes (n, d, G) into
-    # (n, r, G). With d = 2 its sums are bitwise those that generate the
-    # measurements, so the residual at the optimum is bitwise zero.
-    return np.einsum("nrd,nd...->nr...", coeff_k, x_stack)
+    # Per-step evaluation of an (n, d) x_stack into (n,), or of lanes
+    # (n, d, G) into (n, G). With d = 2 its sums are bitwise those that
+    # generate the measurements, so the residual at the optimum is bitwise zero.
+    return np.einsum("nd,nd...->n...", coeff_k, x_stack)
 
 
 @dataclass(frozen=True)
 class LeastSquaresStream:
-    """Per-agent rows C_i^k with exact measurements r_i^k = C_i^k x*_k.
+    """One row c_i^k per agent with exact measurements r_i^k = c_i^k . x*_k.
 
-    Each agent i holds f_i^k(x) = 0.5 ||C_i^k x - r_i^k||^2. The constants
+    Each agent i holds f_i^k(x) = 0.5 (c_i^k . x - r_i^k)^2. The constants
     are measured over the generated horizon: mu is the smallest eigenvalue
-    of the average Hessian (1/n) sum_i (C_i^k)^T C_i^k across time, and
-    lipschitz is the largest per-agent Hessian spectral norm. ``coefficients``
-    is (horizon + 1, n, r, d) for r rows per agent, ``points`` holds the
-    optimum x*_k of every step and ``delta_x`` its largest step.
+    of the average Hessian (1/n) sum_i c_i^k (c_i^k)^T across time, and
+    lipschitz is the largest per-agent Hessian spectral norm ||c_i^k||^2.
+    ``coefficients`` is (horizon + 1, n, d), ``measurements`` is
+    (horizon + 1, n), ``points`` holds the optimum x*_k of every step and
+    ``delta_x`` its largest step.
     """
 
     n: int
@@ -142,8 +143,8 @@ class LeastSquaresStream:
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
         """Gradients at k of an (n, d) stack, or of a coordinate-major (n, G*d) stack of G lanes."""
         lanes = x_stack.reshape(self.n, self.d, -1)
-        residual = _predict(self.coefficients[k], lanes) - self.measurements[k][:, :, None]
-        grads = np.einsum("nrd,nrg->ndg", self.coefficients[k], residual)
+        residual = _predict(self.coefficients[k], lanes) - self.measurements[k][:, None]
+        grads = np.einsum("nd,ng->ndg", self.coefficients[k], residual)
         return grads.reshape(x_stack.shape)
 
 
@@ -157,18 +158,16 @@ def _cell_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _hessians(coeff: NDArray[np.float64]) -> NDArray[np.float64]:
-    # sum_i (C_i^k)^T C_i^k of every step k, as a (steps, d, d) view: bitwise
-    # einsum("knrd,knre->kde"), which adds the (agent, row) products in
-    # order. Products are laid out (agent*row, d, e, step) so the in-order
-    # sum over axis 0 runs with the steps innermost, in blocks of steps.
-    steps, n, r, d = coeff.shape
-    rows = n * r
-    block = max(1, _BLOCK_ENTRIES // (rows * d * d))
+    # sum_i c_i^k (c_i^k)^T of every step k, as a (steps, d, d) view: bitwise
+    # einsum("knd,kne->kde"), which adds the agents' products in order.
+    # Products are laid out (agent, d, e, step) so the in-order sum over
+    # axis 0 runs with the steps innermost, in blocks of steps.
+    steps, n, d = coeff.shape
+    block = max(1, _BLOCK_ENTRIES // (n * d * d))
     out = np.empty((d, d, steps))
     for start in range(0, steps, block):
-        chunk = coeff[start : start + block].reshape(-1, rows, d)
-        by_row = np.ascontiguousarray(chunk.transpose(1, 2, 0))
-        out[:, :, start : start + block] = np.add.reduce(by_row[:, :, None] * by_row[:, None], axis=0)
+        by_agent = np.ascontiguousarray(coeff[start : start + block].transpose(1, 2, 0))
+        out[:, :, start : start + block] = np.add.reduce(by_agent[:, :, None] * by_agent[:, None], axis=0)
     return out.transpose(2, 0, 1)
 
 
@@ -183,36 +182,31 @@ def ls_trajectory(horizon: int) -> tuple[NDArray[np.float64], float]:
     return points, float(steps.max())
 
 
-def least_squares_stream(
-    n: int,
-    horizon: int,
-    seed: int,
-    rows_per_agent: int = 1,
-) -> LeastSquaresStream:
+def least_squares_stream(n: int, horizon: int, seed: int) -> LeastSquaresStream:
     """Generate the drifting least-squares family over a full horizon.
 
-    The optimum rides the unit circle, so the dimension is d = 2. Coefficient
-    rows are standard normal under the given seed. Any time step whose
-    aggregate Hessian fails positive definiteness is redrawn under a derived
-    seed (a probability-zero event, but guarded).
+    The optimum rides the unit circle, so the dimension is d = 2. Each agent
+    holds one coefficient row per step, standard normal under the given
+    seed. Any time step whose aggregate Hessian fails positive definiteness
+    is redrawn under a derived seed (a probability-zero event, but guarded).
     """
     d = 2
-    if n < 1 or horizon < 2 or rows_per_agent < 1:
+    if n < 1 or horizon < 2:
         raise ValueError("degenerate least-squares configuration")
-    if n * rows_per_agent < d:
-        raise ValueError("aggregate system is underdetermined: need n * rows_per_agent >= 2")
+    if n < d:
+        raise ValueError("aggregate system is underdetermined: need n >= 2")
     points, delta_x = ls_trajectory(horizon)
     master = np.random.SeedSequence(seed)
     bulk, respawn = master.spawn(2)
     rng = np.random.default_rng(bulk)
-    coeff = rng.standard_normal((horizon + 1, n, rows_per_agent, d))
+    coeff = rng.standard_normal((horizon + 1, n, d))
 
     hessians = _hessians(coeff)
     low = np.nonzero(np.linalg.eigvalsh(hessians)[:, 0] <= _PD_FLOOR)[0]
     for k in low:
         for attempt in range(_RESAMPLE_BUDGET):
             redraw = np.random.default_rng(respawn.spawn(1)[0])
-            coeff[k] = redraw.standard_normal((n, rows_per_agent, d))
+            coeff[k] = redraw.standard_normal((n, d))
             if np.linalg.eigvalsh(_hessians(coeff[k : k + 1])[0])[0] > _PD_FLOOR:
                 break
         else:
@@ -220,13 +214,9 @@ def least_squares_stream(
     if low.size:  # all steps in one pass again, so mu sums as it does with no redraw
         hessians = _hessians(coeff)
 
-    measurements = np.einsum("knrd,kd->knr", coeff, points)
+    measurements = np.einsum("knd,kd->kn", coeff, points)
     mu = float(np.linalg.eigvalsh(hessians / n)[:, 0].min())
-    if rows_per_agent == 1:
-        lipschitz = float(_cell_sums(coeff[:, :, 0] ** 2).max())
-    else:
-        singular = np.linalg.svd(coeff.reshape(-1, rows_per_agent, d), compute_uv=False)
-        lipschitz = float((singular[:, 0] ** 2).max())
+    lipschitz = float(_cell_sums(coeff**2).max())
 
     return LeastSquaresStream(
         n=n,
@@ -245,15 +235,14 @@ def least_squares_stream(
 class ShiftingConsensus:
     """Quadratic consensus targets permuted by a circular shift each step.
 
-    Agent i starts with target y_i = i * spacing_m (agents are 1-based in
-    this numbering) and f_i^k(x) = 0.5 (x - y_i^k)^2, so mu = L = 1. Each
-    step rotates the target assignment by `shift` positions; shift=0 freezes
-    the targets (the static case). The optimum is the mean (p+1)*spacing_m
-    at every time, so the optimum itself never drifts: delta_x is 0.
+    Agent i starts with target y_i = i (agents are 1-based in this
+    numbering) and f_i^k(x) = 0.5 (x - y_i^k)^2, so mu = L = 1. Each step
+    rotates the target assignment by `shift` positions; shift=0 freezes the
+    targets (the static case). The optimum is the mean p+1 at every time, so
+    the optimum itself never drifts: delta_x is 0.
     """
 
     p: int
-    spacing_m: float
     shift: int
     horizon: int
     d = 1
@@ -263,8 +252,6 @@ class ShiftingConsensus:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be a positive integer, got {self.p}")
-        if not (math.isfinite(self.spacing_m) and self.spacing_m > 0.0):
-            raise ValueError(f"spacing must be finite and positive, got {self.spacing_m}")
         if self.shift < 0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
         if self.horizon < 1:
@@ -276,24 +263,24 @@ class ShiftingConsensus:
 
     @property
     def normalization(self) -> float:
-        return ((self.p + 1) * self.spacing_m) ** 2
+        return float((self.p + 1) ** 2)
 
     @property
     def analytic_grad_bound(self) -> float:
-        return self.p * (self.p + 1) * self.spacing_m / math.sqrt(self.n)
+        return self.p * (self.p + 1) / math.sqrt(self.n)
 
     @property
     def analytic_grad_drift(self) -> float:
-        # A shift by t moves n-t targets down by t*spacing and t targets up
-        # by (n-t)*spacing, so the absolute changes total 2 t (n-t) spacing.
+        # A shift by t moves n-t targets down by t and t targets up by n-t,
+        # so the absolute changes total 2 t (n-t).
         t = self.shift % self.n
-        return 2.0 * t * (self.n - t) * self.spacing_m / math.sqrt(self.n)
+        return 2.0 * t * (self.n - t) / math.sqrt(self.n)
 
     @cached_property
     def _doubled_targets(self) -> NDArray[np.float64]:
         # The initial targets twice over, read-only: every shifted target
         # vector is a window of n consecutive entries.
-        base = np.arange(1, self.n + 1, dtype=np.float64) * self.spacing_m
+        base = np.arange(1, self.n + 1, dtype=np.float64)
         doubled = np.concatenate([base, base])
         doubled.setflags(write=False)
         return doubled
@@ -306,7 +293,7 @@ class ShiftingConsensus:
 
     @cached_property
     def _optimum(self) -> NDArray[np.float64]:
-        optimum = np.array([(self.p + 1) * self.spacing_m])
+        optimum = np.array([float(self.p + 1)])
         optimum.setflags(write=False)
         return optimum
 
@@ -320,7 +307,7 @@ class ShiftingConsensus:
         return self._doubled_targets[start : start + self.n]
 
     def optimum(self, k: int) -> NDArray[np.float64]:
-        """The optimum (p+1)*spacing_m, the same read-only array at every step."""
+        """The optimum p+1, the same read-only array at every step."""
         return self._optimum
 
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -368,9 +355,9 @@ class ShiftingConsensus:
         return float(np.max((1.0 / math.sqrt(n)) * sums))
 
 
-def shifting_consensus(p: int, spacing_m: float, shift: int, horizon: int) -> ShiftingConsensus:
+def shifting_consensus(p: int, shift: int, horizon: int) -> ShiftingConsensus:
     """Build the shifting-consensus family; shift=0 gives the static case."""
-    return ShiftingConsensus(p=p, spacing_m=spacing_m, shift=shift, horizon=horizon)
+    return ShiftingConsensus(p=p, shift=shift, horizon=horizon)
 
 
 def drift_profile(objective: DynamicObjective) -> DriftProfile:

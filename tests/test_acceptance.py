@@ -320,7 +320,7 @@ def test_drift_constants_match_closed_forms():
             (1, 4.0 * p / root),
         )
         for shift, drift_formula in cases:
-            profile = drift_profile(shifting_consensus(p=p, spacing_m=1.0, shift=shift, horizon=40))
+            profile = drift_profile(shifting_consensus(p=p, shift=shift, horizon=40))
             dispersion_formula = p * (p + 1) / root
             worst = max(
                 worst,

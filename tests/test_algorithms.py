@@ -162,7 +162,7 @@ def test_dgt_requires_tracker_state():
 def test_dgt_tracker_average_equals_gradient_average():
     # Along any tracking run the network average of y must equal the network
     # average of the current local gradients, to numerical precision.
-    sc = shifting_consensus(p=2, spacing_m=1.0, shift=1, horizon=80)
+    sc = shifting_consensus(p=2, shift=1, horizon=80)
     graph = build_random(5, 0.7, seed=2)
     wm = metropolis_weights(graph)
     state = init_state("dgt", sc, wm)
@@ -255,7 +255,7 @@ def test_extra_cached_product_is_bitwise_the_recomputation(case):
         objective = least_squares_stream(n=7, horizon=60, seed=3)
         alphas = np.array([0.01, 0.05, 0.1])
     else:
-        objective = shifting_consensus(p=4, spacing_m=1.0, shift=3, horizon=60)
+        objective = shifting_consensus(p=4, shift=3, horizon=60)
         alphas = np.array([0.2])
     wm = metropolis_weights(build_random(objective.n, 0.5, seed=5))
     x0 = np.random.default_rng(1).standard_normal((objective.n, objective.d))
@@ -290,7 +290,7 @@ def test_run_sparse_product_budget(monkeypatch, algorithm, per_step, more):
     # WeightMatrix.mix. EXTRA makes one for its diffusion bootstrap, two on
     # the step after it (nothing is cached yet), then one per step.
     horizon = 25
-    objective = shifting_consensus(p=3, spacing_m=1.0, shift=1, horizon=horizon)
+    objective = shifting_consensus(p=3, shift=1, horizon=horizon)
     wm = metropolis_weights(build_random(objective.n, 0.6, seed=2))
     expected = run(algorithm, objective, wm, 0.1, horizon)
     calls, mix = [], WeightMatrix.mix
@@ -321,7 +321,7 @@ def test_run_records_initial_row_for_zero_horizon():
 
 
 def test_run_series_match_manual_stepping():
-    sc = shifting_consensus(p=2, spacing_m=1.0, shift=3, horizon=40)
+    sc = shifting_consensus(p=2, shift=3, horizon=40)
     graph = build_random(5, 0.7, seed=4)
     wm = metropolis_weights(graph)
     rec = run("dgt", sc, wm, alpha=0.15, horizon=40)
@@ -354,7 +354,7 @@ def test_run_lanes_match_a_loop_of_public_steps(algorithm, problem):
     if problem == "least_squares":
         objective = least_squares_stream(n=5, horizon=30, seed=4)
     else:
-        objective = shifting_consensus(p=2, spacing_m=1.0, shift=3, horizon=30)
+        objective = shifting_consensus(p=2, shift=3, horizon=30)
     wm = metropolis_weights(build_random(5, 0.6, seed=4))
     alphas = (0.02, 0.08, 0.15)
     records = run(algorithm, objective, wm, alphas, 30)
@@ -399,7 +399,7 @@ def test_run_rejects_network_size_mismatch():
 
 
 def test_run_rejects_horizon_beyond_objective():
-    sc = shifting_consensus(p=1, spacing_m=1.0, shift=1, horizon=10)
+    sc = shifting_consensus(p=1, shift=1, horizon=10)
     wm = WeightMatrix(csr=sparse.csr_matrix(np.full((3, 3), 1.0 / 3.0)), beta=0.0)
     with pytest.raises(ValueError):
         run("dgt", sc, wm, alpha=0.1, horizon=11)
@@ -428,7 +428,7 @@ def test_run_accepts_custom_initial_state():
 
 
 def test_record_round_trip(tmp_path):
-    sc = shifting_consensus(p=2, spacing_m=1.0, shift=1, horizon=30)
+    sc = shifting_consensus(p=2, shift=1, horizon=30)
     graph = build_random(5, 0.8, seed=7)
     wm = metropolis_weights(graph)
     rec = run("dgt", sc, wm, alpha=0.1, horizon=30)
@@ -492,14 +492,12 @@ DIVERGENT_ALPHA = 1e60
 @given(
     scenario=st.sampled_from(["I", "II", "III", "static"]),
     size=st.integers(min_value=1, max_value=5),
-    rows_per_agent=st.integers(min_value=1, max_value=3),
     horizon=st.integers(min_value=10, max_value=30),
     seed=st.integers(min_value=0, max_value=10_000),
     init=st.sampled_from(["zeros", "optimum"]),
     grid=st.lists(st.floats(min_value=1e-3, max_value=0.5), min_size=1, max_size=5, unique=True),
 )
-def test_lanes_match_one_lane_runs(algorithm, scenario, size, rows_per_agent, horizon, seed,
-                                   init, grid):
+def test_lanes_match_one_lane_runs(algorithm, scenario, size, horizon, seed, init, grid):
     # Lane k of a sweep is bitwise a one-lane run at that step size, also
     # when the grid's top lane diverges, and tuning never picks that lane.
     # Scenario I reaches n = 17: from 8 agents up numpy's pairwise sum
@@ -513,7 +511,6 @@ def test_lanes_match_one_lane_runs(algorithm, scenario, size, rows_per_agent, ho
         weight_rule="metropolis",
         n=3 * size + 2 if scenario == "I" else None,
         p=None if scenario == "I" else size,
-        rows_per_agent=rows_per_agent if scenario == "I" else 1,
         horizon=horizon,
         seed=seed,
         init=init,

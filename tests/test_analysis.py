@@ -329,7 +329,7 @@ def test_audit_clean_on_moving_least_squares_run():
 
 
 def test_audit_clean_on_shifting_tracking_run():
-    sc = shifting_consensus(p=2, spacing_m=1.0, shift=3, horizon=300)
+    sc = shifting_consensus(p=2, shift=3, horizon=300)
     wm = _constant_weights(5)
     alpha = max_stepsize("dgt", sc.mu, sc.lipschitz, wm.beta)
     rec = run("dgt", sc, wm, alpha=alpha, horizon=300)

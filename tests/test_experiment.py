@@ -83,7 +83,6 @@ seed = 7
 tail_fraction = 0.25
 output_dir = demo_out
 p = 10
-spacing_m = 0.5
 shift = 11
 init = optimum
 """
@@ -102,7 +101,6 @@ def test_parse_config_reads_every_field():
     assert config.tail_fraction == 0.25
     assert config.output_dir == "demo_out"
     assert config.p == 10
-    assert config.spacing_m == 0.5
     assert config.shift == 11
     assert config.init == "optimum"
     assert_python_values(config)
@@ -144,9 +142,7 @@ REJECTED_CONFIGS = [
     ("scenario = I\nn = 1\ntopology = line\n", "n must be at least 2 for a line topology, got 1"),
     ("scenario = I\nn = 1\ntopology = random\nedge_probability = 0.5\n",
      "n must be at least 2 for a random topology, got 1"),
-    ("scenario = I\nn = 5\nrows_per_agent = 0\n", "rows_per_agent must be at least 1, got 0"),
     ("scenario = I\nn = 5\nseed = -1\n", "seed must be nonnegative, got -1"),
-    ("scenario = static\np = 1\nrows_per_agent = -2\n", "rows_per_agent must be at least 1, got -2"),
     ("scenario = II\np = 1\ntopology = random\nedge_probability = 1.5\n",
      "edge_probability must lie in (0, 1], got 1.5"),
     ("scenario = II\np = 1\ntopology = random\nedge_probability = 0\n",
@@ -166,17 +162,23 @@ REJECTED_CONFIGS = [
     ("scenario = II\np = 1\ntopology = line\ncols = 3\n",
      "cols applies to a grid topology only, not to line"),
     ("scenario = III\np = 3\nshift = -1\n", "shift must be nonnegative, got -1"),
-    ("scenario = II\np = 3\nspacing_m = 0\n", "spacing_m must be positive and finite, got 0.0"),
-    ("scenario = III\np = 3\nspacing_m = -2\n", "spacing_m must be positive and finite, got -2.0"),
-    ("scenario = static\np = 3\nspacing_m = nan\n", "spacing_m must be positive and finite, got nan"),
-    ("scenario = II\np = 3\nspacing_m = inf\n", "spacing_m must be positive and finite, got inf"),
+    # The consensus targets are 1, ..., n and scenario I gives each agent one
+    # row: neither is a key, whatever its value, the old default included.
+    ("scenario = II\np = 3\nspacing_m = 2\n", "line 3: unknown config key 'spacing_m'"),
+    ("scenario = II\np = 3\nspacing_m = 0\n", "line 3: unknown config key 'spacing_m'"),
+    ("scenario = III\np = 3\nspacing_m = -2\n", "line 3: unknown config key 'spacing_m'"),
+    ("scenario = static\np = 3\nspacing_m = nan\n", "line 3: unknown config key 'spacing_m'"),
+    ("scenario = II\np = 3\nspacing_m = inf\n", "line 3: unknown config key 'spacing_m'"),
+    ("scenario = I\nn = 5\nspacing_m = 2.5\n", "line 3: unknown config key 'spacing_m'"),
+    ("scenario = I\nn = 5\nspacing_m = 1.0\n", "line 3: unknown config key 'spacing_m'"),
+    ("scenario = I\nn = 5\nrows_per_agent = 2\n", "line 3: unknown config key 'rows_per_agent'"),
+    ("scenario = I\nn = 5\nrows_per_agent = 0\n", "line 3: unknown config key 'rows_per_agent'"),
+    ("scenario = static\np = 1\nrows_per_agent = -2\n", "line 3: unknown config key 'rows_per_agent'"),
+    ("scenario = static\np = 2\nrows_per_agent = 3\n", "line 3: unknown config key 'rows_per_agent'"),
+    ("scenario = II\np = 2\nrows_per_agent = 1\n", "line 3: unknown config key 'rows_per_agent'"),
     ("scenario = II\np = 2\nn = 50\n", "n applies to scenario I only, not to II"),
-    ("scenario = static\np = 2\nrows_per_agent = 3\n",
-     "rows_per_agent applies to scenario I only, not to static"),
     ("scenario = I\nn = 5\np = 2\n", "p applies to scenario II/III/static only, not to I"),
     ("scenario = I\nn = 5\nshift = 3\n", "shift applies to scenario II/III/static only, not to I"),
-    ("scenario = I\nn = 5\nspacing_m = 2.5\n",
-     "spacing_m applies to scenario II/III/static only, not to I"),
     ("scenario = static\np = 1\ntopology = star\n",
      "unknown topology 'star'; expected one of ('cycle', 'line', 'grid', 'complete', 'random')"),
     ("scenario = static\np = 1\nweight_rule = foo\n",
@@ -202,7 +204,6 @@ REJECTED_CONFIGS = [
     ({"scenario": "static", "p": 2, "stepsizes": "0.1"},
      "stepsizes must be a tuple of numbers or None, got '0.1'"),
     ({"scenario": "static", "p": 2, "tail_fraction": "0.2"}, "tail_fraction must be a number, got '0.2'"),
-    ({"scenario": "II", "p": 2, "spacing_m": "1"}, "spacing_m must be a number, got '1'"),
     # A bool is no number, though Python counts it an int.
     ({"scenario": "static", "p": True}, "p must be an integer or None, got True"),
     ({"scenario": "static", "p": 2, "stepsizes": (0.1, True)},
@@ -212,7 +213,7 @@ REJECTED_CONFIGS = [
      "stepsizes must be a tuple of numbers or None, got array(0.1)"),
     ({"scenario": "static", "p": 2, "algorithms": "dgt"}, "algorithms must be a tuple of strings, got 'dgt'"),
     # Counts whose array axis numpy cannot index: each used to end in an
-    # OverflowError, an error naming spacing_m, or a numpy error naming no key.
+    # OverflowError, an error naming another key, or a numpy error naming no key.
     (f"scenario = II\np = {10**400}\n", f"p must be at most {(INTP_MAX - 1) // 2}, got {10**400}"),
     (f"scenario = II\np = {10**200}\n", f"p must be at most {(INTP_MAX - 1) // 2}, got {10**200}"),
     (f"scenario = I\nn = {10**20}\n", f"n must be at most {INTP_MAX}, got {10**20}"),
@@ -231,11 +232,11 @@ def test_parse_config_rejects_invalid(config, message):
 
 def test_config_accepts_numpy_numbers():
     numpy_values = ExperimentConfig(
-        scenario="II", p=np.int64(3), horizon=np.int32(50), seed=np.uint8(4), spacing_m=np.float64(0.5),
+        scenario="II", p=np.int64(3), horizon=np.int32(50), seed=np.uint8(4),
         stepsizes=[np.float64(0.1), 0.2], tail_fraction=np.float32(0.25),
     )
     python_values = ExperimentConfig(
-        scenario="II", p=3, horizon=50, seed=4, spacing_m=0.5, stepsizes=(0.1, 0.2), tail_fraction=0.25
+        scenario="II", p=3, horizon=50, seed=4, stepsizes=(0.1, 0.2), tail_fraction=0.25
     )
     assert numpy_values == python_values
 
@@ -249,7 +250,7 @@ def assert_python_values(config):
 
 
 def test_numpy_p_sizes_the_network_as_a_python_int():
-    # 2p + 1 wrapped to -55 in int8, and the spacing bound took a root of it.
+    # 2p + 1 wrapped to -55 in int8.
     config = ExperimentConfig(scenario="II", p=np.int8(100))
     assert config.network_size == 201
     assert_python_values(config)
@@ -277,50 +278,6 @@ def test_every_config_and_sidecar_annotation_has_a_converter():
     # A field of a new type fails here, not at the first config or sidecar that sets it.
     assert [f.name for f in fields(ExperimentConfig) if f.type not in experiment._FIELD_TYPES] == []
     assert [f.name for f in fields(RunMetadata) if f.type not in records._JSON_TYPES] == []
-
-
-def test_scenario_keys_at_their_default_are_accepted():
-    # A key only another scenario reads may still be written at its default.
-    assert parse_config("scenario = I\nn = 5\nspacing_m = 1.0\n").spacing_m == 1.0
-    assert parse_config("scenario = II\np = 2\nrows_per_agent = 1\n").rows_per_agent == 1
-
-
-@pytest.mark.parametrize("spacing", ["1e154", "1e-160", "1e-200"])
-def test_spacing_outside_the_float_range_names_spacing_m(spacing):
-    # Unchecked at p = 2, these overflow a drift norm, tune dgt on a tail
-    # error that underflowed to 0, and underflow the normalization to 0.
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(f"scenario = static\np = 2\nhorizon = 50\nspacing_m = {spacing}\n")
-    assert str(excinfo.value) == (
-        f"spacing_m must lie in [4.97e-155, 1.2e+153] at p = 2, got {float(spacing)}"
-    )
-
-
-def test_spacing_at_the_float_range_edges_scales_the_tail_error(tmp_path):
-    # tracking_error divides an RMS distance by the squared optimum, so the
-    # tuned tail error scales as 1/spacing_m.
-    scaled = {}
-    for spacing in (1e153, 1e-150):
-        config = parse_config(
-            f"scenario = static\np = 2\nhorizon = 50\nspacing_m = {spacing!r}\n"
-            f"output_dir = {tmp_path / repr(spacing)}\n"
-        )
-        rows = run_suite(config).rows
-        scaled[spacing] = [(row.alpha, row.steady_state_error * spacing) for row in rows]
-    assert [alpha for alpha, _ in scaled[1e153]] == [alpha for alpha, _ in scaled[1e-150]]
-    for (_, high), (_, low) in zip(scaled[1e153], scaled[1e-150]):
-        assert high == pytest.approx(low, rel=1e-9)
-
-
-def test_divergent_lane_at_tiny_spacing_scales_without_a_warning(tmp_path):
-    # The tracking error divides by ((p+1) spacing_m)^2 = 9e-200, and the
-    # diverging lane's quotient overflows: it is recorded as inf, silently.
-    config = parse_config(
-        "scenario = static\np = 2\nhorizon = 2000\nstepsizes = 0.5, 3.0\n"
-        f"algorithms = diffusion\nspacing_m = 1e-100\noutput_dir = {tmp_path}\n"
-    )
-    (row,) = run_suite(config).rows
-    assert row.alpha == 0.5 and math.isfinite(row.steady_state_error)
 
 
 def test_builders_resolve_scenarios():
@@ -707,12 +664,9 @@ def config_draws(draw):
     }
     if scenario == "I":
         kwargs["n"] = draw(st.integers(min_value=1, max_value=25))
-        kwargs["rows_per_agent"] = draw(st.integers(min_value=1, max_value=3))
     else:
         kwargs["p"] = draw(st.sampled_from(range(13)))
         kwargs["shift"] = draw(st.none() | st.integers(min_value=-1, max_value=30))
-        spacings = [1.0, 0.5, 3.0, 1.0, 1.0, 1.0, 0.0, -1.0, math.inf, math.nan, 1e200, 1e-200]
-        kwargs["spacing_m"] = draw(st.sampled_from(spacings))
     size = kwargs["n"] if scenario == "I" else 2 * kwargs["p"] + 1
     if topology == "random":
         key = draw(st.sampled_from(["edge_probability", "target_beta", None]))

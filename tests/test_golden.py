@@ -17,7 +17,9 @@ tests/data/setup_constants.json holds the repr of mu, L, delta_x, the
 gradient bound and the gradient drift of the benchmark's problem shapes and
 of every scripts/configs file, and beta where the graph is not random. Each
 must come out bitwise, so a set-up reduction that sums in a new order fails
-here and not only in the benchmark's reference check.
+here and not only in the benchmark's reference check. The config text pinned
+for each benchmark shape must set up what benchmarks/workloads.py runs at
+seed 0.
 """
 
 import hashlib
@@ -29,7 +31,14 @@ import pytest
 
 from netdrift import algorithms, cli
 from netdrift.algorithms import ALGORITHMS
-from netdrift.experiment import OUTPUT_ROOT_ENV, build_network, build_objective, parse_config, run_single
+from netdrift.experiment import (
+    OUTPUT_ROOT_ENV,
+    build_network,
+    build_objective,
+    load_config,
+    parse_config,
+    run_single,
+)
 from netdrift.problems import drift_profile
 
 DATA = Path(__file__).parent / "data"
@@ -40,6 +49,11 @@ DIGESTS = json.loads((DATA / "config_digests.json").read_text())
 CONSTANTS = json.loads((DATA / "setup_constants.json").read_text())
 CASES = sorted({key.split("/")[0] for key in GOLDEN})
 SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
+# The benchmark's problem shapes in setup_constants.json: a workload, or a workload/problem.
+BENCHMARK_SHAPES = ("lsq_tune", "rotation_p1000", "audit_replay/lsq_n5", "audit_replay/rotation_p10")
+# What build_objective and build_network read of a config (shift through its scenario and p).
+SETUP_FIELDS = ("scenario", "topology", "n", "p", "shift", "horizon", "seed", "rows", "cols",
+                "edge_probability", "target_beta", "weight_rule")
 
 
 def _check_case(case, monkeypatch=None, steps=None):
@@ -100,3 +114,15 @@ def test_setup_constants_match_pinned_reprs(name):
 
 def test_setup_constants_cover_every_script_config():
     assert set(CONSTANTS) >= {path.name for path in CONFIGS.glob("*.cfg")}
+
+
+@pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
+def test_pinned_benchmark_shapes_are_the_workload_keys(shape, tmp_path, benchmark_module):
+    # The workload's keys at seed 0, written as the benchmark writes them.
+    workloads = benchmark_module("workloads")
+    name, _, problem = shape.partition("/")
+    keys = workloads.WORKLOADS[name].keys()
+    keys = {**(keys[problem] if problem else keys), "seed": 0}
+    benchmark = load_config(workloads.write_config(tmp_path / "shape.cfg", keys))
+    pinned = parse_config(CONSTANTS[shape]["config"])
+    assert {f: getattr(pinned, f) for f in SETUP_FIELDS} == {f: getattr(benchmark, f) for f in SETUP_FIELDS}

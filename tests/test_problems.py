@@ -1,15 +1,14 @@
 import math
-import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdrift import problems
-from netdrift.experiment import parse_config
+from netdrift.experiment import build_objective, parse_config
 from netdrift.problems import (
     DriftProfile,
     DynamicObjective,
@@ -22,10 +21,10 @@ from netdrift.problems import (
 )
 
 
-def brute_force_targets(p: int, m: float, T: int, k: int) -> list[float]:
+def brute_force_targets(p: int, T: int, k: int) -> list[float]:
     # Independent oracle: apply the 1-based circular shift definition k times.
     n = 2 * p + 1
-    y = [i * m for i in range(1, n + 1)]
+    y = [float(i) for i in range(1, n + 1)]
     for _ in range(k):
         new = []
         for i in range(1, n + 1):
@@ -97,8 +96,8 @@ def test_ls_gradient_hand_case():
         n=1,
         d=2,
         horizon=1,
-        coefficients=np.array([[[[1.0, 0.0]]], [[[1.0, 0.0]]]]),
-        measurements=np.zeros((2, 1, 1)),
+        coefficients=np.array([[[1.0, 0.0]], [[1.0, 0.0]]]),
+        measurements=np.zeros((2, 1)),
         points=np.zeros((2, 2)),
         delta_x=0.0,
         mu=1.0,
@@ -110,7 +109,7 @@ def test_ls_gradient_hand_case():
 
 def _min_hessian_eigs(stream) -> np.ndarray:
     coeff = stream.coefficients
-    return np.linalg.eigvalsh(np.einsum("knrd,knre->kde", coeff, coeff))[:, 0]
+    return np.linalg.eigvalsh(np.einsum("knd,kne->kde", coeff, coeff))[:, 0]
 
 
 def test_ls_stream_redraws_steps_below_pd_floor(monkeypatch):
@@ -124,7 +123,7 @@ def test_ls_stream_redraws_steps_below_pd_floor(monkeypatch):
     monkeypatch.setattr(problems, "_PD_FLOOR", floor)
     stream = least_squares_stream(n=2, horizon=60, seed=4)
     assert (_min_hessian_eigs(stream) > floor).all()
-    changed = (stream.coefficients != plain.coefficients).any(axis=(1, 2, 3))
+    changed = (stream.coefficients != plain.coefficients).any(axis=(1, 2))
     np.testing.assert_array_equal(changed, low)
     again = least_squares_stream(n=2, horizon=60, seed=4)
     np.testing.assert_array_equal(again.coefficients, stream.coefficients)
@@ -132,9 +131,9 @@ def test_ls_stream_redraws_steps_below_pd_floor(monkeypatch):
     # The constants are those of the redrawn coefficients, bitwise as a second
     # pass over the final coefficients gives them.
     C = stream.coefficients
-    avg_hessians = np.einsum("knrd,knre->kde", C, C) / stream.n
+    avg_hessians = np.einsum("knd,kne->kde", C, C) / stream.n
     assert stream.mu == float(np.linalg.eigvalsh(avg_hessians)[:, 0].min())
-    assert stream.lipschitz == float((C**2).sum(axis=(2, 3)).max())
+    assert stream.lipschitz == float((C**2).sum(axis=2).max())
     assert stream.mu != plain.mu
 
     monkeypatch.setattr(problems, "_PD_FLOOR", 1e6)
@@ -150,12 +149,12 @@ def test_ls_gradient_zero_at_optimum():
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 30])
-@pytest.mark.parametrize("rows_per_agent", [1, 2, 3])
-def test_ls_gradient_lanes_are_coordinate_major(rows_per_agent, lanes):
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ls_gradient_lanes_are_coordinate_major(seed, lanes):
     # A G-lane stack keeps coordinate j of lane g in column j*G + g. Each
     # lane's gradients sit in the same columns, bitwise those of a one-lane
     # call, and every lane's gradient vanishes exactly at the optimum.
-    stream = least_squares_stream(n=6, horizon=20, seed=7, rows_per_agent=rows_per_agent)
+    stream = least_squares_stream(n=6, horizon=20, seed=seed)
     n, d = stream.n, stream.d
     per_lane = np.random.default_rng(lanes).standard_normal((lanes, n, d)) * 3.0
     stack = np.empty((n, d * lanes))
@@ -174,11 +173,12 @@ def test_ls_gradient_lanes_are_coordinate_major(rows_per_agent, lanes):
 
 
 @pytest.mark.parametrize("lanes", [1, 4])
-@pytest.mark.parametrize("rows_per_agent", [1, 2, 3])
-def test_ls_gradient_stack_at_the_optimum_is_exactly_zero(rows_per_agent, lanes):
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ls_gradient_stack_at_the_optimum_is_exactly_zero(seed, lanes):
     # Least squares states both gradient constants as 0: its measurements are
-    # exact, so every step's residual at the optimum vanishes, in every lane.
-    stream = least_squares_stream(n=7, horizon=60, seed=2, rows_per_agent=rows_per_agent)
+    # exact, so every step's residual at the optimum vanishes, in every lane
+    # and for every coefficient draw.
+    stream = least_squares_stream(n=7, horizon=60, seed=seed)
     assert stream.grad_bound == stream.grad_drift == 0.0
     for k in range(stream.horizon + 1):
         at_optimum = np.repeat(np.tile(stream.optimum(k), (stream.n, 1)), lanes, axis=1)
@@ -214,24 +214,20 @@ def test_ls_gradient_matches_finite_differences():
 def test_least_squares_constants_match_direct_eigen_scan():
     # Bitwise the direct reductions. At n = 100 an in-order sum over agents
     # differs from a pairwise one, so mu pins the order of the Hessian sums.
-    cases = [(4, 6, 21, 1)] + [(100, 1000, seed, rows) for seed in (0, 1, 2) for rows in (1, 3)]
-    for n, horizon, seed, rows_per_agent in cases:
-        stream = least_squares_stream(n=n, horizon=horizon, seed=seed, rows_per_agent=rows_per_agent)
+    cases = [(4, 6, 21)] + [(100, 1000, seed) for seed in (0, 1, 2)]
+    for n, horizon, seed in cases:
+        stream = least_squares_stream(n=n, horizon=horizon, seed=seed)
         C = stream.coefficients
-        avg_hessians = np.einsum("knrd,knre->kde", C, C) / stream.n
+        avg_hessians = np.einsum("knd,kne->kde", C, C) / stream.n
         assert stream.mu == float(np.linalg.eigvalsh(avg_hessians)[:, 0].min())
-        if rows_per_agent == 1:
-            assert stream.lipschitz == float((C**2).sum(axis=(2, 3)).max())
-        else:
-            singular = np.linalg.svd(C.reshape(-1, rows_per_agent, 2), compute_uv=False)
-            assert stream.lipschitz == float((singular[:, 0] ** 2).max())
+        assert stream.lipschitz == float((C**2).sum(axis=2).max())
         assert 0.0 < stream.mu <= stream.lipschitz
 
 
 def test_least_squares_aggregate_hessians_positive_definite():
     stream = least_squares_stream(n=5, horizon=200, seed=2)
     C = stream.coefficients
-    hessians = np.einsum("knrd,knre->kde", C, C)
+    hessians = np.einsum("knd,kne->kde", C, C)
     assert np.linalg.eigvalsh(hessians)[:, 0].min() > 0.0
 
 
@@ -244,14 +240,12 @@ def test_least_squares_deterministic():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=30),
+    n=st.integers(min_value=2, max_value=30),
     horizon=st.integers(min_value=2, max_value=60),
-    rows_per_agent=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_measurements_match_per_step_prediction(n, horizon, rows_per_agent, seed):
-    assume(n * rows_per_agent >= 2)
-    stream = least_squares_stream(n=n, horizon=horizon, seed=seed, rows_per_agent=rows_per_agent)
+def test_measurements_match_per_step_prediction(n, horizon, seed):
+    stream = least_squares_stream(n=n, horizon=horizon, seed=seed)
     for k in range(horizon + 1):
         x_stack = np.broadcast_to(stream.points[k], (n, 2))
         expected = _predict(stream.coefficients[k], x_stack)
@@ -261,9 +255,16 @@ def test_measurements_match_per_step_prediction(n, horizon, rows_per_agent, seed
 def test_least_squares_stream_is_two_dimensional():
     stream = least_squares_stream(n=2, horizon=5, seed=0)
     assert stream.d == 2
-    assert stream.coefficients.shape == (6, 2, 1, 2)
+    assert stream.coefficients.shape == (6, 2, 2)
+    assert stream.measurements.shape == (6, 2)
     with pytest.raises(ValueError, match="underdetermined"):
         least_squares_stream(n=1, horizon=5, seed=0)
+
+
+@pytest.mark.parametrize("n, horizon", [(0, 5), (-1, 5), (3, 1)])
+def test_least_squares_rejects_a_degenerate_configuration(n, horizon):
+    with pytest.raises(ValueError, match="degenerate least-squares configuration"):
+        least_squares_stream(n=n, horizon=horizon, seed=0)
 
 
 def test_least_squares_normalization_is_one():
@@ -274,35 +275,32 @@ def test_least_squares_normalization_is_one():
 # ---------------------------------------------------------------- shifting consensus
 
 
-@pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_consensus_rejects_a_spacing_that_is_not_finite_and_positive(spacing):
-    with pytest.raises(ValueError, match="spacing must be finite and positive"):
-        shifting_consensus(p=3, spacing_m=spacing, shift=4, horizon=10)
-
-
-def test_consensus_drift_constants_propagate_a_nan():
-    # The constructor rejects a nan spacing; past it, a nan still reaches the
-    # constants and DriftProfile rejects them, instead of reading as 0.
-    sc = shifting_consensus(p=3, spacing_m=1.0, shift=4, horizon=10)
-    object.__setattr__(sc, "spacing_m", math.nan)
-    assert math.isnan(sc.grad_bound) and math.isnan(sc.grad_drift)
-    with pytest.raises(ValueError, match="must be finite and nonnegative"):
-        drift_profile(sc)
+@pytest.mark.parametrize("kwargs, message", [
+    ({"p": 0}, "p must be a positive integer, got 0"),
+    ({"p": -2}, "p must be a positive integer, got -2"),
+    ({"shift": -1}, "shift must be nonnegative, got -1"),
+    ({"horizon": 0}, "horizon must be positive, got 0"),
+    ({"horizon": -3}, "horizon must be positive, got -3"),
+], ids=["p=0", "p=-2", "shift=-1", "horizon=0", "horizon=-3"])
+def test_consensus_rejects_an_invalid_argument(kwargs, message):
+    with pytest.raises(ValueError) as excinfo:
+        shifting_consensus(**{"p": 3, "shift": 4, "horizon": 10, **kwargs})
+    assert str(excinfo.value) == message
 
 
 def test_consensus_gradient_zero_at_target():
-    sc = shifting_consensus(p=2, spacing_m=1.0, shift=3, horizon=10)
+    sc = shifting_consensus(p=2, shift=3, horizon=10)
     # Agent 2's target at k = 0 is 2.0.
     assert sc.gradient_stack(0, np.full((sc.n, 1), 2.0))[1, 0] == 0.0
 
 
 def test_consensus_gradient_hand_case():
-    sc = shifting_consensus(p=1, spacing_m=1.0, shift=2, horizon=5)
+    sc = shifting_consensus(p=1, shift=2, horizon=5)
     assert sc.gradient_stack(0, np.full((sc.n, 1), 5.0))[1, 0] == 3.0
 
 
 def test_consensus_network_average_gradient_zero_at_optimum():
-    sc = shifting_consensus(p=4, spacing_m=1.0, shift=5, horizon=20)
+    sc = shifting_consensus(p=4, shift=5, horizon=20)
     x_opt = float(sc.optimum(0)[0])
     for k in (0, 7, 20):
         assert sc.gradient_stack(k, np.full((sc.n, 1), x_opt)).sum() == 0.0
@@ -315,8 +313,8 @@ def test_consensus_network_average_gradient_zero_at_optimum():
     k=st.integers(min_value=0, max_value=25),
 )
 def test_targets_match_brute_force_shift(p, T, k):
-    sc = shifting_consensus(p=p, spacing_m=1.0, shift=T, horizon=30)
-    expected = brute_force_targets(p, 1.0, T, k)
+    sc = shifting_consensus(p=p, shift=T, horizon=30)
+    expected = brute_force_targets(p, T, k)
     np.testing.assert_array_equal(sc.targets(k), np.array(expected))
 
 
@@ -327,27 +325,27 @@ def test_targets_match_brute_force_shift(p, T, k):
     k=st.integers(min_value=0, max_value=25),
 )
 def test_targets_remain_a_permutation(p, T, k):
-    sc = shifting_consensus(p=p, spacing_m=0.5, shift=T, horizon=30)
+    sc = shifting_consensus(p=p, shift=T, horizon=30)
     np.testing.assert_array_equal(np.sort(sc.targets(k)), sc.targets(0))
 
 
 def test_targets_are_read_only():
-    sc = shifting_consensus(p=3, spacing_m=1.0, shift=4, horizon=10)
+    sc = shifting_consensus(p=3, shift=4, horizon=10)
     targets = sc.targets(5)
     with pytest.raises(ValueError):
         targets[0] = 0.0
-    np.testing.assert_array_equal(sc.targets(5), np.array(brute_force_targets(3, 1.0, 4, 5)))
+    np.testing.assert_array_equal(sc.targets(5), np.array(brute_force_targets(3, 4, 5)))
 
 
 def test_consensus_optimum_constant():
-    sc = shifting_consensus(p=3, spacing_m=2.0, shift=4, horizon=15)
+    sc = shifting_consensus(p=3, shift=4, horizon=15)
     for k in range(16):
-        np.testing.assert_array_equal(sc.optimum(k), np.array([8.0]))
-    assert sc.normalization == 64.0
+        np.testing.assert_array_equal(sc.optimum(k), np.array([4.0]))
+    assert sc.normalization == 16.0
 
 
 def test_consensus_optimum_is_one_read_only_array():
-    sc = shifting_consensus(p=3, spacing_m=2.0, shift=4, horizon=15)
+    sc = shifting_consensus(p=3, shift=4, horizon=15)
     assert sc.optimum(0) is sc.optimum(15)
     with pytest.raises(ValueError):
         sc.optimum(3)[0] = 0.0
@@ -363,22 +361,22 @@ def _consensus_stacks(n, lanes, seed):
 @pytest.mark.parametrize("p, shift", [(1, 0), (3, 4), (10, 11), (50, 7)])
 @pytest.mark.parametrize("lanes", [1, 3, 8])
 def test_consensus_gradient_stack_is_bitwise_the_target_difference(p, shift, lanes):
-    sc = shifting_consensus(p=p, spacing_m=0.7, shift=shift, horizon=40)
+    sc = shifting_consensus(p=p, shift=shift, horizon=40)
     for x in _consensus_stacks(sc.n, lanes, p):
         for k in range(41):
-            expected = x - np.array(brute_force_targets(p, 0.7, shift, k))[:, None]
+            expected = x - np.array(brute_force_targets(p, shift, k))[:, None]
             assert np.array_equal(sc.gradient_stack(k, x), expected)
 
 
 def test_consensus_gradient_tiles_are_cached_read_only_per_column_count():
     # gradient_stack keeps one target tile per column count; switching the
     # count back and forth on one objective must reuse, never mix them up.
-    sc = shifting_consensus(p=10, spacing_m=0.7, shift=3, horizon=12)
+    sc = shifting_consensus(p=10, shift=3, horizon=12)
     tiles = {}
     for lanes in (1, 8, 1, 3):
         for x in _consensus_stacks(sc.n, lanes, lanes):
             for k in range(13):
-                expected = x - np.array(brute_force_targets(10, 0.7, 3, k))[:, None]
+                expected = x - np.array(brute_force_targets(10, 3, k))[:, None]
                 assert np.array_equal(sc.gradient_stack(k, x), expected)
         tiles.setdefault(lanes, sc._target_tiles[lanes])
         assert sc._target_tiles[lanes] is tiles[lanes]
@@ -395,7 +393,7 @@ def test_consensus_gradient_tiles_are_cached_read_only_per_column_count():
 @pytest.mark.parametrize("p", [10, 100])
 def test_drift_grad_bound_closed_form(p):
     n = 2 * p + 1
-    sc = shifting_consensus(p=p, spacing_m=1.0, shift=p + 1, horizon=3 * n)
+    sc = shifting_consensus(p=p, shift=p + 1, horizon=3 * n)
     profile = drift_profile(sc)
     expected = p * (p + 1) * 1.0 / math.sqrt(n)
     assert abs(profile.grad_bound - expected) <= 1e-9 * expected
@@ -405,7 +403,7 @@ def test_drift_grad_bound_closed_form(p):
 @pytest.mark.parametrize("p", [10, 100])
 def test_drift_grad_drift_slow_shift_closed_form(p):
     n = 2 * p + 1
-    sc = shifting_consensus(p=p, spacing_m=1.0, shift=p + 1, horizon=3 * n)
+    sc = shifting_consensus(p=p, shift=p + 1, horizon=3 * n)
     profile = drift_profile(sc)
     expected = 2.0 * p * (p + 1) * 1.0 / math.sqrt(n)
     assert abs(profile.grad_drift - expected) <= 1e-9 * expected
@@ -415,7 +413,7 @@ def test_drift_grad_drift_slow_shift_closed_form(p):
 @pytest.mark.parametrize("p", [10, 100])
 def test_drift_grad_drift_unit_shift_closed_form(p):
     n = 2 * p + 1
-    sc = shifting_consensus(p=p, spacing_m=1.0, shift=1, horizon=3 * n)
+    sc = shifting_consensus(p=p, shift=1, horizon=3 * n)
     profile = drift_profile(sc)
     expected = 4.0 * p * 1.0 / math.sqrt(n)
     assert abs(profile.grad_drift - expected) <= 1e-9 * expected
@@ -424,8 +422,8 @@ def test_drift_grad_drift_unit_shift_closed_form(p):
 def test_drift_orderings_between_shift_choices():
     # Slow block shift drifts gradients harder than the bound; unit shift is milder.
     for p in (4, 10):
-        slow = drift_profile(shifting_consensus(p=p, spacing_m=1.0, shift=p + 1, horizon=50))
-        unit = drift_profile(shifting_consensus(p=p, spacing_m=1.0, shift=1, horizon=50))
+        slow = drift_profile(shifting_consensus(p=p, shift=p + 1, horizon=50))
+        unit = drift_profile(shifting_consensus(p=p, shift=1, horizon=50))
         assert slow.grad_drift > slow.grad_bound
         assert unit.grad_drift < unit.grad_bound
 
@@ -439,7 +437,7 @@ def test_drift_profile_least_squares_exactly_zero():
 
 
 def test_drift_profile_static_shift_zero():
-    sc = shifting_consensus(p=5, spacing_m=1.0, shift=0, horizon=40)
+    sc = shifting_consensus(p=5, shift=0, horizon=40)
     profile = drift_profile(sc)
     assert profile.grad_drift == 0.0
     assert profile.delta_x == 0.0
@@ -447,7 +445,7 @@ def test_drift_profile_static_shift_zero():
 
 
 def test_drift_profile_meets_the_analytic_values():
-    sc = shifting_consensus(p=10, spacing_m=1.0, shift=11, horizon=60)
+    sc = shifting_consensus(p=10, shift=11, horizon=60)
     profile = drift_profile(sc)
     assert abs(profile.grad_bound - sc.analytic_grad_bound) <= 1e-9 * sc.analytic_grad_bound
     assert abs(profile.grad_drift - sc.analytic_grad_drift) <= 1e-9 * sc.analytic_grad_drift
@@ -457,7 +455,7 @@ def test_drift_profile_meets_the_analytic_values():
 def test_drift_profile_rejects_a_constant_above_its_analytic_cap(cap):
     # A stub objective: the shifting-consensus gradient constants with a
     # moving optimum, whose caps are those constants but for one below them.
-    sc = shifting_consensus(p=3, spacing_m=1.0, shift=4, horizon=20)
+    sc = shifting_consensus(p=3, shift=4, horizon=20)
     measured = drift_profile(sc)
     caps = {"analytic_delta_x": 0.5, "analytic_grad_bound": measured.grad_bound,
             "analytic_grad_drift": measured.grad_drift}
@@ -477,15 +475,8 @@ def assert_same_profile(got: DriftProfile, expected: DriftProfile) -> None:
 @pytest.mark.parametrize("shift", [0, 1, 7, 1000, 1001, 2000, 2001, 3005])
 def test_drift_profile_matches_per_step_scan_full_scale_consensus(shift):
     # 2001 agents over 600 steps: up to 601 distinct windows of 2001 magnitudes.
-    sc = shifting_consensus(p=1000, spacing_m=0.7, shift=shift, horizon=600)
+    sc = shifting_consensus(p=1000, shift=shift, horizon=600)
     assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
-
-
-def spacing_bounds(p: int) -> tuple[float, float]:
-    # The extreme spacings ExperimentConfig accepts: at the low one the
-    # squared gradients are subnormal, at the high one near overflow.
-    n = 2 * p + 1
-    return math.sqrt(sys.float_info.min) / (p + 1), math.sqrt(sys.float_info.max / n) / n
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 50, None])
@@ -497,29 +488,29 @@ def test_drift_profile_matches_per_step_scan_consensus(p, horizon):
     # recurs at least n times.
     n = 2 * p + 1
     horizon = n * n + 1 if horizon is None else horizon
-    for spacing in (*spacing_bounds(p), 1e-3, 0.7, 1.0, 3.3, 1e5):
-        for shift in sorted({0, 1, p, p + 1, 2 * p, n, 7, 3 * p + 5}):
-            sc = shifting_consensus(p=p, spacing_m=spacing, shift=shift, horizon=horizon)
-            assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
+    for shift in sorted({0, 1, p, p + 1, 2 * p, n, 7, 3 * p + 5}):
+        sc = shifting_consensus(p=p, shift=shift, horizon=horizon)
+        assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
 
 
-@pytest.mark.parametrize("rows_per_agent", [1, 3])
-def test_drift_profile_matches_per_step_scan_least_squares(rows_per_agent):
-    stream = least_squares_stream(n=100, horizon=1000, seed=5, rows_per_agent=rows_per_agent)
+@pytest.mark.parametrize("seed", [1, 3])
+def test_drift_profile_matches_per_step_scan_least_squares(seed):
+    stream = least_squares_stream(n=100, horizon=1000, seed=seed)
     assert_same_profile(drift_profile(stream), per_step_drift_profile(stream))
 
 
-@pytest.mark.parametrize("bound", ["low", "high"])
+@pytest.mark.parametrize("scenario", ["II", "III", "static"])
 @pytest.mark.parametrize("p", [1, 10, 1000])
-def test_drift_profile_matches_per_step_scan_at_spacing_bounds(p, bound):
-    spacing = dict(zip(("low", "high"), spacing_bounds(p)))[bound]
-    config = parse_config(f"scenario = III\np = {p}\nspacing_m = {spacing!r}\nhorizon = 40\n")
-    for shift in (0, 1, p + 1):
-        sc = shifting_consensus(p=p, spacing_m=config.spacing_m, shift=shift, horizon=config.horizon)
-        squares = sc.gradient_stack(0, np.broadcast_to(sc.optimum(0), (sc.n, 1))) ** 2
-        if bound == "low":
-            assert 0.0 < squares[squares > 0.0].min() < sys.float_info.min
-        assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
+def test_parsed_consensus_config_has_unit_targets_and_matches_per_step_scan(p, scenario):
+    # Through parse_config and build_objective: the targets are 1, ..., n,
+    # the optimum is p + 1, the normalization (p + 1)^2, and the drift
+    # constants are bitwise those of the per-step scan.
+    sc = build_objective(parse_config(f"scenario = {scenario}\np = {p}\nhorizon = 40\n"))
+    n = 2 * p + 1
+    np.testing.assert_array_equal(sc.targets(0), np.arange(1.0, n + 1.0))
+    np.testing.assert_array_equal(sc.optimum(40), np.array([p + 1.0]))
+    assert sc.normalization == float((p + 1) ** 2)
+    assert_same_profile(drift_profile(sc), per_step_drift_profile(sc))
 
 
 def test_objectives_have_every_declared_member():
@@ -531,7 +522,7 @@ def test_objectives_have_every_declared_member():
                     "analytic_grad_bound", "analytic_grad_drift", "gradient_stack", "optimum"}
     assert engine_reads <= declared
     built = (least_squares_stream(n=4, horizon=10, seed=0),
-             shifting_consensus(p=2, spacing_m=1.0, shift=3, horizon=10))
+             shifting_consensus(p=2, shift=3, horizon=10))
     for objective in built:
         missing = [name for name in sorted(declared) if not hasattr(objective, name)]
         assert missing == [], type(objective).__name__

@@ -59,7 +59,7 @@ def per_row_read(csv_path):
 
 
 def _record(algorithm, alpha, horizon):
-    sc = shifting_consensus(p=2, spacing_m=1.0, shift=1, horizon=max(horizon, 1))
+    sc = shifting_consensus(p=2, shift=1, horizon=max(horizon, 1))
     return run(algorithm, sc, uniform_neighbor_weights(build_cycle(5)), alpha=alpha, horizon=horizon)
 
 
