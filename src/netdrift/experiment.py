@@ -226,7 +226,9 @@ class ExperimentConfig:
     def resolved_shift(self) -> int:
         if self.shift is not None:
             return self.shift
-        return {"II": self.p + 1, "III": 1, "static": 0}.get(self.scenario, 0)
+        if self.scenario == "II":
+            return self.p + 1
+        return 1 if self.scenario == "III" else 0
 
 
 def parse_config(text: str) -> ExperimentConfig:

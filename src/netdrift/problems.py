@@ -9,12 +9,12 @@ and drift at a controllable rate).
 Drift is summarized by three constants: delta_x, the largest per-step move
 of the optimum; grad_bound, the largest scaled sum of gradient norms at the
 optimum; and grad_drift, the largest per-step change of those gradients.
-Each family states its own: least squares has exact measurements, so its
-gradients at the optimum vanish and both gradient constants are 0; shifting
-consensus rolls one fixed gradient vector and one fixed jump vector from
-step to step, and sums each distinct window once, in the order a per-step
-scan of ``np.linalg.norm`` uses, so its constants are bitwise that scan's.
-``drift_profile`` reads the three and checks them against their caps.
+Each family states its own, once, as values: least squares has exact
+measurements, so its gradients at the optimum vanish and both gradient
+constants are 0; shifting consensus rolls one fixed gradient vector and one
+fixed jump vector from step to step, so every step's sums are the same
+integers, p(p + 1) and 2t(n - t) with t = shift mod n, each over sqrt(n).
+``drift_profile`` reads the three.
 
 Set-up reductions run with the long axis innermost. A numpy reduction over a
 trailing axis of a few cells costs far more than its arithmetic, so the
@@ -45,10 +45,10 @@ _BLOCK_ENTRIES = 2**16
 class DriftProfile:
     """Drift constants (delta_x, grad_bound, grad_drift), all finite and nonnegative.
 
-    ``drift_profile`` reads them off an objective and checks each against its
-    ``analytic_*`` cap; a profile built by hand (``netdrift bounds``, a
-    record's sidecar) has no cap to meet. An infinite constant is rejected,
-    because every bound and audit slack it enters would be infinite too.
+    ``drift_profile`` reads them off an objective; ``netdrift bounds`` and a
+    record's sidecar build one by hand, so the check guards their input. An
+    infinite constant is rejected, because every bound and audit slack it
+    enters would be infinite too.
     """
 
     delta_x: float
@@ -68,8 +68,7 @@ class DynamicObjective(Protocol):
     ``delta_x`` is the optimum's largest per-step move; ``grad_bound`` and
     ``grad_drift`` are the largest sum over agents of the gradient norms at the
     optimum, and of their change from one step to the next, both over sqrt(n)
-    and over the whole horizon. ``normalization`` divides the tracking error,
-    and the ``analytic_*`` constants cap the three drift constants.
+    and over the whole horizon. ``normalization`` divides the tracking error.
     """
 
     n: int
@@ -81,9 +80,6 @@ class DynamicObjective(Protocol):
     grad_bound: float
     grad_drift: float
     normalization: float
-    analytic_delta_x: float
-    analytic_grad_bound: float
-    analytic_grad_drift: float
 
     def optimum(self, k: int) -> NDArray[np.float64]: ...
 
@@ -113,7 +109,8 @@ class LeastSquaresStream:
     lipschitz is the largest per-agent Hessian spectral norm ||c_i^k||^2.
     ``coefficients`` is (horizon + 1, n, d), ``measurements`` is
     (horizon + 1, n), ``points`` holds the optimum x*_k of every step and
-    ``delta_x`` its largest step.
+    ``delta_x`` its largest step. The optimum starts at exactly (1, 0), so
+    ``normalization``, its squared norm, is the constant 1.
     """
 
     n: int
@@ -126,16 +123,8 @@ class LeastSquaresStream:
     mu: float
     lipschitz: float
     # Exact measurements: the gradients at the optimum vanish.
-    grad_bound = grad_drift = analytic_grad_bound = analytic_grad_drift = 0.0
-
-    @property
-    def normalization(self) -> float:
-        """Squared norm of the (time-invariant) optimum, used to scale errors."""
-        return float(np.sum(self.points[0] ** 2))
-
-    @property
-    def analytic_delta_x(self) -> float:
-        return 2.0 * math.sin(3.0 * math.pi / (4.0 * self.horizon))
+    grad_bound = grad_drift = 0.0
+    normalization = 1.0
 
     def optimum(self, k: int) -> NDArray[np.float64]:
         return self.points[k]
@@ -247,7 +236,7 @@ class ShiftingConsensus:
     horizon: int
     d = 1
     mu = lipschitz = 1.0
-    delta_x = analytic_delta_x = 0.0
+    delta_x = 0.0
 
     def __post_init__(self):
         if self.p < 1:
@@ -265,16 +254,19 @@ class ShiftingConsensus:
     def normalization(self) -> float:
         return float((self.p + 1) ** 2)
 
+    # Each sum over agents is one exact integer at every step, so these are
+    # bitwise a per-step scan's sum of gradient norms times 1/sqrt(n).
     @property
-    def analytic_grad_bound(self) -> float:
-        return self.p * (self.p + 1) / math.sqrt(self.n)
+    def grad_bound(self) -> float:
+        # The gradients at the optimum are p + 1 - y_i: 1, ..., p on either side.
+        return (1.0 / math.sqrt(self.n)) * (self.p * (self.p + 1))
 
     @property
-    def analytic_grad_drift(self) -> float:
+    def grad_drift(self) -> float:
         # A shift by t moves n-t targets down by t and t targets up by n-t,
         # so the absolute changes total 2 t (n-t).
         t = self.shift % self.n
-        return 2.0 * t * (self.n - t) / math.sqrt(self.n)
+        return (1.0 / math.sqrt(self.n)) * (2 * t * (self.n - t))
 
     @cached_property
     def _doubled_targets(self) -> NDArray[np.float64]:
@@ -328,32 +320,6 @@ class ShiftingConsensus:
         start = self._window_start(k)
         return x_stack - tile[start : start + self.n]
 
-    @cached_property
-    def grad_bound(self) -> float:
-        return self._largest_window_sum(self._gradients_at_optimum, first_step=0)
-
-    @cached_property
-    def grad_drift(self) -> float:
-        # Step k's jumps g^k - g^(k-1) are g_j - g_(j+shift mod n), rolled to k's window.
-        gradients = self._gradients_at_optimum
-        return self._largest_window_sum(gradients - np.roll(gradients, -(self.shift % self.n)), first_step=1)
-
-    @property
-    def _gradients_at_optimum(self) -> NDArray[np.float64]:
-        # Step 0's gradients at the optimum; step k's are this vector rolled to k's window.
-        return self._optimum[0] - self._doubled_targets[: self.n]
-
-    def _largest_window_sum(self, vector: NDArray[np.float64], first_step: int) -> float:
-        # The largest sum over agents of |vector| rolled to the windows of
-        # steps first_step..horizon, over sqrt(n). Each distinct window is one
-        # contiguous slice of n magnitudes, summed pairwise as a per-step scan
-        # sums its fresh (n,) array of np.linalg.norm, which squares first.
-        n = self.n
-        magnitudes = np.tile(np.sqrt(vector * vector), 2)
-        starts = np.unique(self._window_start(np.arange(first_step, self.horizon + 1)))
-        sums = np.array([magnitudes[start : start + n].sum() for start in starts])
-        return float(np.max((1.0 / math.sqrt(n)) * sums))
-
 
 def shifting_consensus(p: int, shift: int, horizon: int) -> ShiftingConsensus:
     """Build the shifting-consensus family; shift=0 gives the static case."""
@@ -361,14 +327,5 @@ def shifting_consensus(p: int, shift: int, horizon: int) -> ShiftingConsensus:
 
 
 def drift_profile(objective: DynamicObjective) -> DriftProfile:
-    """The objective's (delta_x, grad_bound, grad_drift), each checked against its cap.
-
-    Each family states its own constants (see the module docstring). None
-    may exceed the objective's ``analytic_*`` cap by more than 1e-9 relative.
-    """
-    profile = DriftProfile(objective.delta_x, objective.grad_bound, objective.grad_drift)
-    for f in fields(DriftProfile):
-        measured, cap = getattr(profile, f.name), getattr(objective, f"analytic_{f.name}")
-        if measured > cap + 1e-9 * (1.0 + cap):
-            raise ValueError(f"measured drift {measured} exceeds the analytic value {cap}")
-    return profile
+    """The objective's (delta_x, grad_bound, grad_drift), as its family states them."""
+    return DriftProfile(objective.delta_x, objective.grad_bound, objective.grad_drift)

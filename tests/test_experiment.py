@@ -116,7 +116,22 @@ def test_parse_config_applies_defaults():
     assert config.init == "zeros"
 
 
-INTP_MAX = int(np.iinfo(np.intp).max)  # the longest array axis numpy can index
+@pytest.mark.parametrize(
+    "text, default, given",
+    [
+        ("scenario = I\nn = 5\n", 0, None),  # shift applies to consensus only
+        ("scenario = II\np = 10\n", 11, 4),
+        ("scenario = III\np = 10\n", 1, 4),
+        ("scenario = static\np = 10\n", 0, 0),  # static allows shift 0 only
+    ],
+)
+def test_resolved_shift_defaults_per_scenario_and_keeps_a_given_shift(text, default, given):
+    assert parse_config(text).resolved_shift == default
+    if given is not None:
+        assert parse_config(f"{text}shift = {given}\n").resolved_shift == given
+
+
+INTP_MAX =int(np.iinfo(np.intp).max)  # the longest array axis numpy can index
 
 # (config text or ExperimentConfig keywords, pinned message or None)
 REJECTED_CONFIGS = [
