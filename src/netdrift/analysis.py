@@ -259,7 +259,7 @@ class AuditEntry:
     name: str
     max_violation: float
     worst_iteration: int
-    enforced: bool = True
+    enforced = True  # every inequality is enforced; a class constant that benchmarks/workloads.py reads
 
 
 @dataclass(frozen=True)
@@ -268,20 +268,18 @@ class AuditReport:
     entries: tuple[AuditEntry, ...]
 
     def worst(self) -> AuditEntry | None:
-        """The enforced entry with the largest positive excess, or None if all hold; nan counts as positive."""
-        offenders = [e for e in self.entries if e.enforced and not e.max_violation <= 0]
+        """The entry with the largest positive excess, or None if all hold; nan counts as positive."""
+        offenders = [e for e in self.entries if not e.max_violation <= 0]
         return max(offenders, key=lambda e: e.max_violation, default=None)
 
     def clean(self) -> bool:
         return self.worst() is None
 
     def to_text(self) -> str:
-        lines = [
-            f"{e.name}: max_violation={e.max_violation:.6e} "
-            f"worst_iteration={e.worst_iteration} enforced={e.enforced}"
+        return "\n".join(
+            f"{e.name}: max_violation={e.max_violation:.6e} worst_iteration={e.worst_iteration}"
             for e in self.entries
-        ]
-        return "\n".join(lines)
+        )
 
 
 def _violation_entry(name, lhs, rhs) -> AuditEntry:

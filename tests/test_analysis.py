@@ -324,7 +324,6 @@ def test_audit_clean_on_moving_least_squares_run():
     names = [entry.name for entry in report.entries]
     assert names == ["avg_error_step", "consensus_step"]
     for entry in report.entries:
-        assert entry.enforced
         assert entry.max_violation <= 0
 
 
@@ -334,11 +333,9 @@ def test_audit_clean_on_shifting_tracking_run():
     alpha = max_stepsize("dgt", sc.mu, sc.lipschitz, wm.beta)
     rec = run("dgt", sc, wm, alpha=alpha, horizon=300)
     report = audit_recursions(rec, drift_profile(sc))
-    enforced = {e.name: e for e in report.entries if e.enforced}
-    assert set(enforced) == {"tracker_step", "consensus_step", "avg_error_step"}
-    assert all(e.max_violation <= 0 for e in enforced.values())
-    extra = [e for e in report.entries if not e.enforced]
-    assert extra == []
+    entries = {e.name: e for e in report.entries}
+    assert set(entries) == {"tracker_step", "consensus_step", "avg_error_step"}
+    assert all(e.max_violation <= 0 for e in entries.values())
     text = report.to_text()
     assert "tracker_step" in text and "max_violation" in text
 
@@ -378,11 +375,10 @@ def test_audit_flags_planted_jump():
     assert flagged.worst_iteration == 1
 
 
-def test_audit_report_worst_is_the_largest_enforced_excess():
+def test_audit_report_worst_is_the_largest_excess():
     entries = (
         AuditEntry("small", 0.5, 3),
         AuditEntry("large", 2.0, 7),
-        AuditEntry("unenforced", 9.0, 1, enforced=False),
         AuditEntry("holds", -1.0, 2),
     )
     report = AuditReport("diffusion", entries)

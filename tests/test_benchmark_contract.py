@@ -5,8 +5,10 @@ points and checks every output: the tuned step sizes and tail errors against
 ``benchmarks/reference.json``, each record read back and rerun, and each
 ``netdrift audit`` exit code against the library's verdict. A refactor that
 breaks one of the calls it makes (``audit_recursions(..., strict=False)``,
-``AuditEntry.enforced``, ``run_single``) or moves a pinned figure would
-otherwise pass the tests and fail only when the benchmark runs.
+``run_single``, or ``AuditEntry.enforced``, a class constant now that every
+inequality is enforced, kept because ``audit_verdict`` still reads it) or
+moves a pinned figure would otherwise pass the tests and fail only when the
+benchmark runs.
 ``rotation_p1000`` is the one workload on an irregular random graph whose
 beta comes from ARPACK; its round checks the full-scale (2,001-agent) suite
 run on that weight matrix against ``reference.json``.

@@ -41,7 +41,6 @@ from netdrift.experiment import (
     load_config,
     parse_config,
     run_suite,
-    select_best,
     steady_state_error,
     tune_stepsize,
 )
@@ -80,7 +79,6 @@ horizon = 120
 stepsizes = 0.001, 0.01, 0.1
 algorithms = diffusion, dgt, extra
 seed = 7
-tail_fraction = 0.25
 output_dir = demo_out
 p = 10
 shift = 11
@@ -98,7 +96,6 @@ def test_parse_config_reads_every_field():
     assert config.stepsizes == (0.001, 0.01, 0.1)
     assert config.algorithms == ("diffusion", "dgt", "extra")
     assert config.seed == 7
-    assert config.tail_fraction == 0.25
     assert config.output_dir == "demo_out"
     assert config.p == 10
     assert config.shift == 11
@@ -137,8 +134,9 @@ INTP_MAX =int(np.iinfo(np.intp).max)  # the longest array axis numpy can index
 REJECTED_CONFIGS = [
     ("scenario = static\np = 1\nwidget = 3\n", None),
     ("scenario = IV\np = 1\n", None),
-    ("scenario = static\np = 1\ntail_fraction = 0.7\n", None),
-    ("scenario = static\np = 1\ntail_fraction = 0\n", None),
+    # The tail window is fixed at 0.2: no value of it is a key.
+    ("scenario = static\np = 1\ntail_fraction = 0.7\n", "line 3: unknown config key 'tail_fraction'"),
+    ("scenario = static\np = 1\ntail_fraction = 0\n", "line 3: unknown config key 'tail_fraction'"),
     ("scenario = static\np = 1\nhorizon = 9\n", None),
     ("scenario = static\np = 1\nstepsizes = 0.1, 0.01\n", None),
     ("scenario = static\np = 1\nstepsizes = -0.1, 0.01\n", "stepsizes must be positive, got [-0.1, 0.01]"),
@@ -218,7 +216,8 @@ REJECTED_CONFIGS = [
     ({"scenario": "II", "p": 2, "seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"scenario": "static", "p": 2, "stepsizes": "0.1"},
      "stepsizes must be a tuple of numbers or None, got '0.1'"),
-    ({"scenario": "static", "p": 2, "tail_fraction": "0.2"}, "tail_fraction must be a number, got '0.2'"),
+    ({"scenario": "II", "p": 2, "topology": "random", "edge_probability": "0.2"},
+     "edge_probability must be a number or None, got '0.2'"),
     # A bool is no number, though Python counts it an int.
     ({"scenario": "static", "p": True}, "p must be an integer or None, got True"),
     ({"scenario": "static", "p": 2, "stepsizes": (0.1, True)},
@@ -247,11 +246,11 @@ def test_parse_config_rejects_invalid(config, message):
 
 def test_config_accepts_numpy_numbers():
     numpy_values = ExperimentConfig(
-        scenario="II", p=np.int64(3), horizon=np.int32(50), seed=np.uint8(4),
-        stepsizes=[np.float64(0.1), 0.2], tail_fraction=np.float32(0.25),
+        scenario="II", p=np.int64(3), horizon=np.int32(50), seed=np.uint8(4), topology="random",
+        stepsizes=[np.float64(0.1), 0.2], edge_probability=np.float32(0.25),
     )
     python_values = ExperimentConfig(
-        scenario="II", p=3, horizon=50, seed=4, stepsizes=(0.1, 0.2), tail_fraction=0.25
+        scenario="II", p=3, horizon=50, seed=4, topology="random", stepsizes=(0.1, 0.2), edge_probability=0.25
     )
     assert numpy_values == python_values
 
@@ -281,18 +280,20 @@ def test_numpy_sizes_run_as_their_python_values(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.parametrize("key, value", [("tail_fraction", 10**400), ("stepsizes", (0.1, 10**400))],
-                         ids=["tail_fraction", "stepsizes"])
+@pytest.mark.parametrize("key, value", [("target_beta", 10**400), ("stepsizes", (0.1, 10**400))],
+                         ids=["target_beta", "stepsizes"])
 def test_an_int_beyond_the_float_range_names_its_key(key, value):
-    kind = "a number" if key == "tail_fraction" else "a tuple of numbers or None"
+    kind = "a number or None" if key == "target_beta" else "a tuple of numbers or None"
     with pytest.raises(ConfigError, match=rf"^{key} must be {kind} in the float range, got "):
         ExperimentConfig(scenario="static", p=2, **{key: value})
 
 
-def test_every_config_and_sidecar_annotation_has_a_converter():
-    # A field of a new type fails here, not at the first config or sidecar that sets it.
-    assert [f.name for f in fields(ExperimentConfig) if f.type not in experiment._FIELD_TYPES] == []
-    assert [f.name for f in fields(RunMetadata) if f.type not in records._JSON_TYPES] == []
+def test_type_tables_hold_exactly_the_annotations_in_use():
+    # A field of a new type fails here, not at the first config or sidecar that
+    # sets it; a row that no field reads any more fails here too.
+    assert set(experiment._FIELD_TYPES) == {f.type for f in fields(ExperimentConfig)}
+    sidecar = {f.type for f in fields(RunMetadata)} | {"float | None"}  # plus tracker_identity_max
+    assert set(records._JSON_TYPES) == sidecar
 
 
 def test_builders_resolve_scenarios():
@@ -495,11 +496,17 @@ def _tune(config, algorithm):
     return tune_stepsize(config, algorithm, build_objective(config), wm)
 
 
-def test_select_best_tie_breaks_toward_larger_stepsize():
-    assert select_best((0.1, 0.5, 1.0), (3.0, 1.0, 1.0)) == 1.0
-    assert select_best((0.1, 0.5, 1.0), (1.0, 2.0, math.inf)) == 0.1
-    with pytest.raises(TuningError, match="0.5"):
-        select_best((0.1, 0.5), (math.inf, math.inf))
+def test_tune_takes_the_lowest_tail_and_breaks_ties_toward_the_larger_step(monkeypatch):
+    # Tails of 3, 1, 1 and a lane whose tail is 0 but whose error was once
+    # infinite: the diverged lane scores inf, the tie goes to the third step.
+    lanes = [np.full(11, 3.0), np.full(11, 1.0), np.full(11, 1.0), np.zeros(11)]
+    lanes[3][4] = np.inf
+    records = [_series_record(values) for values in lanes]
+    monkeypatch.setattr(experiment, "run_single", lambda *args: records)
+    config = _static_config(horizon=10, stepsizes=(0.01, 0.02, 0.05, 0.1))
+    alpha, record = tune_stepsize(config, "dgt", None, None)
+    assert alpha == 0.05
+    assert record is records[2]
 
 
 def test_tune_single_element_grid():
@@ -672,7 +679,6 @@ def config_draws(draw):
         "horizon": draw(st.integers(min_value=10, max_value=40)),
         "seed": draw(st.sampled_from([-1, 0]) | st.integers(min_value=-2, max_value=2**16)),
         "init": draw(st.sampled_from(INITS)),
-        "tail_fraction": draw(st.sampled_from([0.1, 0.2, 0.5])),
         "algorithms": tuple(
             draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=4, unique=True))
         ),
