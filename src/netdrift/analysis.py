@@ -8,18 +8,17 @@ geometric decay of the transient, and the resolvent (I - A)^{-1} applied to
 b yields the steady-state bounds. A model computes its spectral radius only
 when ``rho`` is read: an audit uses A and b alone.
 
-``_AUDITED`` holds all that differs between the two analysed methods: the
-builder, the bound, the drift constant both take besides delta_x (diffusion
-pays for the size of the optimal gradients, tracking for their drift) and
-the audited rows. ``contraction_model``, ``steady_state_bound`` and
-``audit_recursions``, which replays the rows against a record, read it;
-``ANALYSED_METHODS`` lists its keys.
+``contraction_model`` and ``steady_state_bound`` hold both methods' closed
+forms, one branch each. Besides delta_x, diffusion pays for the size of the
+optimal gradients (``grad_bound``) and tracking for their drift
+(``grad_drift``). ``_AUDITED`` maps each analysed method to its audited rows,
+which ``audit_recursions`` replays against a record; ``ANALYSED_METHODS``
+lists its keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,10 +51,6 @@ class ContractionModel:
 
     A: NDArray[np.float64]
     b: NDArray[np.float64]
-
-    def __post_init__(self):
-        if (self.A < 0).any():
-            raise ValueError("contraction matrix must be entrywise nonnegative")
 
     @property
     def rho(self) -> float:
@@ -90,55 +85,6 @@ def admissible_stepsize(algorithm: str, mu: float, lipschitz: float, beta: float
     return 2 / (mu + lipschitz)
 
 
-def diffusion_contraction(
-    alpha: float,
-    mu: float,
-    lipschitz: float,
-    beta: float,
-    delta_x: float = 0.0,
-    grad_bound: float = 0.0,
-) -> ContractionModel:
-    """2x2 recursion for diffusion over [avg_error, consensus_dev] per-agent norms."""
-    _validate_constants(mu, lipschitz, beta)
-    _validate_stepsize(alpha, admissible_stepsize("diffusion", mu, lipschitz, beta), "2/(mu + L)")
-    contraction = 1 - alpha * mu / 2
-    A = np.array(
-        [
-            [contraction, alpha * lipschitz],
-            [alpha * beta * lipschitz, beta],
-        ]
-    )
-    b = np.array(
-        [
-            contraction * delta_x,
-            alpha * beta * lipschitz * delta_x + alpha * beta * grad_bound,
-        ]
-    )
-    return ContractionModel(A=A, b=b)
-
-
-def dgt_contraction(
-    alpha: float,
-    mu: float,
-    lipschitz: float,
-    beta: float,
-    delta_x: float = 0.0,
-    grad_drift: float = 0.0,
-) -> ContractionModel:
-    """3x3 recursion for tracking over [y_dev, consensus_dev, avg_error] per-agent norms."""
-    _validate_constants(mu, lipschitz, beta)
-    _validate_stepsize(alpha, admissible_stepsize("dgt", mu, lipschitz, beta), "(1 - beta)/(2L)")
-    A = np.array(
-        [
-            [(1 + beta) / 2, 5 * lipschitz, 3 * lipschitz],
-            [alpha * beta, beta, 0.0],
-            [0.0, alpha * lipschitz, 1 - alpha * mu / 2],
-        ]
-    )
-    b = np.array([lipschitz * delta_x + grad_drift, 0.0, delta_x])
-    return ContractionModel(A=A, b=b)
-
-
 def max_stepsize(algorithm: str, mu: float, lipschitz: float, beta: float) -> float:
     """Largest step size with a certified contraction rate for the method."""
     _validate_constants(mu, lipschitz, beta)
@@ -153,7 +99,12 @@ def max_stepsize(algorithm: str, mu: float, lipschitz: float, beta: float) -> fl
 def resolvent_majorant(
     alpha: float, mu: float, lipschitz: float, beta: float
 ) -> NDArray[np.float64]:
-    """Entrywise upper bound on (I - A)^{-1} for the tracking recursion."""
+    """Entrywise upper bound on (I - A)^{-1} for the tracking recursion.
+
+    Proved for steps up to ``max_stepsize("dgt", ...)``; beyond it the
+    majorant can fall below the inverse, so it raises ``RegimeError`` there.
+    """
+    _validate_stepsize(alpha, max_stepsize("dgt", mu, lipschitz, beta), "(1 - beta)^2 mu/(768 L^2)")
     L = lipschitz
     gap = 1 - beta
     prefactor = 8 / (gap**2 * alpha * mu)
@@ -166,64 +117,14 @@ def resolvent_majorant(
     )
 
 
-def diffusion_bound(
-    alpha: float,
-    mu: float,
-    lipschitz: float,
-    beta: float,
-    delta_x: float,
-    grad_bound: float,
-) -> float:
-    """Steady-state tracking-error bound for diffusion, per-agent scale."""
-    _validate_stepsize(
-        alpha, max_stepsize("diffusion", mu, lipschitz, beta), "mu(1 - beta)/(10 L^2)"
-    )
-    gap = 1 - beta
-    return (4 / (alpha * mu) + 4 * beta * lipschitz / (mu * gap)) * delta_x + (
-        6 * alpha * beta * lipschitz * grad_bound / (mu * gap)
-    )
-
-
-def dgt_bound(
-    alpha: float,
-    mu: float,
-    lipschitz: float,
-    beta: float,
-    delta_x: float,
-    grad_drift: float,
-) -> float:
-    """Steady-state tracking-error bound for gradient tracking, per-agent scale."""
-    _validate_stepsize(
-        alpha, max_stepsize("dgt", mu, lipschitz, beta), "(1 - beta)^2 mu/(768 L^2)"
-    )
-    gap = 1 - beta
-    return (4 / (alpha * mu) + 40 * beta * lipschitz / (gap**2 * mu)) * delta_x + (
-        16 * alpha * beta * lipschitz / (gap**2 * mu)
-    ) * grad_drift
-
-
-class _Audited(NamedTuple):
-    contraction: Callable[..., ContractionModel]
-    bound: Callable[..., float]
-    drift: str  # the DriftProfile field both take after delta_x
-    rows: tuple[tuple[str, str], ...]  # (audit row, record series) in state order
-
-
+# (audit row, record series) pairs of each analysed method, in state order
 _AUDITED = {
-    "diffusion": _Audited(diffusion_contraction, diffusion_bound, "grad_bound",
-                          (("avg_error_step", "avg_error"), ("consensus_step", "consensus_dev"))),
-    "dgt": _Audited(dgt_contraction, dgt_bound, "grad_drift",
-                    (("tracker_step", "y_dev"), ("consensus_step", "consensus_dev"),
-                     ("avg_error_step", "avg_error"))),
+    "diffusion": (("avg_error_step", "avg_error"), ("consensus_step", "consensus_dev")),
+    "dgt": (("tracker_step", "y_dev"), ("consensus_step", "consensus_dev"),
+            ("avg_error_step", "avg_error")),
 }
 
 ANALYSED_METHODS = tuple(_AUDITED)  # the methods with a contraction model, a bound and an audit
-
-
-def _audited(algorithm: str, what: str) -> _Audited:
-    if algorithm not in _AUDITED:
-        raise ValueError(f"no {what} for algorithm {algorithm!r}")
-    return _AUDITED[algorithm]
 
 
 def contraction_model(
@@ -234,9 +135,41 @@ def contraction_model(
     beta: float,
     drift: DriftProfile,
 ) -> ContractionModel:
-    """The method's one-step recursion with the measured drift."""
-    entry = _audited(algorithm, "contraction model")
-    return entry.contraction(alpha, mu, lipschitz, beta, drift.delta_x, getattr(drift, entry.drift))
+    """The method's one-step recursion with the measured drift, per-agent norms.
+
+    Diffusion: 2x2 over [avg_error, consensus_dev]. Tracking: 3x3 over
+    [y_dev, consensus_dev, avg_error].
+    """
+    if algorithm not in _AUDITED:
+        raise ValueError(f"no contraction model for algorithm {algorithm!r}")
+    _validate_constants(mu, lipschitz, beta)
+    limit = admissible_stepsize(algorithm, mu, lipschitz, beta)
+    if algorithm == "diffusion":
+        _validate_stepsize(alpha, limit, "2/(mu + L)")
+        contraction = 1 - alpha * mu / 2
+        A = np.array(
+            [
+                [contraction, alpha * lipschitz],
+                [alpha * beta * lipschitz, beta],
+            ]
+        )
+        b = np.array(
+            [
+                contraction * drift.delta_x,
+                alpha * beta * lipschitz * drift.delta_x + alpha * beta * drift.grad_bound,
+            ]
+        )
+        return ContractionModel(A=A, b=b)
+    _validate_stepsize(alpha, limit, "(1 - beta)/(2L)")
+    A = np.array(
+        [
+            [(1 + beta) / 2, 5 * lipschitz, 3 * lipschitz],
+            [alpha * beta, beta, 0.0],
+            [0.0, alpha * lipschitz, 1 - alpha * mu / 2],
+        ]
+    )
+    b = np.array([lipschitz * drift.delta_x + drift.grad_drift, 0.0, drift.delta_x])
+    return ContractionModel(A=A, b=b)
 
 
 def steady_state_bound(
@@ -247,9 +180,20 @@ def steady_state_bound(
     beta: float,
     drift: DriftProfile,
 ) -> float:
-    """The method's steady-state bound with the measured drift."""
-    entry = _audited(algorithm, "steady-state bound")
-    return entry.bound(alpha, mu, lipschitz, beta, drift.delta_x, getattr(drift, entry.drift))
+    """The method's steady-state tracking-error bound with the measured drift, per-agent scale."""
+    if algorithm not in _AUDITED:
+        raise ValueError(f"no steady-state bound for algorithm {algorithm!r}")
+    limit = max_stepsize(algorithm, mu, lipschitz, beta)
+    gap = 1 - beta
+    if algorithm == "diffusion":
+        _validate_stepsize(alpha, limit, "mu(1 - beta)/(10 L^2)")
+        return (4 / (alpha * mu) + 4 * beta * lipschitz / (mu * gap)) * drift.delta_x + (
+            6 * alpha * beta * lipschitz * drift.grad_bound / (mu * gap)
+        )
+    _validate_stepsize(alpha, limit, "(1 - beta)^2 mu/(768 L^2)")
+    return (4 / (alpha * mu) + 40 * beta * lipschitz / (gap**2 * mu)) * drift.delta_x + (
+        16 * alpha * beta * lipschitz / (gap**2 * mu)
+    ) * drift.grad_drift
 
 
 @dataclass(frozen=True)
@@ -301,10 +245,12 @@ def audit_recursions(
     models are written in, so the inequalities apply to them verbatim.
     """
     meta = record.metadata
-    entry = _audited(meta.algorithm, "audited recursion")
+    if meta.algorithm not in _AUDITED:
+        raise ValueError(f"no audited recursion for algorithm {meta.algorithm!r}")
+    pairs = _AUDITED[meta.algorithm]
     if len(record) < 2:
         raise ValueError("record too short to audit: need at least one step")
-    rows = [getattr(record, series) for _, series in entry.rows]
+    rows = [getattr(record, series) for _, series in pairs]
     if any(row is None for row in rows):
         raise ValueError("tracker series missing: record was not produced by dgt")
     model = contraction_model(meta.algorithm, meta.alpha, meta.mu, meta.lipschitz, meta.beta, drift)
@@ -315,7 +261,7 @@ def audit_recursions(
     lhs = series[:, 1:]
     rhs = model.A @ series[:, :-1] + model.b[:, None]
     entries = tuple(
-        _violation_entry(name, lhs[i], rhs[i]) for i, (name, _) in enumerate(entry.rows)
+        _violation_entry(name, lhs[i], rhs[i]) for i, (name, _) in enumerate(pairs)
     )
     report = AuditReport(algorithm=meta.algorithm, entries=entries)
     worst = report.worst()

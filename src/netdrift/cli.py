@@ -37,9 +37,16 @@ def _add_bounds(sub) -> None:
     p.add_argument("--L", type=float, required=True, dest="lipschitz")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--dx", type=float, required=True, help="per-step optimum drift")
-    p.add_argument("--D", type=float, required=True, help="gradient dispersion bound")
-    p.add_argument("--dg", type=float, required=True, help="average gradient drift")
+    p.add_argument("--dx", type=float, required=True, help="delta_x: the optimum's largest per-step move")
+    p.add_argument(
+        "--D", type=float, required=True,
+        help="grad_bound: the largest sum over agents of the gradient norms at the optimum, over sqrt(n)",
+    )
+    p.add_argument(
+        "--dg", type=float, required=True,
+        help="grad_drift: the largest sum over agents of the change of those gradients "
+        "from one step to the next, over sqrt(n)",
+    )
 
 
 def _cmd_run(args) -> int:

@@ -28,8 +28,7 @@ import pytest
 from netdrift.analysis import (
     admissible_stepsize,
     audit_recursions,
-    dgt_contraction,
-    diffusion_contraction,
+    contraction_model,
     max_stepsize,
     resolvent_majorant,
     steady_state_bound,
@@ -43,7 +42,7 @@ from netdrift.experiment import (
     steady_state_error,
     tune_stepsize,
 )
-from netdrift.problems import drift_profile, least_squares_stream, shifting_consensus
+from netdrift.problems import DriftProfile, drift_profile, least_squares_stream, shifting_consensus
 from netdrift.topology import build_cycle, uniform_neighbor_weights
 
 REFERENCE_GRID = [
@@ -268,12 +267,13 @@ def test_contraction_certificates_and_majorant_on_grid():
     t0 = time.perf_counter()
     cert_margin = math.inf
     major_ok = True
+    no_drift = DriftProfile(0.0, 0.0, 0.0)
     for mu, L, beta in REFERENCE_GRID:
         alpha_d = max_stepsize("diffusion", mu, L, beta)
-        rho_d = diffusion_contraction(alpha_d, mu, L, beta).rho
+        rho_d = contraction_model("diffusion", alpha_d, mu, L, beta, no_drift).rho
         cert_margin = min(cert_margin, (1 - 3 * mu * alpha_d / 8) - rho_d)
         alpha_t = max_stepsize("dgt", mu, L, beta)
-        model = dgt_contraction(alpha_t, mu, L, beta)
+        model = contraction_model("dgt", alpha_t, mu, L, beta, no_drift)
         cert_margin = min(cert_margin, (1 - mu * alpha_t / 4) - model.rho)
         inverse = np.linalg.inv(np.eye(3) - model.A)
         majorant = resolvent_majorant(alpha_t, mu, L, beta)

@@ -19,10 +19,6 @@ from netdrift.analysis import (
     RegimeError,
     audit_recursions,
     contraction_model,
-    dgt_bound,
-    dgt_contraction,
-    diffusion_bound,
-    diffusion_contraction,
     max_stepsize,
     resolvent_majorant,
     steady_state_bound,
@@ -38,6 +34,8 @@ GRID = [
     for L in (1.0, 2.0)
     for beta in (0.0, 0.3, 0.6, 0.9, 0.99)
 ]
+
+NO_DRIFT = DriftProfile(0.0, 0.0, 0.0)
 
 
 def rho_oracle(matrix) -> float:
@@ -75,7 +73,8 @@ def rho_oracle(matrix) -> float:
 
 def test_diffusion_matrix_and_offset_entries():
     alpha, mu, L, beta = 0.02, 0.5, 2.0, 0.7
-    model = diffusion_contraction(alpha, mu, L, beta, delta_x=2e-3, grad_bound=0.5)
+    drift = DriftProfile(delta_x=2e-3, grad_bound=0.5, grad_drift=0.2)
+    model = contraction_model("diffusion", alpha, mu, L, beta, drift)
     expected_A = np.array([[1 - alpha * mu / 2, alpha * L], [alpha * beta * L, beta]])
     assert np.array_equal(model.A, expected_A)
     expected_b = np.array(
@@ -89,7 +88,8 @@ def test_diffusion_matrix_and_offset_entries():
 
 def test_dgt_matrix_and_offset_entries():
     alpha, mu, L, beta = 0.001, 0.5, 2.0, 0.6
-    model = dgt_contraction(alpha, mu, L, beta, delta_x=1e-3, grad_drift=0.2)
+    drift = DriftProfile(delta_x=1e-3, grad_bound=0.5, grad_drift=0.2)
+    model = contraction_model("dgt", alpha, mu, L, beta, drift)
     expected_A = np.array(
         [
             [(1 + beta) / 2, 5 * L, 3 * L],
@@ -105,52 +105,49 @@ def test_dgt_matrix_and_offset_entries():
 @pytest.mark.parametrize("mu,L,beta", GRID)
 def test_diffusion_rho_matches_eigensolver(mu, L, beta):
     alpha = max_stepsize("diffusion", mu, L, beta)
-    model = diffusion_contraction(alpha, mu, L, beta)
+    model = contraction_model("diffusion", alpha, mu, L, beta, NO_DRIFT)
     assert abs(model.rho - rho_oracle(model.A)) <= 1e-10
 
 
 @pytest.mark.parametrize("mu,L,beta", GRID)
 def test_dgt_rho_matches_eigensolver(mu, L, beta):
     alpha = max_stepsize("dgt", mu, L, beta)
-    model = dgt_contraction(alpha, mu, L, beta)
+    model = contraction_model("dgt", alpha, mu, L, beta, NO_DRIFT)
     assert abs(model.rho - rho_oracle(model.A)) <= 1e-10
 
 
 def test_diffusion_rho_is_triangular_case_without_coupling():
-    model = diffusion_contraction(0.4, 1.0, 1.0, 0.0)
+    model = contraction_model("diffusion", 0.4, 1.0, 1.0, 0.0, NO_DRIFT)
     assert model.rho == pytest.approx(1 - 0.4 / 2, abs=1e-12)
 
 
 def test_rho_approaches_one_for_vanishing_stepsize():
-    diff = diffusion_contraction(1e-12, 1.0, 1.0, 0.5)
-    dgt = dgt_contraction(1e-12, 1.0, 1.0, 0.0)
+    diff = contraction_model("diffusion", 1e-12, 1.0, 1.0, 0.5, NO_DRIFT)
+    dgt = contraction_model("dgt", 1e-12, 1.0, 1.0, 0.0, NO_DRIFT)
     for rho in (diff.rho, dgt.rho):
         assert 1 - 1e-9 <= rho <= 1 + 1e-12
 
 
 def test_contraction_preconditions_name_the_bound():
     with pytest.raises(RegimeError, match="2/\\(mu \\+ L\\)"):
-        diffusion_contraction(1.5, 1.0, 1.0, 0.5)
+        contraction_model("diffusion", 1.5, 1.0, 1.0, 0.5, NO_DRIFT)
     with pytest.raises(RegimeError, match="mu <= L"):
-        diffusion_contraction(0.1, 2.0, 1.0, 0.5)
+        contraction_model("diffusion", 0.1, 2.0, 1.0, 0.5, NO_DRIFT)
     with pytest.raises(RegimeError, match="beta"):
-        diffusion_contraction(0.1, 1.0, 1.0, 1.0)
+        contraction_model("diffusion", 0.1, 1.0, 1.0, 1.0, NO_DRIFT)
     with pytest.raises(RegimeError, match="positive"):
-        diffusion_contraction(0.0, 1.0, 1.0, 0.5)
+        contraction_model("diffusion", 0.0, 1.0, 1.0, 0.5, NO_DRIFT)
     with pytest.raises(RegimeError, match="\\(1 - beta\\)/\\(2L\\)"):
-        dgt_contraction(0.3, 1.0, 1.0, 0.5)
+        contraction_model("dgt", 0.3, 1.0, 1.0, 0.5, NO_DRIFT)
 
 
-@pytest.mark.parametrize(
-    "check",
-    [diffusion_contraction, dgt_contraction, diffusion_bound, dgt_bound],
-    ids=lambda f: f.__name__,
-)
-def test_nan_stepsize_is_out_of_regime(check):
+@pytest.mark.parametrize("algorithm", ["diffusion", "dgt"])
+@pytest.mark.parametrize("check", [contraction_model, steady_state_bound], ids=lambda f: f.__name__)
+def test_nan_stepsize_is_out_of_regime(check, algorithm):
     # a nan step compares false against every limit, so it must fail the
     # regime test instead of slipping through to a nan bound or eigvals
     with pytest.raises(RegimeError, match="step size must be positive, got nan"):
-        check(math.nan, 1.0, 1.0, 0.5, 1e-3, 1.0)
+        check(algorithm, math.nan, 1.0, 1.0, 0.5, DriftProfile(1e-3, 1.0, 1.0))
 
 
 @given(
@@ -163,7 +160,7 @@ def test_nan_stepsize_is_out_of_regime(check):
 def test_diffusion_rate_certificate_below_max_stepsize(mu, ratio, beta, scale):
     L = mu * ratio
     alpha = scale * max_stepsize("diffusion", mu, L, beta)
-    model = diffusion_contraction(alpha, mu, L, beta)
+    model = contraction_model("diffusion", alpha, mu, L, beta, NO_DRIFT)
     assert model.rho <= 1 - 3 * mu * alpha / 8 + 1e-11
 
 
@@ -177,26 +174,44 @@ def test_diffusion_rate_certificate_below_max_stepsize(mu, ratio, beta, scale):
 def test_dgt_rate_certificate_below_max_stepsize(mu, ratio, beta, scale):
     L = mu * ratio
     alpha = scale * max_stepsize("dgt", mu, L, beta)
-    model = dgt_contraction(alpha, mu, L, beta)
+    model = contraction_model("dgt", alpha, mu, L, beta, NO_DRIFT)
     assert model.rho <= 1 - mu * alpha / 4 + 1e-11
 
 
 @pytest.mark.parametrize("mu,L,beta", GRID)
 def test_rate_certificates_on_reference_grid(mu, L, beta):
     alpha_d = max_stepsize("diffusion", mu, L, beta)
-    assert diffusion_contraction(alpha_d, mu, L, beta).rho <= 1 - 3 * mu * alpha_d / 8 + 1e-12
+    rho_d = contraction_model("diffusion", alpha_d, mu, L, beta, NO_DRIFT).rho
+    assert rho_d <= 1 - 3 * mu * alpha_d / 8 + 1e-12
     alpha_t = max_stepsize("dgt", mu, L, beta)
-    assert dgt_contraction(alpha_t, mu, L, beta).rho <= 1 - mu * alpha_t / 4 + 1e-12
+    assert contraction_model("dgt", alpha_t, mu, L, beta, NO_DRIFT).rho <= 1 - mu * alpha_t / 4 + 1e-12
 
 
 @pytest.mark.parametrize("mu,L,beta", GRID)
 def test_resolvent_majorant_dominates_inverse(mu, L, beta):
     alpha = max_stepsize("dgt", mu, L, beta)
-    model = dgt_contraction(alpha, mu, L, beta)
+    model = contraction_model("dgt", alpha, mu, L, beta, NO_DRIFT)
     inverse = np.linalg.inv(np.eye(3) - model.A)
     majorant = resolvent_majorant(alpha, mu, L, beta)
     assert (inverse >= -1e-12).all()
     assert (inverse <= majorant * (1 + 1e-6) + 1e-15).all()
+
+
+@pytest.mark.parametrize(
+    "alpha,mu,L,beta,message",
+    [
+        (0.1, 1.0, 1.0, 1.0, "beta must lie in \\[0, 1\\)"),
+        (0.0, 1.0, 1.0, 0.5, "step size must be positive"),
+        (-1.0, 1.0, 1.0, 0.5, "step size must be positive"),
+        (math.nan, 1.0, 1.0, 0.5, "step size must be positive"),
+        # at 47x the cap the majorant no longer dominates the inverse
+        (47 * max_stepsize("dgt", 0.5, 1.0, 0.6), 0.5, 1.0, 0.6, "\\(1 - beta\\)\\^2 mu/\\(768 L\\^2\\)"),
+    ],
+    ids=["beta-one", "zero-step", "negative-step", "nan-step", "beyond-cap"],
+)
+def test_resolvent_majorant_rejects_out_of_regime(alpha, mu, L, beta, message):
+    with pytest.raises(RegimeError, match=message):
+        resolvent_majorant(alpha, mu, L, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -220,36 +235,40 @@ def test_dgt_max_stepsize_is_the_curvature_term(mu, L, beta):
 
 
 def test_diffusion_bound_hand_arithmetic():
-    value = diffusion_bound(0.05, 1.0, 1.0, 0.5, delta_x=1e-3, grad_bound=1.0)
+    drift = DriftProfile(delta_x=1e-3, grad_bound=1.0, grad_drift=0.5)
+    value = steady_state_bound("diffusion", 0.05, 1.0, 1.0, 0.5, drift)
     assert value == pytest.approx(0.384, rel=1e-12)
 
 
 def test_diffusion_bound_degenerate_cases():
-    assert diffusion_bound(0.05, 1.0, 1.0, 0.0, delta_x=0.0, grad_bound=1.0) == 0.0
-    lo = diffusion_bound(0.01, 1.0, 1.0, 0.5, delta_x=0.0, grad_bound=1.0)
-    hi = diffusion_bound(0.02, 1.0, 1.0, 0.5, delta_x=0.0, grad_bound=1.0)
+    only_gradients = DriftProfile(delta_x=0.0, grad_bound=1.0, grad_drift=0.0)
+    assert steady_state_bound("diffusion", 0.05, 1.0, 1.0, 0.0, only_gradients) == 0.0
+    lo = steady_state_bound("diffusion", 0.01, 1.0, 1.0, 0.5, only_gradients)
+    hi = steady_state_bound("diffusion", 0.02, 1.0, 1.0, 0.5, only_gradients)
     assert hi == pytest.approx(2 * lo, rel=1e-12)
 
 
 def test_dgt_bound_hand_arithmetic():
     alpha = 0.25 / 768
-    value = dgt_bound(alpha, 1.0, 1.0, 0.5, delta_x=0.0, grad_drift=1.0)
+    drift = DriftProfile(delta_x=0.0, grad_bound=0.5, grad_drift=1.0)
+    value = steady_state_bound("dgt", alpha, 1.0, 1.0, 0.5, drift)
     assert value == pytest.approx(32 * alpha, rel=1e-12)
     assert value == pytest.approx(0.0104166666, rel=1e-6)
 
 
 def test_dgt_bound_degenerate_cases():
     alpha = 1.0 / 768
-    assert dgt_bound(alpha, 1.0, 1.0, 0.0, delta_x=0.0, grad_drift=0.0) == 0.0
-    only_drift = dgt_bound(alpha, 1.0, 1.0, 0.0, delta_x=0.3, grad_drift=9.9)
+    assert steady_state_bound("dgt", alpha, 1.0, 1.0, 0.0, NO_DRIFT) == 0.0
+    drift = DriftProfile(delta_x=0.3, grad_bound=0.0, grad_drift=9.9)
+    only_drift = steady_state_bound("dgt", alpha, 1.0, 1.0, 0.0, drift)
     assert only_drift == pytest.approx(4 * 0.3 / alpha, rel=1e-12)
 
 
 def test_bounds_reject_out_of_regime_stepsizes():
     with pytest.raises(RegimeError):
-        diffusion_bound(0.2, 1.0, 1.0, 0.5, delta_x=1e-3, grad_bound=1.0)
+        steady_state_bound("diffusion", 0.2, 1.0, 1.0, 0.5, DriftProfile(1e-3, 1.0, 1.0))
     with pytest.raises(RegimeError):
-        dgt_bound(0.01, 1.0, 1.0, 0.5, delta_x=1e-3, grad_drift=1.0)
+        steady_state_bound("dgt", 0.01, 1.0, 1.0, 0.5, DriftProfile(1e-3, 1.0, 1.0))
 
 
 @given(
@@ -260,11 +279,12 @@ def test_bounds_reject_out_of_regime_stepsizes():
 def test_bounds_nondecreasing_in_network_penalty(beta_a, beta_b):
     lo, hi = sorted((beta_a, beta_b))
     alpha = 0.9 * max_stepsize("dgt", 1.0, 1.0, 0.99)
-    d_lo = diffusion_bound(alpha, 1.0, 1.0, lo, delta_x=1e-3, grad_bound=1.0)
-    d_hi = diffusion_bound(alpha, 1.0, 1.0, hi, delta_x=1e-3, grad_bound=1.0)
+    drift = DriftProfile(delta_x=1e-3, grad_bound=1.0, grad_drift=1.0)
+    d_lo = steady_state_bound("diffusion", alpha, 1.0, 1.0, lo, drift)
+    d_hi = steady_state_bound("diffusion", alpha, 1.0, 1.0, hi, drift)
     assert d_lo <= d_hi * (1 + 1e-12)
-    t_lo = dgt_bound(alpha, 1.0, 1.0, lo, delta_x=1e-3, grad_drift=1.0)
-    t_hi = dgt_bound(alpha, 1.0, 1.0, hi, delta_x=1e-3, grad_drift=1.0)
+    t_lo = steady_state_bound("dgt", alpha, 1.0, 1.0, lo, drift)
+    t_hi = steady_state_bound("dgt", alpha, 1.0, 1.0, hi, drift)
     assert t_lo <= t_hi * (1 + 1e-12)
 
 
@@ -274,34 +294,22 @@ def test_drift_coefficient_ratio_scales_with_connectivity(beta):
     # bounds differ by exactly 10/(1-beta)
     alpha = 0.5 * max_stepsize("dgt", 1.0, 1.0, beta)
     base = 4 / alpha
-    diff_coeff = diffusion_bound(alpha, 1.0, 1.0, beta, delta_x=1.0, grad_bound=0.0) - base
-    dgt_coeff = dgt_bound(alpha, 1.0, 1.0, beta, delta_x=1.0, grad_drift=0.0) - base
+    only_optimum = DriftProfile(delta_x=1.0, grad_bound=0.0, grad_drift=0.0)
+    diff_coeff = steady_state_bound("diffusion", alpha, 1.0, 1.0, beta, only_optimum) - base
+    dgt_coeff = steady_state_bound("dgt", alpha, 1.0, 1.0, beta, only_optimum) - base
     assert dgt_coeff / diff_coeff == pytest.approx(10 / (1 - beta), rel=1e-9)
 
 
 def test_steady_state_bound_dispatch():
     alpha = 0.5 * max_stepsize("dgt", 1.0, 1.0, 0.5)
     drift = DriftProfile(delta_x=1e-3, grad_bound=1.0, grad_drift=0.5)
-    assert steady_state_bound("diffusion", alpha, 1.0, 1.0, 0.5, drift) == diffusion_bound(
-        alpha, 1.0, 1.0, 0.5, delta_x=1e-3, grad_bound=1.0
-    )
-    assert steady_state_bound("dgt", alpha, 1.0, 1.0, 0.5, drift) == dgt_bound(
-        alpha, 1.0, 1.0, 0.5, delta_x=1e-3, grad_drift=0.5
-    )
     with pytest.raises(ValueError, match="no steady-state bound for algorithm 'extra'"):
         steady_state_bound("extra", alpha, 1.0, 1.0, 0.5, drift)
 
 
 def test_contraction_model_dispatch():
-    # diffusion pays for the size of the optimal gradients, tracking for their drift
     alpha = 0.5 * max_stepsize("dgt", 1.0, 1.0, 0.5)
     drift = DriftProfile(delta_x=1e-3, grad_bound=1.0, grad_drift=0.5)
-    diffusion = contraction_model("diffusion", alpha, 1.0, 1.0, 0.5, drift)
-    expected = diffusion_contraction(alpha, 1.0, 1.0, 0.5, delta_x=1e-3, grad_bound=1.0)
-    assert np.array_equal(diffusion.A, expected.A) and np.array_equal(diffusion.b, expected.b)
-    dgt = contraction_model("dgt", alpha, 1.0, 1.0, 0.5, drift)
-    expected = dgt_contraction(alpha, 1.0, 1.0, 0.5, delta_x=1e-3, grad_drift=0.5)
-    assert np.array_equal(dgt.A, expected.A) and np.array_equal(dgt.b, expected.b)
     with pytest.raises(ValueError, match="no contraction model for algorithm 'extra'"):
         contraction_model("extra", alpha, 1.0, 1.0, 0.5, drift)
 

@@ -44,7 +44,7 @@ from netdrift.experiment import (
     steady_state_error,
     tune_stepsize,
 )
-from netdrift.problems import LeastSquaresStream, ShiftingConsensus
+from netdrift.problems import DriftProfile, LeastSquaresStream, ShiftingConsensus
 from netdrift.records import (
     CSV_HEADER,
     RunMetadata,
@@ -815,6 +815,57 @@ def test_cli_bounds_prints_reference_arithmetic(capsys):
     assert code == 0
     assert "0.384" in out
     assert "rho" in out
+
+
+@pytest.mark.parametrize(
+    "alpha,expected",
+    [
+        (
+            "0.05",
+            [
+                "diffusion: steady-state bound = 0.384  rho(A) = 0.977617",
+                "dgt: bound out of regime (step size 0.05 exceeds the admissible "
+                "(1 - beta)^2 mu/(768 L^2) = 0.0003255208333333333)  rho(A) = 1.056812",
+            ],
+        ),
+        (
+            "3e-4",
+            [
+                "diffusion: steady-state bound = 13.3391  rho(A) = 0.999850",
+                "dgt: steady-state bound = 13.4181  rho(A) = 0.999851",
+            ],
+        ),
+        (
+            "0.3",
+            [
+                "diffusion: bound out of regime (step size 0.3 exceeds the admissible "
+                "mu(1 - beta)/(10 L^2) = 0.05)  rho(A) = 0.950000",
+                "dgt: out of regime for the contraction model (step size 0.3 exceeds the admissible "
+                "(1 - beta)/(2L) = 0.25)",
+            ],
+        ),
+    ],
+)
+def test_cli_bounds_output_is_pinned(capsys, alpha, expected):
+    # in regime for both, for the contraction model only, and for diffusion's model only
+    code = cli.main(
+        [
+            "bounds",
+            "--mu", "1", "--L", "1", "--beta", "0.5",
+            "--alpha", alpha, "--dx", "1e-3", "--D", "1", "--dg", "0.5",
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_cli_bounds_help_names_each_drift_constant(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["bounds", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for f in fields(DriftProfile):
+        assert f"{f.name}:" in out
 
 
 def test_cli_bounds_prints_every_analysed_method(capsys):
