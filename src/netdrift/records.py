@@ -6,9 +6,10 @@ avg_error,y_dev`), and a JSON sidecar next to it holds the metadata (the
 constants of the problem and network, the step size, and the seed). Records
 move column by column: each series is formatted once, the CSV is joined into
 one string and written in one call, and it is read back in one decode and one
-numpy parse with no Python callback per row (empty y_dev cells become "nan"
-in the text first). Reading checks the JSON type of every sidecar value, so a
-mistyped sidecar fails with a ValueError naming the key and the file.
+numpy parse with no Python callback per cell (a line that ends in a comma, an
+empty y_dev cell, gets "nan" appended first). Reading checks the JSON type of
+every sidecar value, so a mistyped sidecar fails with a ValueError naming the
+key and the file.
 """
 
 from __future__ import annotations
@@ -124,17 +125,14 @@ def read_record(csv_path: Path) -> TrajectoryRecord:
     header = lines[0].split(",") if lines else []
     if header != CSV_HEADER:
         raise ValueError(f"record {csv_path}: unexpected CSV header {header}")
-    # An empty last cell (y_dev of a method without a tracker) reads as nan:
-    # the rows are joined on "\n" whatever their line ends were, so one
-    # replace reaches every row that ends in a comma, the last one included.
-    body = "\n".join(lines[1:]).replace(",\n", ",nan\n")
-    if body.endswith(","):
-        body += "nan"
+    # An empty last cell (y_dev of a method without a tracker, or one emptied
+    # by hand) reads as nan; splitlines has already dropped every line end.
+    rows = [row + "nan" if row[-1:] == "," else row for row in lines[1:]]
     # A non-integer k, a non-numeric value or a ragged row raises ValueError.
     with warnings.catch_warnings():  # numpy warns of a header with no rows under it
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            table = np.loadtxt(body.split("\n"), dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(rows, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
             raise ValueError(f"record {csv_path}: {exc}") from exc
     if table.size == 0:

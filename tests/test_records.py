@@ -82,7 +82,9 @@ RECORDS = {
     "tracker": lambda: _record("dgt", 0.1, 40),
     "diverged": lambda: _record("dgt", 50.0, 400),
     "one_row": lambda: _record("dgt", 0.1, 0),
-    "audit_length": lambda: _record("dgt", 0.1, 2000),  # the audit_replay benchmark's 2,001 rows
+    # the audit_replay benchmark's 2,001 rows, of each method it audits
+    "audit_length": lambda: _record("dgt", 0.1, 2000),
+    "audit_length_no_tracker": lambda: _record("diffusion", 0.1, 2000),
     "repr_edges": lambda: _repr_edges(tracker=True),
     "repr_edges_no_tracker": lambda: _repr_edges(tracker=False),
 }
@@ -129,6 +131,8 @@ def test_column_writer_and_reader_match_the_per_row_oracle(name, tmp_path):
         ("dgt", 1, lambda fields: ["1.5"] + fields[1:], None),
         ("dgt", 2, lambda fields: fields[:-1], None),
         ("dgt", 2, lambda fields: fields[:2] + ["abc"] + fields[3:], None),
+        ("dgt", 3, lambda fields: fields[:3] + ["", ""],
+         "could not convert string '' to float64 at row 2, column 4"),
         ("diffusion", 2, lambda fields: fields[:-1], None),
         ("diffusion", -1, lambda fields: fields[:-1], None),
         ("dgt", 2, lambda fields: fields + ["0.5"], None),
@@ -137,7 +141,7 @@ def test_column_writer_and_reader_match_the_per_row_oracle(name, tmp_path):
         ("diffusion", 1, lambda fields: ["9"] + fields[1:], "data row 1 has k = 9, expected 0"),
         ("dgt", 4, lambda fields: ["2"] + fields[1:], "data row 4 has k = 2, expected 3"),
     ],
-    ids=["wrong_header", "fractional_k", "ragged_row", "non_numeric",
+    ids=["wrong_header", "fractional_k", "ragged_row", "non_numeric", "last_two_cells_empty",
          "no_tracker_lost_trailing_comma", "last_row_lost_trailing_comma", "sixth_field",
          "empty_sixth_field", "k_gap", "k_first_not_zero", "k_repeated"],
 )
