@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Pin the golden traces that tests/test_golden.py compares against.
 
-Runs every method once on five problems (least squares on a 5-agent and on
-a 20-agent cycle, scenario II with p=10 on a cycle, the static problem, and
-scenario III with p=1000 on the benchmark's 2,001-agent random network) at a
-fixed step size and seed, and stores the recorded series in
-tests/data/golden.npz together with the config text and step size of each
-case, so the test can rebuild the cases from the file alone. The 20-agent
-case is there because numpy sums fewer than 8 values in plain order, so only
-a network of 8 or more agents tells a pairwise sum over agents from a
-sequential one. The full-scale case pins one-column products and gradients
-at the size the benchmark runs; its series do not read beta, so ARPACK's
-last bits do not enter them.
+Runs every method once on six problems (least squares on a 5-agent, a
+20-agent and a 2,100-agent cycle, scenario II with p=10 on a cycle, the
+static problem, and scenario III with p=1000 on the benchmark's 2,001-agent
+random network) at a fixed step size and seed, and stores the recorded
+series in tests/data/golden.npz together with the config text and step size
+of each case, so the test can rebuild the cases from the file alone. The
+20-agent case is there because numpy sums fewer than 8 values in plain
+order, so only a network of 8 or more agents tells a pairwise sum over
+agents from a sequential one. The 2,100-agent case holds 4,200 stack values
+a step, more than one of ``run``'s blocks, so a one-lane run of it reduces
+one-step blocks that read the stacks in place. The full-scale case pins
+one-column products and gradients at the size the benchmark runs; its
+series do not read beta, so ARPACK's last bits do not enter them.
 
 It also runs ``netdrift run`` on scripts/configs/circle_n5.cfg and
 static_cycle.cfg and stores the sha256 of every file each run writes in
@@ -56,6 +58,7 @@ SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
 CASES = {
     "lsq_n5": ("scenario = I\ntopology = cycle\nn = 5\nhorizon = 30\nseed = 0\n", 0.01),
     "lsq_n20": ("scenario = I\ntopology = cycle\nn = 20\nhorizon = 30\nseed = 0\n", 0.01),
+    "lsq_n2100": ("scenario = I\ntopology = cycle\nn = 2100\nhorizon = 30\nseed = 0\n", 0.01),
     "rotation_p10": ("scenario = II\ntopology = cycle\np = 10\nhorizon = 30\nseed = 0\n", 0.1),
     "static_p2": ("scenario = static\ntopology = cycle\np = 2\nhorizon = 30\nseed = 0\n", 0.2),
     "rotation_p1000": (

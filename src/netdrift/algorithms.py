@@ -46,11 +46,17 @@ one-lane run at that step size. A lane that diverges fills with non-finite
 values without touching the others.
 
 Blocks of recorded steps: the metrics cost about fifteen small numpy calls,
-which dominate a step on small networks. So ``run`` files each step's
-stacks into a block and reduces a whole block at once, along a leading
-block axis. A block holds about ``_BLOCK_VALUES`` stack values, and at least
-one step: a small network records hundreds of steps per block, a large one
-a single step. Every block is filed and reduced the same way.
+which dominate a step on small networks. So ``run`` reduces a whole block
+of steps at once, along a leading block axis. A block holds about
+``_BLOCK_VALUES`` stack values, and at least one step: a small network
+records hundreds of steps per block, a large one a single step. A block of
+several steps, and every block when d = 1, is filed: each step's stacks are
+copied into it. A one-step block with d >= 2 reads the live stacks in
+place, as a leading axis of length one, with no copy. The per-lane norms of
+the average iterate's error and of the tracker gap are taken over many steps
+at once: each step's difference goes into a buffer of whole blocks, up to
+``_BLOCK_VALUES`` values (lanes x d per step), whose norms are taken once it
+fills, so a sweep of one-step blocks takes them once per many steps.
 
 Summation order of the recorded series: numpy sums a one-lane (n, d) stack
 over its agents one agent after the other when d >= 2, and pairwise when
@@ -197,9 +203,14 @@ def _update(algorithm, stacks, objective, wm, alpha, k) -> tuple:
 
 
 def _widen(state: AlgorithmState, lanes: int) -> tuple:
-    """The stacks of a one-lane state, each column replicated as ``lanes`` columns."""
+    """The stacks of a one-lane state, C-ordered, each column replicated as ``lanes`` columns.
+
+    C order keeps the agent sums of a block read in place in a filed block's
+    order (module docstring), also for an F-ordered initial state.
+    """
     return tuple(
-        stack if stack is None or lanes == 1 else np.repeat(stack, lanes, axis=1)
+        stack if stack is None else np.ascontiguousarray(stack) if lanes == 1
+        else np.repeat(stack, lanes, axis=1)
         for stack in state
     )
 
@@ -250,7 +261,11 @@ def run(
 
     The series are reduced in blocks of steps that hold about
     ``_BLOCK_VALUES`` stack values each, and a record does not depend on the
-    block length. The network averages sum over agents in the order
+    block length. A block of several steps, and every block when d = 1, is
+    filed with copies of the stacks; a one-step block with d >= 2 reads them
+    in place. The norms of the average iterate's error and of the tracker
+    gap run once per buffer of whole blocks, up to ``_BLOCK_VALUES`` values
+    of lanes x d per step. The network averages sum over agents in the order
     of a one-lane run: agent by agent (agents-leading) when the objective's
     dimension d >= 2, and pairwise per lane over the C-ordered rows of a
     lane-major copy when d = 1. Each squared deviation is summed over d
@@ -281,23 +296,29 @@ def run(
     normalization = float(objective.normalization)
     length = horizon + 1
     # Each step files its stacks (x, and for dgt y and the previous
-    # gradient) and its optimum into a block of steps; each full block, and
-    # the last, partial one, is reduced at once along a leading block axis.
+    # gradient) and its optimum into a block of steps, or hands a one-step
+    # block with d >= 2 its stacks in place; each full block, and the last,
+    # partial one, is reduced at once along a leading block axis.
     # Squared deviations from the optimum, the network average and
     # (tracking) the tracker average, one series each, are summed per step,
     # series and lane into ``sums`` in a one-lane run's order (module
-    # docstring).
+    # docstring). x-bar - x* and (tracking) y-bar - g-bar go into buffers
+    # of ``span`` steps, whole blocks, whose norms are taken when they fill.
     series = 3 if tracker else 2
     block = max(1, min(length, _BLOCK_VALUES // (n * lanes * d)))
+    span = block * max(1, min(length, _BLOCK_VALUES // (lanes * d)) // block)
     if d > 1:
         # Agents-leading (m, n, G*d) blocks: reducing over the agent axis
-        # goes agent by agent, with one inner loop of G*d per agent.
+        # goes agent by agent, with one inner loop of G*d per agent. A
+        # one-step block is the (n, G*d) stacks themselves, read in place.
         axis, shape, opt_shape = -2, (n, lanes * d), (1, lanes * d)
     else:
         # Lane-major (m, G, n) blocks, C-ordered: each lane's column becomes
         # one contiguous row, which numpy sums pairwise.
         axis, shape, opt_shape = -1, (lanes, n), (lanes, 1)
-    filed = [np.empty((block, *shape)) for _ in range(3 if tracker else 1)]
+    recorded = 3 if tracker else 1
+    in_place = d > 1 and block == 1
+    filed = [] if in_place else [np.empty((block, *shape)) for _ in range(recorded)]
     optima = np.empty((block, d, lanes))  # each step's optimum, once per lane
     lane_optima = optima.swapaxes(1, 2)  # (block, G, d): filed by broadcast
     deviations = np.empty((block, series, *shape))
@@ -305,6 +326,8 @@ def run(
     sums = np.empty((length, series, lanes))
     avg_sq = np.empty((length, lanes))
     gaps = np.empty((length, lanes)) if tracker else None
+    avg_dev = np.empty((span, *opt_shape))
+    gap_dev = np.empty((span, *opt_shape)) if tracker else None
 
     def cut(m):
         """The optima and the views written through for a block's first m steps."""
@@ -316,16 +339,17 @@ def run(
 
     def reduce_block(k0, stacks, opt, dev, dev_rows, lane_sums, columns):
         k1 = k0 + len(opt)
+        held = slice(k0 % span, k0 % span + len(opt))  # the block's rows of the norm buffers
         x = stacks[0]
         x_bar = np.add.reduce(x, axis=axis, keepdims=True) / n
         np.subtract(x, opt, out=dev_rows[0])
         np.subtract(x, x_bar, out=dev_rows[1])
-        _squared_norms(x_bar - opt, out=avg_sq[k0:k1])
+        np.subtract(x_bar, opt, out=avg_dev[held])
         if tracker:
             y_bar = np.add.reduce(stacks[1], axis=axis, keepdims=True) / n
             np.subtract(stacks[1], y_bar, out=dev_rows[2])
             g_bar = np.add.reduce(stacks[2], axis=axis, keepdims=True) / n
-            _squared_norms(y_bar - g_bar, out=gaps[k0:k1])
+            np.subtract(y_bar, g_bar, out=gap_dev[held])
         np.square(dev, out=dev)
         if d > 1:
             # Sum over d column by column, in the order numpy sums a row
@@ -341,12 +365,20 @@ def run(
         for k in range(length):
             b = k % block
             lane_optima[b] = objective.optimum(k)
-            for buffer, stack in zip(filed, stacks):  # x, then for dgt y and g_prev
-                buffer[b] = stack if d > 1 else stack.T
-            if b == block - 1:
-                reduce_block(k - b, filed, *full)
-            elif k == horizon:
-                reduce_block(k - b, [buffer[: b + 1] for buffer in filed], *cut(b + 1))
+            if in_place:
+                reduce_block(k, [stack[None] for stack in stacks[:recorded]], *full)
+            else:
+                for buffer, stack in zip(filed, stacks):  # x, then for dgt y and g_prev
+                    buffer[b] = stack if d > 1 else stack.T
+                if b == block - 1:
+                    reduce_block(k - b, filed, *full)
+                elif k == horizon:
+                    reduce_block(k - b, [buffer[: b + 1] for buffer in filed], *cut(b + 1))
+            if k % span == span - 1 or k == horizon:  # the norm buffers hold steps k0..k
+                k0 = k - k % span
+                _squared_norms(avg_dev[: k + 1 - k0], out=avg_sq[k0 : k + 1])
+                if tracker:
+                    _squared_norms(gap_dev[: k + 1 - k0], out=gaps[k0 : k + 1])
             if k == horizon:
                 break
             try:

@@ -561,6 +561,28 @@ def test_full_scale_lanes_match_one_lane_runs(config):
             assert _same_record(record, expected), (algorithm, alpha)
 
 
+def test_in_place_sweep_blocks_match_filed_one_lane_runs():
+    # At the lsq_tune shape (n = 100, d = 2, the default 30-point grid plus a
+    # divergent top lane) a step holds 6,200 stack values, more than one
+    # block's budget, so the sweep reduces one-step blocks that read the
+    # stacks in place, while each one-lane run files 20-step blocks (two
+    # full ones and a partial one over 41 steps). Every lane must still be
+    # bitwise its one-lane run, the divergent one included.
+    config = ExperimentConfig(scenario="I", topology="cycle", n=100, horizon=40, seed=0)
+    objective = build_objective(config)
+    _, wm = build_network(config)
+    grid = default_grid(config, objective.mu, objective.lipschitz) + (DIVERGENT_ALPHA,)
+    values = objective.n * objective.d
+    assert algorithms._BLOCK_VALUES // (values * len(grid)) == 0
+    assert algorithms._BLOCK_VALUES // values == 20
+    for algorithm in ALGORITHMS:
+        records = run(algorithm, objective, wm, grid, config.horizon)
+        assert not np.isfinite(records[-1].tracking_error[-1]), algorithm
+        for alpha, record in zip(grid, records):
+            expected = run(algorithm, objective, wm, alpha, config.horizon)
+            assert _same_record(record, expected), (algorithm, alpha)
+
+
 # ---------------------------------------------------------------------------
 # blocks of recorded steps
 
@@ -597,20 +619,49 @@ def test_records_do_not_depend_on_block_length(monkeypatch, algorithm, scenario)
     assert not np.isfinite(by_length[1][-1].tracking_error[-1])
 
 
+def test_in_place_blocks_sum_an_f_ordered_initial_state_as_a_filed_block(monkeypatch):
+    # A one-step block with d >= 2 reads the stacks in place. An F-ordered
+    # stack would then be summed over its 17 agents pairwise per column, not
+    # agent by agent as in a filed block, so run makes the state C-ordered.
+    # The starting iterates average to the optimum up to rounding, so the
+    # last bit of their average shows in avg_error.
+    rng = np.random.default_rng(4)
+    objective = Quadratic(rng.standard_normal((17, 3)))
+    wm = metropolis_weights(build_random(objective.n, 0.5, seed=5))
+    spread = 1e3 * rng.standard_normal((17, 3))
+    x0 = np.asfortranarray(objective.optimum(0) + spread - spread.mean(axis=0))
+    for algorithm in ALGORITHMS:
+        state = init_state(algorithm, objective, wm, x0=x0)
+        assert state.x_stack.flags.f_contiguous and not state.x_stack.flags.c_contiguous
+        filed = run(algorithm, objective, wm, 0.1, 3, initial_state=state)
+        monkeypatch.setattr(algorithms, "_BLOCK_VALUES", 1)  # one-step blocks
+        in_place = run(algorithm, objective, wm, 0.1, 3, initial_state=state)
+        monkeypatch.undo()
+        assert _same_record(in_place, filed), algorithm
+
+
 def test_run_memory_grows_with_the_recorded_series_only(traced_peak):
     # Blocks are sized by a value budget, not by the horizon, so ten times
     # the steps adds the longer series to the peak and no block buffer:
-    # about the record's own bytes, plus the few horizon-long arrays that
+    # about the records' own bytes, plus the few horizon-long arrays that
     # run builds them from, whose roots it takes in place. dgt files the
-    # most stacks per step.
-    config = ExperimentConfig(scenario="I", topology="cycle", n=5, horizon=20_000, seed=0)
-    objective = build_objective(config)
-    _, wm = build_network(config)
-    peaks, series = [], []
-    for horizon in (2_000, 20_000):
-        peak, record = traced_peak(lambda: run("dgt", objective, wm, 0.01, horizon))
-        peaks.append(peak)
-        arrays = (record.iterations, record.tracking_error, record.consensus_dev,
-                  record.avg_error, record.y_dev)
-        series.append(sum(a.nbytes for a in arrays if a is not None))
-    assert peaks[1] - peaks[0] < 2.5 * (series[1] - series[0])
+    # most stacks per step. The one-lane n = 5 run files 409-step blocks;
+    # the 30-lane n = 100 sweep reads one-step blocks in place and buffers
+    # the per-lane norms' inputs for up to 68 steps, at both horizons.
+    shapes = ((5, (0.01,), (2_000, 20_000)),
+              (100, tuple(np.geomspace(1e-3, 1e-2, 30)), (100, 1_000)))
+    for n, alphas, horizons in shapes:
+        config = ExperimentConfig(scenario="I", topology="cycle", n=n, horizon=horizons[1], seed=0)
+        objective = build_objective(config)
+        _, wm = build_network(config)
+        peaks, series = [], []
+        for horizon in horizons:
+            peak, records = traced_peak(lambda: run("dgt", objective, wm, alphas, horizon))
+            peaks.append(peak)
+            series.append(sum(
+                a.nbytes
+                for record in records
+                for a in (record.iterations, record.tracking_error, record.consensus_dev,
+                          record.avg_error, record.y_dev)
+            ))
+        assert peaks[1] - peaks[0] < 2.5 * (series[1] - series[0]), n

@@ -1,7 +1,11 @@
 """Regression tests against pinned outputs, both written by scripts/pin_golden.py.
 
 tests/data/golden.npz holds every method's recorded series on four small
-problems and on scenario III with p=1000, at a fixed step size and seed.
+problems, on least squares with n=2100 and on scenario III with p=1000, at a
+fixed step size and seed. The n=2100 case holds 4,200 stack values a step,
+more than one block of ``run``'s budget, so by default it reduces one-step
+blocks that read the stacks in place, and in blocks of 2 and 7 steps it
+files them.
 The series must reproduce bitwise, except avg_error, which may differ by
 1e-12 relative: it is a norm taken through the BLAS dot kernel, whose
 rounding is up to the BLAS build rather than to netdrift.
