@@ -19,7 +19,10 @@ It also runs ``netdrift run`` on scripts/configs/circle_n5.cfg and
 static_cycle.cfg and stores the sha256 of every file each run writes in
 tests/data/config_digests.json, which tests/test_golden.py checks. The two
 rotation configs are left out: their beta comes from ARPACK, whose last bits
-depend on the LAPACK build.
+depend on the LAPACK build. It does the same for one more suite, scenario I
+on a 100-agent cycle with all four methods and the default 30-point grid,
+whose sweeps are wide enough to read their stacks in place: the config text
+and the digests go to tests/data/inplace_suite.json.
 
 Last, it writes tests/data/setup_constants.json: the repr of mu, L, delta_x,
 the gradient bound and the gradient drift, with the config text they come
@@ -73,6 +76,13 @@ DEFAULT_OUTPUT = REPO / "tests" / "data" / "golden.npz"
 # The configs whose whole output tree is pinned by digest, next to golden.npz.
 DIGEST_CONFIGS = ("circle_n5.cfg", "static_cycle.cfg")
 DIGESTS_NAME = "config_digests.json"
+# A suite whose sweeps read their stacks in place (30 lanes x 100 agents x d = 2
+# values a step, more than half a block), pinned with its config text.
+INPLACE_SUITE = (
+    "scenario = I\ntopology = cycle\nn = 100\nhorizon = 100\n"
+    "algorithms = diffusion, dgt, extra, exact_diffusion\nseed = 0\noutput_dir = inplace_n100\n"
+)
+INPLACE_NAME = "inplace_suite.json"
 CONSTANTS_NAME = "setup_constants.json"
 # The problem keys of benchmarks/workloads.py, at config seed 0, by workload.
 BENCHMARK_SHAPES = {
@@ -101,19 +111,29 @@ def golden_arrays() -> dict:
     return arrays
 
 
+def tree_digests(config: Path) -> dict:
+    """{path under the output root: sha256} of every file ``netdrift run`` writes for a config file."""
+    with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: root}):
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(["run", "--config", str(config)]) != 0:
+                raise SystemExit(f"netdrift run failed on {config.name}")
+        return {
+            path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(root).rglob("*")) if path.is_file()
+        }
+
+
 def config_digests() -> dict:
     """{config name: {path under the output root: sha256}} of each ``netdrift run``."""
-    digests = {}
-    for name in DIGEST_CONFIGS:
-        with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: root}):
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(["run", "--config", str(REPO / "scripts" / "configs" / name)]) != 0:
-                    raise SystemExit(f"netdrift run failed on {name}")
-            digests[name] = {
-                path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(Path(root).rglob("*")) if path.is_file()
-            }
-    return digests
+    return {name: tree_digests(REPO / "scripts" / "configs" / name) for name in DIGEST_CONFIGS}
+
+
+def inplace_suite() -> dict:
+    """{"config": the in-place suite's text, "digests": its tree's digests}."""
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "inplace_n100.cfg"
+        config.write_text(INPLACE_SUITE)
+        return {"config": INPLACE_SUITE, "digests": tree_digests(config)}
 
 
 def setup_constants() -> dict:
@@ -144,6 +164,9 @@ def main(argv=None) -> int:
     digests = args.output.with_name(DIGESTS_NAME)
     digests.write_text(json.dumps(config_digests(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {digests}")
+    inplace = args.output.with_name(INPLACE_NAME)
+    inplace.write_text(json.dumps(inplace_suite(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {inplace}")
     constants = args.output.with_name(CONSTANTS_NAME)
     constants.write_text(json.dumps(setup_constants(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {constants}")

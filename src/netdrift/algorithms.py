@@ -51,12 +51,17 @@ of steps at once, along a leading block axis. A block holds about
 ``_BLOCK_VALUES`` stack values, and at least one step: a small network
 records hundreds of steps per block, a large one a single step. A block of
 several steps, and every block when d = 1, is filed: each step's stacks are
-copied into it. A one-step block with d >= 2 reads the live stacks in
-place, as a leading axis of length one, with no copy. The per-lane norms of
+copied into it. When d >= 2 and the budget holds fewer than two steps, each
+one-step block reads the live stacks in place, as a leading axis of length
+one, with no copy. The per-lane norms of
 the average iterate's error and of the tracker gap are taken over many steps
 at once: each step's difference goes into a buffer of whole blocks, up to
 ``_BLOCK_VALUES`` values (lanes x d per step), whose norms are taken once it
 fills, so a sweep of one-step blocks takes them once per many steps.
+A tracking-only run, which tuning asks for when a dgt sweep of several
+step sizes reads its stacks in place, files and reduces x alone: it sums
+the squared deviations from the optimum as above and takes no network
+average and no norm.
 
 Summation order of the recorded series: numpy sums a one-lane (n, d) stack
 over its agents one agent after the other when d >= 2, and pairwise when
@@ -215,6 +220,14 @@ def _widen(state: AlgorithmState, lanes: int) -> tuple:
     )
 
 
+def reads_in_place(n: int, d: int, lanes: int) -> bool:
+    """Whether ``run`` reads (n, lanes*d) stacks in place: d >= 2, a block budget under 2 steps.
+
+    ``experiment.tune_stepsize`` reads the same rule to choose its sweep.
+    """
+    return d > 1 and _BLOCK_VALUES // (n * lanes * d) < 2
+
+
 def _squared_norms(values: NDArray[np.float64], out: NDArray[np.float64]) -> None:
     # Squared norm of each lane's d-vector in coordinate-major ``values``, into
     # the (steps, lanes) ``out``: the vectors copied into contiguous rows, then
@@ -238,7 +251,9 @@ def run(
     initial_state: AlgorithmState | None = None,
     seed: int = 0,
     scenario: str | None = None,
-) -> TrajectoryRecord | tuple[TrajectoryRecord, ...]:
+    *,
+    tracking_only: bool = False,
+) -> TrajectoryRecord | tuple[TrajectoryRecord, ...] | NDArray[np.float64]:
     """Run ``horizon`` steps and record the error series at every iterate.
 
     ``alpha`` is one step size, which returns one record, or a 1-D sequence
@@ -259,17 +274,25 @@ def run(
     Overflow during divergent runs is recorded as non-finite values rather
     than raised.
 
+    ``tracking_only=True`` is for tuning sweeps, which score each lane by
+    its tracking error alone (``experiment.tune_stepsize``), not an output
+    format: it returns the (horizon + 1, G) matrix of the lanes' tracking
+    errors instead of records, column g bitwise lane g's
+    ``tracking_error``. Such a run files and reduces x alone: it takes no
+    network average and no norm, and builds no record.
+
     The series are reduced in blocks of steps that hold about
     ``_BLOCK_VALUES`` stack values each, and a record does not depend on the
     block length. A block of several steps, and every block when d = 1, is
-    filed with copies of the stacks; a one-step block with d >= 2 reads them
-    in place. The norms of the average iterate's error and of the tracker
-    gap run once per buffer of whole blocks, up to ``_BLOCK_VALUES`` values
-    of lanes x d per step. The network averages sum over agents in the order
-    of a one-lane run: agent by agent (agents-leading) when the objective's
-    dimension d >= 2, and pairwise per lane over the C-ordered rows of a
-    lane-major copy when d = 1. Each squared deviation is summed over d
-    column by column and then pairwise over agents.
+    filed with copies of the stacks; when d >= 2 and the budget holds fewer
+    than two steps, each one-step block reads them in place. The norms of
+    the average iterate's error and of the tracker gap run once per buffer
+    of whole blocks, up to ``_BLOCK_VALUES`` values of lanes x d per step.
+    The network averages sum over agents in the order of a one-lane run:
+    agent by agent (agents-leading) when the objective's dimension d >= 2,
+    and pairwise per lane over the C-ordered rows of a lane-major copy when
+    d = 1. Each squared deviation is summed over d column by column and then
+    pairwise over agents.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -290,9 +313,9 @@ def run(
     n, d, lanes = objective.n, objective.d, alphas.size
     stacks = _widen(state, lanes)
     alpha_stack = np.tile(alphas, (n, d))  # the step size of every stack entry
-    tracker = algorithm == "dgt"
-    if tracker and stacks[1] is None:
+    if algorithm == "dgt" and stacks[1] is None:
         raise StepError("a dgt run needs a tracker state; build it with init_state")
+    tracker = algorithm == "dgt" and not tracking_only  # records the tracker's series
     normalization = float(objective.normalization)
     length = horizon + 1
     # Each step files its stacks (x, and for dgt y and the previous
@@ -304,7 +327,8 @@ def run(
     # series and lane into ``sums`` in a one-lane run's order (module
     # docstring). x-bar - x* and (tracking) y-bar - g-bar go into buffers
     # of ``span`` steps, whole blocks, whose norms are taken when they fill.
-    series = 3 if tracker else 2
+    # A tracking-only run sums the deviations from the optimum alone.
+    series = 1 if tracking_only else 3 if tracker else 2
     block = max(1, min(length, _BLOCK_VALUES // (n * lanes * d)))
     span = block * max(1, min(length, _BLOCK_VALUES // (lanes * d)) // block)
     if d > 1:
@@ -317,16 +341,16 @@ def run(
         # one contiguous row, which numpy sums pairwise.
         axis, shape, opt_shape = -1, (lanes, n), (lanes, 1)
     recorded = 3 if tracker else 1
-    in_place = d > 1 and block == 1
+    in_place = reads_in_place(n, d, lanes)
     filed = [] if in_place else [np.empty((block, *shape)) for _ in range(recorded)]
     optima = np.empty((block, d, lanes))  # each step's optimum, once per lane
     lane_optima = optima.swapaxes(1, 2)  # (block, G, d): filed by broadcast
     deviations = np.empty((block, series, *shape))
     per_lane = deviations if d == 1 else np.empty((block, series, lanes, n))
     sums = np.empty((length, series, lanes))
-    avg_sq = np.empty((length, lanes))
+    avg_sq = None if tracking_only else np.empty((length, lanes))
     gaps = np.empty((length, lanes)) if tracker else None
-    avg_dev = np.empty((span, *opt_shape))
+    avg_dev = None if tracking_only else np.empty((span, *opt_shape))
     gap_dev = np.empty((span, *opt_shape)) if tracker else None
 
     def cut(m):
@@ -341,10 +365,11 @@ def run(
         k1 = k0 + len(opt)
         held = slice(k0 % span, k0 % span + len(opt))  # the block's rows of the norm buffers
         x = stacks[0]
-        x_bar = np.add.reduce(x, axis=axis, keepdims=True) / n
         np.subtract(x, opt, out=dev_rows[0])
-        np.subtract(x, x_bar, out=dev_rows[1])
-        np.subtract(x_bar, opt, out=avg_dev[held])
+        if not tracking_only:
+            x_bar = np.add.reduce(x, axis=axis, keepdims=True) / n
+            np.subtract(x, x_bar, out=dev_rows[1])
+            np.subtract(x_bar, opt, out=avg_dev[held])
         if tracker:
             y_bar = np.add.reduce(stacks[1], axis=axis, keepdims=True) / n
             np.subtract(stacks[1], y_bar, out=dev_rows[2])
@@ -374,8 +399,8 @@ def run(
                     reduce_block(k - b, filed, *full)
                 elif k == horizon:
                     reduce_block(k - b, [buffer[: b + 1] for buffer in filed], *cut(b + 1))
-            if k % span == span - 1 or k == horizon:  # the norm buffers hold steps k0..k
-                k0 = k - k % span
+            if not tracking_only and (k % span == span - 1 or k == horizon):
+                k0 = k - k % span  # the norm buffers hold steps k0..k
                 _squared_norms(avg_dev[: k + 1 - k0], out=avg_sq[k0 : k + 1])
                 if tracker:
                     _squared_norms(gap_dev[: k + 1 - k0], out=gaps[k0 : k + 1])
@@ -389,6 +414,8 @@ def run(
         # add to the run's peak memory, which should grow with its records only.
         rms = np.sqrt(np.divide(sums, n, out=sums), out=sums)
         np.divide(rms[:, 0], normalization, out=rms[:, 0])  # the tracking error
+    if tracking_only:
+        return rms[:, 0]
     avg_error = np.sqrt(avg_sq, out=avg_sq)
     identity_gaps = np.sqrt(gaps, out=gaps) if tracker else None
     records = []

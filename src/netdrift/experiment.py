@@ -4,7 +4,9 @@ A text config (``key = value`` lines) selects a scenario, a topology, a
 step-size grid, and the methods to compare. ``run_suite`` builds the network
 and the drifting objective, tunes each method's step size by tail error in
 one multi-lane pass over the whole grid, and persists the winning lane's
-record, one CSV per method, plus a summary table. Everything is seeded, so
+record, one CSV per method, plus a summary table. Where a dgt sweep reads
+its stacks in place, that pass records the tracking error alone and the
+winning step size runs once more for its record. Everything is seeded, so
 identical configs produce byte-identical output trees.
 
 Scenarios:
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, init_state, run
+from .algorithms import ALGORITHMS, init_state, reads_in_place, run
 from .analysis import ANALYSED_METHODS, RegimeError, steady_state_bound
 from .problems import DriftProfile, drift_profile, least_squares_stream, shifting_consensus
 from .records import TrajectoryRecord, read_record, sidecar_path, write_record
@@ -308,12 +310,12 @@ def build_objective(config: ExperimentConfig):
     return shifting_consensus(p=config.p, shift=config.resolved_shift, horizon=config.horizon)
 
 
-def _tail(record: TrajectoryRecord, tail_fraction: float) -> np.ndarray:
+def _tail(tracking_error: np.ndarray, tail_fraction: float) -> np.ndarray:
     """The normalized tracking error over the final ceil(tail_fraction*M) steps."""
-    window = math.ceil(tail_fraction * (len(record) - 1))
+    window = math.ceil(tail_fraction * (len(tracking_error) - 1))
     if window < 1:
         raise ValueError("tail window is empty; record too short for this tail_fraction")
-    return record.tracking_error[-window:]
+    return tracking_error[-window:]
 
 
 def steady_state_error(record: TrajectoryRecord, tail_fraction: float) -> float:
@@ -321,7 +323,7 @@ def steady_state_error(record: TrajectoryRecord, tail_fraction: float) -> float:
     finite = np.isfinite(record.tracking_error)
     if not finite.all():
         raise DivergenceError(int(np.argmin(finite)))
-    return float(_tail(record, tail_fraction).mean())
+    return float(_tail(record.tracking_error, tail_fraction).mean())
 
 
 def default_grid(config: ExperimentConfig, mu: float, lipschitz: float) -> tuple[float, ...]:
@@ -335,43 +337,64 @@ def run_single(config, objective, wm, algorithm, alpha):
     Like ``algorithms.run``, a sequence of step sizes runs them all in one
     pass and returns one record per step size.
     """
-    initial = None
-    if config.init == "optimum":
-        x0 = np.tile(objective.optimum(0), (objective.n, 1))
-        initial = init_state(algorithm, objective, wm, x0)
     return run(
         algorithm,
         objective,
         wm,
         alpha,
         config.horizon,
-        initial_state=initial,
+        initial_state=_initial_state(config, algorithm, objective, wm),
         seed=config.seed,
         scenario=config.scenario,
     )
 
 
+def _initial_state(config, algorithm, objective, wm):
+    """The starting state ``config.init`` names, or None for ``run``'s all-zeros default."""
+    if config.init != "optimum":
+        return None
+    return init_state(algorithm, objective, wm, np.tile(objective.optimum(0), (objective.n, 1)))
+
+
 def tune_stepsize(
     config: ExperimentConfig, algorithm: str, objective, wm: WeightMatrix
 ) -> tuple[float, TrajectoryRecord]:
-    """Sweep the grid in one multi-lane run on a prebuilt objective and network.
+    """Sweep the grid in one multi-lane pass on a prebuilt objective and network.
 
     Each step size scores its ``steady_state_error``, the mean tracking error
     over the final ceil(0.2 * horizon) steps, or inf if its tracking error is
     ever non-finite. Returns the lowest-scoring step, the larger one on a
     tie, and its record.
+
+    A dgt sweep of several step sizes whose stacks ``run`` reads in place
+    (d >= 2 and one-step blocks) records the tracking error alone, which is
+    all a score reads, and reruns the winning step size as one lane for its
+    record: there, the series it skips, the tracker's among them, cost more
+    than the rerun. Every other sweep records every lane and keeps the
+    winner's record; for the other methods the saving and the rerun cost
+    about the same. Lane g of a sweep is bitwise a one-lane run at its step
+    size, so both ways return the same step and the same record.
     """
     grid = config.stepsizes or default_grid(config, objective.mu, objective.lipschitz)
-    records = run_single(config, objective, wm, algorithm, grid)
+    rerun = algorithm == "dgt" and len(grid) > 1 and reads_in_place(objective.n, objective.d, len(grid))
+    if rerun:
+        initial = _initial_state(config, algorithm, objective, wm)
+        errors = run(algorithm, objective, wm, grid, config.horizon, initial_state=initial, tracking_only=True)
+        # One contiguous row per lane, as a record holds it, so its tail sums in a record's order.
+        series = errors.T.copy()
+    else:
+        records = run_single(config, objective, wm, algorithm, grid)
+        series = [record.tracking_error for record in records]
     scores = [
-        float(_tail(r, config.tail_fraction).mean()) if np.isfinite(r.tracking_error).all() else math.inf
-        for r in records
+        float(_tail(lane, config.tail_fraction).mean()) if np.isfinite(lane).all() else math.inf
+        for lane in series
     ]
     best = min(range(len(grid)), key=lambda i: (scores[i], -i))
     if scores[best] == math.inf:
         key = "stepsizes" if config.stepsizes else "grid_points"
         raise TuningError(f"every step size diverged: {[float(a) for a in grid]}; the grid comes from {key}")
-    return float(grid[best]), records[best]
+    alpha = float(grid[best])
+    return alpha, run_single(config, objective, wm, algorithm, alpha) if rerun else records[best]
 
 
 @dataclass(frozen=True)
@@ -423,7 +446,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
                 bound = steady_state_bound(
                     algorithm, alpha, objective.mu, objective.lipschitz, wm.beta, drift
                 ) / record.metadata.normalization
-        tail = _tail(record, config.tail_fraction)
+        tail = _tail(record.tracking_error, config.tail_fraction)
         meta = replace(record.metadata, **asdict(drift), extra={"steady_state_tail_max": float(tail.max())})
         records.append(replace(record, metadata=meta))
         rows.append(SummaryRow(algorithm, alpha, float(wm.beta), objective.n, float(tail.mean()), bound))

@@ -25,6 +25,7 @@ from netdrift.algorithms import (
     step,
 )
 from netdrift.experiment import (
+    INITS,
     DivergenceError,
     ExperimentConfig,
     TuningError,
@@ -583,6 +584,85 @@ def test_in_place_sweep_blocks_match_filed_one_lane_runs():
             assert _same_record(record, expected), (algorithm, alpha)
 
 
+# Sweeps at three shapes, each with a divergent top lane: d = 1 and d = 2 on
+# 17 agents file blocks of steps; d = 2 on 100 agents with the default grid
+# holds 6,200 stack values a step and reads one-step blocks in place.
+SWEEP_SHAPES = {
+    "d1_filed": ExperimentConfig(scenario="II", topology="cycle", p=8, horizon=30, seed=3,
+                                 stepsizes=(0.01, 0.1, DIVERGENT_ALPHA)),
+    "d2_filed": ExperimentConfig(scenario="I", topology="random", edge_probability=0.6, n=17,
+                                 horizon=30, seed=3, stepsizes=(0.01, 0.1, DIVERGENT_ALPHA)),
+    "d2_in_place": ExperimentConfig(scenario="I", topology="cycle", n=100, horizon=30, seed=0),
+}
+
+
+def _sweep(shape, init="zeros"):
+    """The shape's config, its grid set (by default the default grid and a divergent lane), objective, network."""
+    config = replace(SWEEP_SHAPES[shape], init=init)
+    objective = build_objective(config)
+    _, wm = build_network(config)
+    if config.stepsizes is None:
+        grid = default_grid(config, objective.mu, objective.lipschitz) + (DIVERGENT_ALPHA,)
+        config = replace(config, stepsizes=grid)
+    in_place = algorithms.reads_in_place(objective.n, objective.d, len(config.stepsizes))
+    assert in_place == (shape == "d2_in_place")
+    return config, objective, wm
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("shape", sorted(SWEEP_SHAPES))
+def test_tracking_only_sweep_is_the_recorded_tracking_error(algorithm, shape):
+    # Column g of a tracking-only sweep is bitwise lane g's tracking_error,
+    # the divergent lane's non-finite values included.
+    config, objective, wm = _sweep(shape)
+    records = run(algorithm, objective, wm, config.stepsizes, config.horizon)
+    errors = run(algorithm, objective, wm, config.stepsizes, config.horizon, tracking_only=True)
+    assert errors.shape == (config.horizon + 1, len(config.stepsizes))
+    assert not np.isfinite(errors[-1, -1])
+    for lane, record in enumerate(records):
+        assert errors[:, lane].tobytes() == record.tracking_error.tobytes(), lane
+
+
+def _full_sweep_winner(config, algorithm, objective, wm):
+    """The step size and record the recorded sweep picks: the lowest tail, the larger step on a tie."""
+    records = run_single(config, objective, wm, algorithm, config.stepsizes)
+    scores = []
+    for record in records:
+        try:
+            scores.append(steady_state_error(record, config.tail_fraction))
+        except DivergenceError:
+            scores.append(np.inf)
+    best = min(range(len(records)), key=lambda i: (scores[i], -i))
+    return (config.stepsizes[best], records[best]) if scores[best] < np.inf else None
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("init", INITS)
+def test_tune_reruns_the_winner_of_a_tracking_only_sweep(algorithm, init):
+    # At the in-place shape tune_stepsize scores a dgt sweep's lanes from a
+    # tracking-only sweep and reruns the winner, and records every lane of
+    # the other methods' sweeps: either way the same step size and record,
+    # every field and tracker_identity_max included, as the recorded sweep's
+    # winning lane.
+    config, objective, wm = _sweep("d2_in_place", init)
+    alpha, record = tune_stepsize(config, algorithm, objective, wm)
+    expected_alpha, expected = _full_sweep_winner(config, algorithm, objective, wm)
+    assert alpha == expected_alpha != DIVERGENT_ALPHA
+    assert _same_record(record, expected)
+    assert (record.tracker_identity_max is not None) == (algorithm == "dgt")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_tune_raises_when_every_lane_of_a_tracking_only_sweep_diverges(algorithm):
+    # dgt scores a tracking-only sweep, the other methods a recorded one.
+    config, objective, wm = _sweep("d2_in_place")
+    config = replace(config, stepsizes=tuple(np.geomspace(1e50, DIVERGENT_ALPHA, 11)))
+    assert algorithms.reads_in_place(objective.n, objective.d, len(config.stepsizes))
+    assert _full_sweep_winner(config, algorithm, objective, wm) is None
+    with pytest.raises(TuningError, match="every step size diverged"):
+        tune_stepsize(config, algorithm, objective, wm)
+
+
 # ---------------------------------------------------------------------------
 # blocks of recorded steps
 
@@ -647,21 +727,30 @@ def test_run_memory_grows_with_the_recorded_series_only(traced_peak):
     # run builds them from, whose roots it takes in place. dgt files the
     # most stacks per step. The one-lane n = 5 run files 409-step blocks;
     # the 30-lane n = 100 sweep reads one-step blocks in place and buffers
-    # the per-lane norms' inputs for up to 68 steps, at both horizons.
-    shapes = ((5, (0.01,), (2_000, 20_000)),
-              (100, tuple(np.geomspace(1e-3, 1e-2, 30)), (100, 1_000)))
-    for n, alphas, horizons in shapes:
+    # the per-lane norms' inputs for up to 68 steps, at both horizons. The
+    # same sweep with tracking_only adds one (horizon + 1, 30) series.
+    sweep = tuple(np.geomspace(1e-3, 1e-2, 30))
+    shapes = ((5, (0.01,), (2_000, 20_000), False),
+              (100, sweep, (100, 1_000), False),
+              (100, sweep, (100, 1_000), True))
+    for n, alphas, horizons, tracking_only in shapes:
         config = ExperimentConfig(scenario="I", topology="cycle", n=n, horizon=horizons[1], seed=0)
         objective = build_objective(config)
         _, wm = build_network(config)
         peaks, series = [], []
         for horizon in horizons:
-            peak, records = traced_peak(lambda: run("dgt", objective, wm, alphas, horizon))
+            peak, result = traced_peak(
+                lambda: run("dgt", objective, wm, alphas, horizon, tracking_only=tracking_only)
+            )
             peaks.append(peak)
+            if tracking_only:
+                assert result.shape == (horizon + 1, len(alphas))
+                series.append(result.nbytes)
+                continue
             series.append(sum(
                 a.nbytes
-                for record in records
+                for record in result
                 for a in (record.iterations, record.tracking_error, record.consensus_dev,
                           record.avg_error, record.y_dev)
             ))
-        assert peaks[1] - peaks[0] < 2.5 * (series[1] - series[0]), n
+        assert peaks[1] - peaks[0] < 2.5 * (series[1] - series[0]), (n, tracking_only)

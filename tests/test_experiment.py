@@ -16,6 +16,7 @@ import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -496,17 +497,41 @@ def _tune(config, algorithm):
     return tune_stepsize(config, algorithm, build_objective(config), wm)
 
 
-def test_tune_takes_the_lowest_tail_and_breaks_ties_toward_the_larger_step(monkeypatch):
+@pytest.mark.parametrize(
+    "algorithm, n, d",
+    [("dgt", 5, 1), ("dgt", 1000, 2), ("diffusion", 1000, 2)],
+    ids=["recorded", "tracking-only", "recorded-in-place"],
+)
+def test_tune_takes_the_lowest_tail_and_breaks_ties_toward_the_larger_step(monkeypatch, algorithm, n, d):
     # Tails of 3, 1, 1 and a lane whose tail is 0 but whose error was once
     # infinite: the diverged lane scores inf, the tie goes to the third step.
+    # A stand-in objective sets the sweep's shape: 4 lanes of 5 agents and
+    # d = 1 record every lane; a dgt sweep of 4 lanes of 1,000 agents and
+    # d = 2 is read in place, scored from the tracking errors alone, and the
+    # winner is rerun; a diffusion sweep of that shape records every lane.
     lanes = [np.full(11, 3.0), np.full(11, 1.0), np.full(11, 1.0), np.zeros(11)]
     lanes[3][4] = np.inf
     records = [_series_record(values) for values in lanes]
-    monkeypatch.setattr(experiment, "run_single", lambda *args: records)
     config = _static_config(horizon=10, stepsizes=(0.01, 0.02, 0.05, 0.1))
-    alpha, record = tune_stepsize(config, "dgt", None, None)
+    calls = []
+
+    def run_single(config, objective, wm, algorithm, alpha):
+        calls.append(("run_single", alpha))
+        return records if np.ndim(alpha) else records[config.stepsizes.index(alpha)]
+
+    def run(algorithm, objective, wm, alpha, horizon, initial_state, tracking_only):
+        calls.append(("run", alpha))
+        assert tracking_only and horizon == 10 and initial_state is None
+        return np.column_stack(lanes)
+
+    monkeypatch.setattr(experiment, "run_single", run_single)
+    monkeypatch.setattr(experiment, "run", run)
+    alpha, record = tune_stepsize(config, algorithm, SimpleNamespace(n=n, d=d), None)
     assert alpha == 0.05
     assert record is records[2]
+    rerun = algorithm == "dgt" and d > 1
+    sweeps = [("run" if rerun else "run_single", config.stepsizes)]
+    assert calls == sweeps + ([("run_single", 0.05)] if rerun else [])
 
 
 def test_tune_single_element_grid():

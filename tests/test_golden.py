@@ -17,6 +17,13 @@ records print avg_error in full, so a BLAS build that rounds that norm
 differently fails here too; the two rotation configs are compared by hand,
 because their beta comes from ARPACK.
 
+tests/data/inplace_suite.json holds the config text and the same digests
+for a suite on a 100-agent least-squares cycle with all four methods and
+the default 30-point grid. Its sweeps hold 6,000 stack values a step, more
+than half a block, so they read their stacks in place, and tune_stepsize
+scores the dgt sweep from its tracking error alone before it reruns the
+winner.
+
 tests/data/setup_constants.json holds the repr of mu, L, delta_x, the
 gradient bound and the gradient drift of the benchmark's problem shapes and
 of every scripts/configs file, and beta where the graph is not random. Each
@@ -50,6 +57,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 with np.load(DATA / "golden.npz") as _pinned:
     GOLDEN = dict(_pinned)
 DIGESTS = json.loads((DATA / "config_digests.json").read_text())
+INPLACE_SUITE = json.loads((DATA / "inplace_suite.json").read_text())
 CONSTANTS = json.loads((DATA / "setup_constants.json").read_text())
 CASES = sorted({key.split("/")[0] for key in GOLDEN})
 SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
@@ -92,15 +100,29 @@ def test_series_match_golden_traces_in_blocks_of_steps(monkeypatch, case, steps)
     _check_case(case, monkeypatch, steps)
 
 
+def _tree_digests(config_path, root, monkeypatch):
+    """{path under root: sha256} of every file ``netdrift run`` writes for a config file."""
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(root))
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_config_trees_match_pinned_digests(name, tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    assert cli.main(["run", "--config", str(CONFIGS / name)]) == 0
-    written = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.rglob("*")) if path.is_file()
-    }
-    assert written == DIGESTS[name]
+    assert _tree_digests(CONFIGS / name, tmp_path, monkeypatch) == DIGESTS[name]
+
+
+def test_inplace_suite_tree_matches_pinned_digests(tmp_path, monkeypatch):
+    config_path = tmp_path / "inplace.cfg"
+    config_path.write_text(INPLACE_SUITE["config"])
+    config = load_config(config_path)
+    objective = build_objective(config)
+    assert config.stepsizes is None and len(config.algorithms) == len(ALGORITHMS)
+    assert algorithms.reads_in_place(objective.n, objective.d, config.grid_points)
+    assert _tree_digests(config_path, tmp_path / "out", monkeypatch) == INPLACE_SUITE["digests"]
 
 
 @pytest.mark.parametrize("name", sorted(CONSTANTS))
