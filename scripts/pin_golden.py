@@ -15,14 +15,13 @@ one-step blocks that read the stacks in place. The full-scale case pins
 one-column products and gradients at the size the benchmark runs; its
 series do not read beta, so ARPACK's last bits do not enter them.
 
-It also runs ``netdrift run`` on scripts/configs/circle_n5.cfg and
-static_cycle.cfg and stores the sha256 of every file each run writes in
-tests/data/config_digests.json, which tests/test_golden.py checks. The two
-rotation configs are left out: their beta comes from ARPACK, whose last bits
-depend on the LAPACK build. It does the same for one more suite, scenario I
-on a 100-agent cycle with all four methods and the default 30-point grid,
-whose sweeps are wide enough to read their stacks in place: the config text
-and the digests go to tests/data/inplace_suite.json.
+It also runs ``netdrift run`` on scripts/configs/circle_n5.cfg,
+static_cycle.cfg and one more suite, scenario I on a 100-agent cycle with
+all four methods and the default 30-point grid, whose sweeps are wide
+enough to read their stacks in place. Each config's text and the sha256 of
+every file its run writes go to tests/data/config_digests.json, which
+tests/test_golden.py checks. The two rotation configs are left out: their
+beta comes from ARPACK, whose last bits depend on the LAPACK build.
 
 Last, it writes tests/data/setup_constants.json: the repr of mu, L, delta_x,
 the gradient bound and the gradient drift, with the config text they come
@@ -73,16 +72,16 @@ CASES = {
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO / "tests" / "data" / "golden.npz"
-# The configs whose whole output tree is pinned by digest, next to golden.npz.
+# The scripts/configs files whose whole output tree is pinned by digest, next to golden.npz.
 DIGEST_CONFIGS = ("circle_n5.cfg", "static_cycle.cfg")
 DIGESTS_NAME = "config_digests.json"
 # A suite whose sweeps read their stacks in place (30 lanes x 100 agents x d = 2
-# values a step, more than half a block), pinned with its config text.
+# values a step, more than half a block), pinned under this name next to them.
+INPLACE_NAME = "inplace_n100.cfg"
 INPLACE_SUITE = (
     "scenario = I\ntopology = cycle\nn = 100\nhorizon = 100\n"
     "algorithms = diffusion, dgt, extra, exact_diffusion\nseed = 0\noutput_dir = inplace_n100\n"
 )
-INPLACE_NAME = "inplace_suite.json"
 CONSTANTS_NAME = "setup_constants.json"
 # The problem keys of benchmarks/workloads.py, at config seed 0, by workload.
 BENCHMARK_SHAPES = {
@@ -111,29 +110,28 @@ def golden_arrays() -> dict:
     return arrays
 
 
-def tree_digests(config: Path) -> dict:
-    """{path under the output root: sha256} of every file ``netdrift run`` writes for a config file."""
-    with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: root}):
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(["run", "--config", str(config)]) != 0:
-                raise SystemExit(f"netdrift run failed on {config.name}")
-        return {
-            path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(Path(root).rglob("*")) if path.is_file()
-        }
-
-
 def config_digests() -> dict:
-    """{config name: {path under the output root: sha256}} of each ``netdrift run``."""
-    return {name: tree_digests(REPO / "scripts" / "configs" / name) for name in DIGEST_CONFIGS}
+    """{config name: {"config": its text, "digests": {path under the output root: sha256}}}.
 
-
-def inplace_suite() -> dict:
-    """{"config": the in-place suite's text, "digests": its tree's digests}."""
+    One entry per ``netdrift run``: each of DIGEST_CONFIGS and the in-place suite.
+    """
+    texts = {name: (REPO / "scripts" / "configs" / name).read_text() for name in DIGEST_CONFIGS}
+    texts[INPLACE_NAME] = INPLACE_SUITE
+    pinned = {}
     with tempfile.TemporaryDirectory() as scratch:
-        config = Path(scratch) / "inplace_n100.cfg"
-        config.write_text(INPLACE_SUITE)
-        return {"config": INPLACE_SUITE, "digests": tree_digests(config)}
+        for name, text in texts.items():
+            config, root = Path(scratch, name), Path(scratch, "trees", name)
+            config.write_text(text)
+            with mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: str(root)}), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["run", "--config", str(config)]) != 0:
+                    raise SystemExit(f"netdrift run failed on {name}")
+            digests = {
+                path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(root.rglob("*")) if path.is_file()
+            }
+            pinned[name] = {"config": text, "digests": digests}
+    return pinned
 
 
 def setup_constants() -> dict:
@@ -164,9 +162,6 @@ def main(argv=None) -> int:
     digests = args.output.with_name(DIGESTS_NAME)
     digests.write_text(json.dumps(config_digests(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {digests}")
-    inplace = args.output.with_name(INPLACE_NAME)
-    inplace.write_text(json.dumps(inplace_suite(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {inplace}")
     constants = args.output.with_name(CONSTANTS_NAME)
     constants.write_text(json.dumps(setup_constants(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {constants}")

@@ -53,15 +53,17 @@ records hundreds of steps per block, a large one a single step. A block of
 several steps, and every block when d = 1, is filed: each step's stacks are
 copied into it. When d >= 2 and the budget holds fewer than two steps, each
 one-step block reads the live stacks in place, as a leading axis of length
-one, with no copy. The per-lane norms of
-the average iterate's error and of the tracker gap are taken over many steps
-at once: each step's difference goes into a buffer of whole blocks, up to
-``_BLOCK_VALUES`` values (lanes x d per step), whose norms are taken once it
-fills, so a sweep of one-step blocks takes them once per many steps.
-A tracking-only run, which tuning asks for when a dgt sweep of several
-step sizes reads its stacks in place, files and reduces x alone: it sums
-the squared deviations from the optimum as above and takes no network
-average and no norm.
+one, with no copy. The per-lane norms of the average iterate's error and
+of the tracker gap are taken over many steps at once: each step's
+differences go into one buffer of whole blocks, with a series axis of one
+row per norm and up to ``_BLOCK_VALUES`` values (lanes x d per step) per
+row, whose norms are taken in one call once it fills, so a sweep of
+one-step blocks takes them once per many steps. What a run records comes
+from one row of counts per mode: the squared deviation series, the stacks
+filed and the norms. A tracking-only run, which tuning asks for when a dgt
+sweep of several step sizes reads its stacks in place, files and reduces x
+alone: it sums the squared deviations from the optimum as above and takes
+no network average and no norm.
 
 Summation order of the recorded series: numpy sums a one-lane (n, d) stack
 over its agents one agent after the other when d >= 2, and pairwise when
@@ -230,9 +232,11 @@ def reads_in_place(n: int, d: int, lanes: int) -> bool:
 
 def _squared_norms(values: NDArray[np.float64], out: NDArray[np.float64]) -> None:
     # Squared norm of each lane's d-vector in coordinate-major ``values``, into
-    # the (steps, lanes) ``out``: the vectors copied into contiguous rows, then
-    # one dot product per row, the kernel np.linalg.norm uses on a vector.
-    rows = values.reshape(out.shape[0], -1, out.shape[1]).swapaxes(1, 2).reshape(out.size, -1)
+    # the C-ordered (..., lanes) ``out``: the vectors copied into contiguous
+    # rows, then one dot product per row, the kernel np.linalg.norm uses on a
+    # vector. Each row's product is independent of its neighbours.
+    lanes = out.shape[-1]
+    rows = values.reshape(out.size // lanes, -1, lanes).swapaxes(1, 2).reshape(out.size, -1)
     np.matmul(rows[:, None, :], rows[:, :, None], out=out.reshape(-1, 1, 1))
 
 
@@ -286,8 +290,9 @@ def run(
     block length. A block of several steps, and every block when d = 1, is
     filed with copies of the stacks; when d >= 2 and the budget holds fewer
     than two steps, each one-step block reads them in place. The norms of
-    the average iterate's error and of the tracker gap run once per buffer
-    of whole blocks, up to ``_BLOCK_VALUES`` values of lanes x d per step.
+    the average iterate's error and of the tracker gap share one buffer of
+    whole blocks, a row per norm of up to ``_BLOCK_VALUES`` values of lanes
+    x d per step, and run in one call each time it fills.
     The network averages sum over agents in the order of a one-lane run:
     agent by agent (agents-leading) when the objective's dimension d >= 2,
     and pairwise per lane over the C-ordered rows of a lane-major copy when
@@ -315,20 +320,19 @@ def run(
     alpha_stack = np.tile(alphas, (n, d))  # the step size of every stack entry
     if algorithm == "dgt" and stacks[1] is None:
         raise StepError("a dgt run needs a tracker state; build it with init_state")
-    tracker = algorithm == "dgt" and not tracking_only  # records the tracker's series
     normalization = float(objective.normalization)
     length = horizon + 1
-    # Each step files its stacks (x, and for dgt y and the previous
-    # gradient) and its optimum into a block of steps, or hands a one-step
-    # block with d >= 2 its stacks in place; each full block, and the last,
-    # partial one, is reduced at once along a leading block axis.
-    # Squared deviations from the optimum, the network average and
-    # (tracking) the tracker average, one series each, are summed per step,
-    # series and lane into ``sums`` in a one-lane run's order (module
-    # docstring). x-bar - x* and (tracking) y-bar - g-bar go into buffers
-    # of ``span`` steps, whole blocks, whose norms are taken when they fill.
-    # A tracking-only run sums the deviations from the optimum alone.
-    series = 1 if tracking_only else 3 if tracker else 2
+    # What the run records, as counts per mode: the squared-deviation series
+    # (tracking, consensus, tracker), the stacks filed (x, y, g_prev) and the
+    # per-lane norms (x-bar - x*, y-bar - g-bar).
+    series, recorded, norms = (1, 1, 0) if tracking_only else (3, 3, 2) if algorithm == "dgt" else (2, 1, 1)
+    # Each step files its recorded stacks and its optimum into a block of
+    # steps, or hands a one-step block with d >= 2 its stacks in place; each
+    # full block, and the last, partial one, is reduced at once along a
+    # leading block axis, summing the squared deviations per step, series
+    # and lane into ``sums`` in a one-lane run's order (module docstring).
+    # The differences whose norms are recorded go into ``bar_dev``, a buffer
+    # of ``span`` steps, whole blocks, whose norms are taken when it fills.
     block = max(1, min(length, _BLOCK_VALUES // (n * lanes * d)))
     span = block * max(1, min(length, _BLOCK_VALUES // (lanes * d)) // block)
     if d > 1:
@@ -340,7 +344,6 @@ def run(
         # Lane-major (m, G, n) blocks, C-ordered: each lane's column becomes
         # one contiguous row, which numpy sums pairwise.
         axis, shape, opt_shape = -1, (lanes, n), (lanes, 1)
-    recorded = 3 if tracker else 1
     in_place = reads_in_place(n, d, lanes)
     filed = [] if in_place else [np.empty((block, *shape)) for _ in range(recorded)]
     optima = np.empty((block, d, lanes))  # each step's optimum, once per lane
@@ -348,10 +351,8 @@ def run(
     deviations = np.empty((block, series, *shape))
     per_lane = deviations if d == 1 else np.empty((block, series, lanes, n))
     sums = np.empty((length, series, lanes))
-    avg_sq = None if tracking_only else np.empty((length, lanes))
-    gaps = np.empty((length, lanes)) if tracker else None
-    avg_dev = None if tracking_only else np.empty((span, *opt_shape))
-    gap_dev = np.empty((span, *opt_shape)) if tracker else None
+    bar_dev = np.empty((span, norms, *opt_shape))
+    bar_sq = np.empty((length, norms, lanes))
 
     def cut(m):
         """The optima and the views written through for a block's first m steps."""
@@ -363,18 +364,18 @@ def run(
 
     def reduce_block(k0, stacks, opt, dev, dev_rows, lane_sums, columns):
         k1 = k0 + len(opt)
-        held = slice(k0 % span, k0 % span + len(opt))  # the block's rows of the norm buffers
+        held = bar_dev[k0 % span : k0 % span + len(opt)]  # the block's rows of the norm buffer
         x = stacks[0]
         np.subtract(x, opt, out=dev_rows[0])
-        if not tracking_only:
+        if series > 1:
             x_bar = np.add.reduce(x, axis=axis, keepdims=True) / n
             np.subtract(x, x_bar, out=dev_rows[1])
-            np.subtract(x_bar, opt, out=avg_dev[held])
-        if tracker:
+            np.subtract(x_bar, opt, out=held[:, 0])
+        if series > 2:
             y_bar = np.add.reduce(stacks[1], axis=axis, keepdims=True) / n
             np.subtract(stacks[1], y_bar, out=dev_rows[2])
             g_bar = np.add.reduce(stacks[2], axis=axis, keepdims=True) / n
-            np.subtract(y_bar, g_bar, out=gap_dev[held])
+            np.subtract(y_bar, g_bar, out=held[:, 1])
         np.square(dev, out=dev)
         if d > 1:
             # Sum over d column by column, in the order numpy sums a row
@@ -390,20 +391,17 @@ def run(
         for k in range(length):
             b = k % block
             lane_optima[b] = objective.optimum(k)
-            if in_place:
-                reduce_block(k, [stack[None] for stack in stacks[:recorded]], *full)
-            else:
+            if not in_place:
                 for buffer, stack in zip(filed, stacks):  # x, then for dgt y and g_prev
                     buffer[b] = stack if d > 1 else stack.T
-                if b == block - 1:
-                    reduce_block(k - b, filed, *full)
-                elif k == horizon:
-                    reduce_block(k - b, [buffer[: b + 1] for buffer in filed], *cut(b + 1))
-            if not tracking_only and (k % span == span - 1 or k == horizon):
-                k0 = k - k % span  # the norm buffers hold steps k0..k
-                _squared_norms(avg_dev[: k + 1 - k0], out=avg_sq[k0 : k + 1])
-                if tracker:
-                    _squared_norms(gap_dev[: k + 1 - k0], out=gaps[k0 : k + 1])
+            if b == block - 1:
+                blocks = [stack[None] for stack in stacks[:recorded]] if in_place else filed
+                reduce_block(k - b, blocks, *full)
+            elif k == horizon:
+                reduce_block(k - b, [buffer[: b + 1] for buffer in filed], *cut(b + 1))
+            if norms and (k % span == span - 1 or k == horizon):
+                k0 = k - k % span  # the norm buffer holds steps k0..k
+                _squared_norms(bar_dev[: k + 1 - k0], out=bar_sq[k0 : k + 1])
             if k == horizon:
                 break
             try:
@@ -414,10 +412,9 @@ def run(
         # add to the run's peak memory, which should grow with its records only.
         rms = np.sqrt(np.divide(sums, n, out=sums), out=sums)
         np.divide(rms[:, 0], normalization, out=rms[:, 0])  # the tracking error
-    if tracking_only:
+    if not norms:
         return rms[:, 0]
-    avg_error = np.sqrt(avg_sq, out=avg_sq)
-    identity_gaps = np.sqrt(gaps, out=gaps) if tracker else None
+    bar_norms = np.sqrt(bar_sq, out=bar_sq)
     records = []
     for lane, lane_alpha in enumerate(alphas):
         meta = RunMetadata(
@@ -439,9 +436,9 @@ def run(
                 iterations=np.arange(length, dtype=np.int64),
                 tracking_error=rms[:, 0, lane].copy(),
                 consensus_dev=rms[:, 1, lane].copy(),
-                avg_error=avg_error[:, lane].copy(),
-                y_dev=rms[:, 2, lane].copy() if tracker else None,
-                tracker_identity_max=_identity_max(identity_gaps[:, lane]) if tracker else None,
+                avg_error=bar_norms[:, 0, lane].copy(),
+                y_dev=rms[:, 2, lane].copy() if series > 2 else None,
+                tracker_identity_max=_identity_max(bar_norms[:, 1, lane]) if norms > 1 else None,
             )
         )
     return records[0] if np.ndim(alpha) == 0 else tuple(records)

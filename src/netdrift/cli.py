@@ -6,7 +6,8 @@ violation or an input cannot be processed.
 
 The argparse tree is built on the first call of ``main`` and reused by every
 later call in the process; parsing leaves it unchanged, so each call answers
-as a fresh parser would.
+as a fresh parser would. Each subcommand's parser names the handler that
+``main`` calls.
 """
 
 from __future__ import annotations
@@ -19,34 +20,6 @@ from dataclasses import astuple, fields
 from .analysis import ANALYSED_METHODS, RegimeError, audit_recursions, contraction_model, steady_state_bound
 from .experiment import SummaryRow, audit_record_file, load_config, run_suite
 from .problems import DriftProfile
-
-
-def _add_run(sub) -> None:
-    p = sub.add_parser("run", help="run a configured experiment suite")
-    p.add_argument("--config", required=True, help="path to a key = value config file")
-
-
-def _add_audit(sub) -> None:
-    p = sub.add_parser("audit", help="replay per-step inequalities on a stored record")
-    p.add_argument("--record", required=True, help="path to a trajectory CSV")
-
-
-def _add_bounds(sub) -> None:
-    p = sub.add_parser("bounds", help="evaluate steady-state bounds for given constants")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--L", type=float, required=True, dest="lipschitz")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--dx", type=float, required=True, help="delta_x: the optimum's largest per-step move")
-    p.add_argument(
-        "--D", type=float, required=True,
-        help="grad_bound: the largest sum over agents of the gradient norms at the optimum, over sqrt(n)",
-    )
-    p.add_argument(
-        "--dg", type=float, required=True,
-        help="grad_drift: the largest sum over agents of the change of those gradients "
-        "from one step to the next, over sqrt(n)",
-    )
 
 
 def _cmd_run(args) -> int:
@@ -104,20 +77,35 @@ def _parser() -> argparse.ArgumentParser:
         prog="netdrift", description="drifting-optimum experiments over networks"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_run(sub)
-    _add_audit(sub)
-    _add_bounds(sub)
+    p = sub.add_parser("run", help="run a configured experiment suite")
+    p.add_argument("--config", required=True, help="path to a key = value config file")
+    p.set_defaults(handler=_cmd_run)
+    p = sub.add_parser("audit", help="replay per-step inequalities on a stored record")
+    p.add_argument("--record", required=True, help="path to a trajectory CSV")
+    p.set_defaults(handler=_cmd_audit)
+    p = sub.add_parser("bounds", help="evaluate steady-state bounds for given constants")
+    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--L", type=float, required=True, dest="lipschitz")
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--dx", type=float, required=True, help="delta_x: the optimum's largest per-step move")
+    p.add_argument(
+        "--D", type=float, required=True,
+        help="grad_bound: the largest sum over agents of the gradient norms at the optimum, over sqrt(n)",
+    )
+    p.add_argument(
+        "--dg", type=float, required=True,
+        help="grad_drift: the largest sum over agents of the change of those gradients "
+        "from one step to the next, over sqrt(n)",
+    )
+    p.set_defaults(handler=_cmd_bounds)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        return _cmd_bounds(args)
+        return args.handler(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

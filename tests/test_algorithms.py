@@ -674,7 +674,8 @@ def test_records_do_not_depend_on_block_length(monkeypatch, algorithm, scenario)
     # 7 steps (31 steps leave a partial last block) and one block for the
     # whole horizon record the same series bitwise, on 17 agents (pairwise
     # and sequential sums differ from 8 agents up) and on a grid whose top
-    # lane diverges.
+    # lane diverges. A tracking-only sweep, which keeps no norm buffer,
+    # returns the block-1 records' tracking errors at every block length.
     config = ExperimentConfig(
         scenario=scenario,
         topology="random",
@@ -690,12 +691,15 @@ def test_records_do_not_depend_on_block_length(monkeypatch, algorithm, scenario)
     _, wm = build_network(config)
     values = objective.n * objective.d * len(config.stepsizes)
     for horizon in (0, config.horizon):
-        by_length = {}
+        by_length, tracking = {}, {}
         for steps in (1, 2, 7, 10**6):
             monkeypatch.setattr(algorithms, "_BLOCK_VALUES", steps * values)
             by_length[steps] = run(algorithm, objective, wm, config.stepsizes, horizon)
+            tracking[steps] = run(algorithm, objective, wm, config.stepsizes, horizon, tracking_only=True)
+        expected = np.stack([record.tracking_error for record in by_length[1]], axis=1)
         for steps, records in by_length.items():
             assert all(_same_record(a, b) for a, b in zip(records, by_length[1])), steps
+            assert tracking[steps].tobytes() == expected.tobytes(), steps
     assert not np.isfinite(by_length[1][-1].tracking_error[-1])
 
 

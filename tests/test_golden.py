@@ -1,4 +1,4 @@
-"""Regression tests against pinned outputs, both written by scripts/pin_golden.py.
+"""Regression tests against pinned outputs, all written by scripts/pin_golden.py.
 
 tests/data/golden.npz holds every method's recorded series on four small
 problems, on least squares with n=2100 and on scenario III with p=1000, at a
@@ -10,19 +10,17 @@ The series must reproduce bitwise, except avg_error, which may differ by
 1e-12 relative: it is a norm taken through the BLAS dot kernel, whose
 rounding is up to the BLAS build rather than to netdrift.
 
-tests/data/config_digests.json holds the sha256 of every file that
-``netdrift run`` writes for scripts/configs/circle_n5.cfg and
-static_cycle.cfg, so those two trees must come out byte-identical. The
-records print avg_error in full, so a BLAS build that rounds that norm
+tests/data/config_digests.json holds the config text and the sha256 of
+every file that ``netdrift run`` writes for scripts/configs/circle_n5.cfg,
+static_cycle.cfg and inplace_n100.cfg, so those trees must come out
+byte-identical. The first two must pin their files' text. The last is a
+suite on a 100-agent least-squares cycle with all four methods and the
+default 30-point grid. Its sweeps hold 6,000 stack values a step, more than
+half a block, so they read their stacks in place, and tune_stepsize scores
+the dgt sweep from its tracking error alone before it reruns the winner.
+The records print avg_error in full, so a BLAS build that rounds that norm
 differently fails here too; the two rotation configs are compared by hand,
 because their beta comes from ARPACK.
-
-tests/data/inplace_suite.json holds the config text and the same digests
-for a suite on a 100-agent least-squares cycle with all four methods and
-the default 30-point grid. Its sweeps hold 6,000 stack values a step, more
-than half a block, so they read their stacks in place, and tune_stepsize
-scores the dgt sweep from its tracking error alone before it reruns the
-winner.
 
 tests/data/setup_constants.json holds the repr of mu, L, delta_x, the
 gradient bound and the gradient drift of the benchmark's problem shapes and
@@ -57,7 +55,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 with np.load(DATA / "golden.npz") as _pinned:
     GOLDEN = dict(_pinned)
 DIGESTS = json.loads((DATA / "config_digests.json").read_text())
-INPLACE_SUITE = json.loads((DATA / "inplace_suite.json").read_text())
+# The pinned suite whose sweeps read their stacks in place.
+INPLACE_SUITE = "inplace_n100.cfg"
 CONSTANTS = json.loads((DATA / "setup_constants.json").read_text())
 CASES = sorted({key.split("/")[0] for key in GOLDEN})
 SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
@@ -112,17 +111,17 @@ def _tree_digests(config_path, root, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_config_trees_match_pinned_digests(name, tmp_path, monkeypatch):
-    assert _tree_digests(CONFIGS / name, tmp_path, monkeypatch) == DIGESTS[name]
-
-
-def test_inplace_suite_tree_matches_pinned_digests(tmp_path, monkeypatch):
-    config_path = tmp_path / "inplace.cfg"
-    config_path.write_text(INPLACE_SUITE["config"])
-    config = load_config(config_path)
-    objective = build_objective(config)
-    assert config.stepsizes is None and len(config.algorithms) == len(ALGORITHMS)
-    assert algorithms.reads_in_place(objective.n, objective.d, config.grid_points)
-    assert _tree_digests(config_path, tmp_path / "out", monkeypatch) == INPLACE_SUITE["digests"]
+    pinned = DIGESTS[name]
+    if name == INPLACE_SUITE:
+        config = parse_config(pinned["config"])
+        objective = build_objective(config)
+        assert config.stepsizes is None and len(config.algorithms) == len(ALGORITHMS)
+        assert algorithms.reads_in_place(objective.n, objective.d, config.grid_points)
+    else:
+        assert (CONFIGS / name).read_text() == pinned["config"]
+    config_path = tmp_path / name
+    config_path.write_text(pinned["config"])
+    assert _tree_digests(config_path, tmp_path / "out", monkeypatch) == pinned["digests"]
 
 
 @pytest.mark.parametrize("name", sorted(CONSTANTS))
