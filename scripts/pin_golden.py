@@ -16,10 +16,11 @@ one-column products and gradients at the size the benchmark runs; its
 series do not read beta, so ARPACK's last bits do not enter them.
 
 It also runs ``netdrift run`` on scripts/configs/circle_n5.cfg,
-static_cycle.cfg and one more suite, scenario I on a 100-agent cycle with
-all four methods and the default 30-point grid, whose sweeps are wide
-enough to read their stacks in place. Each config's text and the sha256 of
-every file its run writes go to tests/data/config_digests.json, which
+static_cycle.cfg and two more suites with the default 30-point grid, whose
+sweeps are wide enough to read their stacks in place: scenario I on a
+100-agent cycle with all four methods (d = 2), and scenario III on a
+201-agent cycle with diffusion and dgt (d = 1). Each config's text and the
+sha256 of every file its run writes go to tests/data/config_digests.json, which
 tests/test_golden.py checks. The two rotation configs are left out: their
 beta comes from ARPACK, whose last bits depend on the LAPACK build.
 
@@ -75,13 +76,19 @@ DEFAULT_OUTPUT = REPO / "tests" / "data" / "golden.npz"
 # The scripts/configs files whose whole output tree is pinned by digest, next to golden.npz.
 DIGEST_CONFIGS = ("circle_n5.cfg", "static_cycle.cfg")
 DIGESTS_NAME = "config_digests.json"
-# A suite whose sweeps read their stacks in place (30 lanes x 100 agents x d = 2
-# values a step, more than half a block), pinned under this name next to them.
-INPLACE_NAME = "inplace_n100.cfg"
-INPLACE_SUITE = (
-    "scenario = I\ntopology = cycle\nn = 100\nhorizon = 100\n"
-    "algorithms = diffusion, dgt, extra, exact_diffusion\nseed = 0\noutput_dir = inplace_n100\n"
-)
+# Suites whose sweeps read their stacks in place, pinned by name next to them:
+# 30 lanes x 100 agents x d = 2 and 30 lanes x 201 agents x d = 1 values a step,
+# each more than half a block. Both dgt sweeps record the tracking error alone.
+INPLACE_SUITES = {
+    "inplace_n100.cfg": (
+        "scenario = I\ntopology = cycle\nn = 100\nhorizon = 100\n"
+        "algorithms = diffusion, dgt, extra, exact_diffusion\nseed = 0\noutput_dir = inplace_n100\n"
+    ),
+    "inplace_p100.cfg": (
+        "scenario = III\ntopology = cycle\np = 100\nhorizon = 100\n"
+        "algorithms = diffusion, dgt\nseed = 0\noutput_dir = inplace_p100\n"
+    ),
+}
 CONSTANTS_NAME = "setup_constants.json"
 # The problem keys of benchmarks/workloads.py, at config seed 0, by workload.
 BENCHMARK_SHAPES = {
@@ -113,10 +120,10 @@ def golden_arrays() -> dict:
 def config_digests() -> dict:
     """{config name: {"config": its text, "digests": {path under the output root: sha256}}}.
 
-    One entry per ``netdrift run``: each of DIGEST_CONFIGS and the in-place suite.
+    One entry per ``netdrift run``: each of DIGEST_CONFIGS and INPLACE_SUITES.
     """
     texts = {name: (REPO / "scripts" / "configs" / name).read_text() for name in DIGEST_CONFIGS}
-    texts[INPLACE_NAME] = INPLACE_SUITE
+    texts.update(INPLACE_SUITES)
     pinned = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name, text in texts.items():

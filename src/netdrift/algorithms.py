@@ -50,20 +50,26 @@ which dominate a step on small networks. So ``run`` reduces a whole block
 of steps at once, along a leading block axis. A block holds about
 ``_BLOCK_VALUES`` stack values, and at least one step: a small network
 records hundreds of steps per block, a large one a single step. A block of
-several steps, and every block when d = 1, is filed: each step's stacks are
-copied into it. When d >= 2 and the budget holds fewer than two steps, each
-one-step block reads the live stacks in place, as a leading axis of length
-one, with no copy. The per-lane norms of the average iterate's error and
-of the tracker gap are taken over many steps at once: each step's
-differences go into one buffer of whole blocks, with a series axis of one
-row per norm and up to ``_BLOCK_VALUES`` values (lanes x d per step) per
-row, whose norms are taken in one call once it fills, so a sweep of
-one-step blocks takes them once per many steps. What a run records comes
+several steps is filed: each step's stacks are copied into it. When the
+budget holds fewer than two steps (``reads_in_place``), each one-step block
+reads the live stacks in place, as a leading axis of length one, with no
+copy: the (n, G*d) stacks when d >= 2, and the (G, n) transposed view of x
+in a tracking-only run when d = 1, whose deviations from the optimum go
+straight into contiguous rows. A recorded run with d = 1 files its one-step
+blocks too, because the network average sums pairwise only over contiguous
+rows. The per-lane norms of the average iterate's error and of the tracker
+gap are taken over many steps at once: each step's differences go into one
+buffer of whole blocks, with a series axis of one row per norm and up to
+``_BLOCK_VALUES`` values (lanes x d per step) per row, whose norms are
+taken in one call once it fills, so a sweep of one-step blocks takes them
+once per many steps. What a run records comes
 from one row of counts per mode: the squared deviation series, the stacks
-filed and the norms. A tracking-only run, which tuning asks for when a dgt
-sweep of several step sizes reads its stacks in place, files and reduces x
-alone: it sums the squared deviations from the optimum as above and takes
-no network average and no norm.
+filed and the norms. A tracking-only run reduces x alone: it sums the
+squared deviations from the optimum as above and takes no network average
+and no norm. Tuning asks for one when a dgt sweep has one-step blocks and
+at least ``_TRACKING_ONLY_LANES`` lanes, and reruns the winning step size
+as one lane; below that many lanes the rerun costs more than the sweep
+saves.
 
 Summation order of the recorded series: numpy sums a one-lane (n, d) stack
 over its agents one agent after the other when d >= 2, and pairwise when
@@ -93,6 +99,9 @@ ALGORITHMS = ("diffusion", "dgt", "extra", "exact_diffusion")
 # ``run`` records up to about this many stack values (agents x columns) per
 # block of steps, and always at least one step.
 _BLOCK_VALUES = 2**12
+# A dgt tuning sweep of at least this many lanes on one-step blocks records the
+# tracking error alone and reruns the winning step size (experiment.tune_stepsize).
+_TRACKING_ONLY_LANES = 6
 
 
 class StepError(RuntimeError):
@@ -223,11 +232,13 @@ def _widen(state: AlgorithmState, lanes: int) -> tuple:
 
 
 def reads_in_place(n: int, d: int, lanes: int) -> bool:
-    """Whether ``run`` reads (n, lanes*d) stacks in place: d >= 2, a block budget under 2 steps.
+    """Whether ``run``'s blocks of (n, lanes*d) stacks are one step long, a budget under 2 steps.
 
-    ``experiment.tune_stepsize`` reads the same rule to choose its sweep.
+    Such a block reads the stacks in place in a tracking-only run, and in a
+    recorded one when d >= 2. ``experiment.tune_stepsize`` reads the same
+    test to choose its sweep.
     """
-    return d > 1 and _BLOCK_VALUES // (n * lanes * d) < 2
+    return _BLOCK_VALUES // (n * lanes * d) < 2
 
 
 def _squared_norms(values: NDArray[np.float64], out: NDArray[np.float64]) -> None:
@@ -282,17 +293,19 @@ def run(
     its tracking error alone (``experiment.tune_stepsize``), not an output
     format: it returns the (horizon + 1, G) matrix of the lanes' tracking
     errors instead of records, column g bitwise lane g's
-    ``tracking_error``. Such a run files and reduces x alone: it takes no
-    network average and no norm, and builds no record.
+    ``tracking_error``. Such a run reduces x alone: it takes no network
+    average and no norm, and builds no record.
 
     The series are reduced in blocks of steps that hold about
     ``_BLOCK_VALUES`` stack values each, and a record does not depend on the
-    block length. A block of several steps, and every block when d = 1, is
-    filed with copies of the stacks; when d >= 2 and the budget holds fewer
-    than two steps, each one-step block reads them in place. The norms of
-    the average iterate's error and of the tracker gap share one buffer of
-    whole blocks, a row per norm of up to ``_BLOCK_VALUES`` values of lanes
-    x d per step, and run in one call each time it fills.
+    block length. A block of several steps is filed with copies of the
+    stacks. When the budget holds fewer than two steps (``reads_in_place``),
+    each one-step block reads them in place, except in a recorded run with
+    d = 1, which files them so that each lane's agents sum as one contiguous
+    row. The norms of the average iterate's error and of the tracker gap
+    share one buffer of whole blocks, a row per norm of up to
+    ``_BLOCK_VALUES`` values of lanes x d per step, and run in one call each
+    time it fills.
     The network averages sum over agents in the order of a one-lane run:
     agent by agent (agents-leading) when the objective's dimension d >= 2,
     and pairwise per lane over the C-ordered rows of a lane-major copy when
@@ -327,8 +340,8 @@ def run(
     # per-lane norms (x-bar - x*, y-bar - g-bar).
     series, recorded, norms = (1, 1, 0) if tracking_only else (3, 3, 2) if algorithm == "dgt" else (2, 1, 1)
     # Each step files its recorded stacks and its optimum into a block of
-    # steps, or hands a one-step block with d >= 2 its stacks in place; each
-    # full block, and the last, partial one, is reduced at once along a
+    # steps, or hands a one-step block its stacks in place; each full
+    # block, and the last, partial one, is reduced at once along a
     # leading block axis, summing the squared deviations per step, series
     # and lane into ``sums`` in a one-lane run's order (module docstring).
     # The differences whose norms are recorded go into ``bar_dev``, a buffer
@@ -339,19 +352,27 @@ def run(
         # Agents-leading (m, n, G*d) blocks: reducing over the agent axis
         # goes agent by agent, with one inner loop of G*d per agent. A
         # one-step block is the (n, G*d) stacks themselves, read in place.
-        axis, shape, opt_shape = -2, (n, lanes * d), (1, lanes * d)
+        axis, shape, bar_shape = -2, (n, lanes * d), (1, lanes * d)
     else:
         # Lane-major (m, G, n) blocks, C-ordered: each lane's column becomes
-        # one contiguous row, which numpy sums pairwise.
-        axis, shape, opt_shape = -1, (lanes, n), (lanes, 1)
-    in_place = reads_in_place(n, d, lanes)
+        # one contiguous row, which numpy sums pairwise. A one-step block
+        # read in place is x's (G, n) transposed view, whose deviations from
+        # the optimum are written into contiguous rows.
+        axis, shape, bar_shape = -1, (lanes, n), (lanes, 1)
+    # A recorded d = 1 run files its stacks: the network average sums each
+    # lane pairwise only over a contiguous row.
+    in_place = reads_in_place(n, d, lanes) and (d > 1 or tracking_only)
     filed = [] if in_place else [np.empty((block, *shape)) for _ in range(recorded)]
-    optima = np.empty((block, d, lanes))  # each step's optimum, once per lane
-    lane_optima = optima.swapaxes(1, 2)  # (block, G, d): filed by broadcast
+    # Each step's optimum: once per lane when d >= 2, coordinate-major as in
+    # a stack's columns; once for all lanes when d = 1, a single value that
+    # numpy subtracts from a lane-major block about 3x faster than a column
+    # of one value per lane (8 lanes of 2,001 agents).
+    optima = np.empty((block, d, lanes if d > 1 else 1))
+    lane_optima = optima.swapaxes(1, 2)  # filed by broadcast
     deviations = np.empty((block, series, *shape))
     per_lane = deviations if d == 1 else np.empty((block, series, lanes, n))
     sums = np.empty((length, series, lanes))
-    bar_dev = np.empty((span, norms, *opt_shape))
+    bar_dev = np.empty((span, norms, *bar_shape))  # shaped as a step's network average
     bar_sq = np.empty((length, norms, lanes))
 
     def cut(m):
@@ -359,7 +380,7 @@ def run(
         dev, lane_sums = deviations[:m], per_lane[:m]
         # Coordinate j of the lanes, transposed to match ``lane_sums``'s rows.
         columns = [dev[..., j * lanes : (j + 1) * lanes].swapaxes(2, 3) for j in range(d)]
-        return (optima[:m].reshape(m, *opt_shape), dev, [dev[:, s] for s in range(series)],
+        return (optima[:m].reshape(m, 1, -1), dev, [dev[:, s] for s in range(series)],
                 lane_sums, columns if d > 1 else [])
 
     def reduce_block(k0, stacks, opt, dev, dev_rows, lane_sums, columns):
@@ -395,7 +416,7 @@ def run(
                 for buffer, stack in zip(filed, stacks):  # x, then for dgt y and g_prev
                     buffer[b] = stack if d > 1 else stack.T
             if b == block - 1:
-                blocks = [stack[None] for stack in stacks[:recorded]] if in_place else filed
+                blocks = [(s if d > 1 else s.T)[None] for s in stacks[:recorded]] if in_place else filed
                 reduce_block(k - b, blocks, *full)
             elif k == horizon:
                 reduce_block(k - b, [buffer[: b + 1] for buffer in filed], *cut(b + 1))

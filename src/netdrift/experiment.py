@@ -4,10 +4,11 @@ A text config (``key = value`` lines) selects a scenario, a topology, a
 step-size grid, and the methods to compare. ``run_suite`` builds the network
 and the drifting objective, tunes each method's step size by tail error in
 one multi-lane pass over the whole grid, and persists the winning lane's
-record, one CSV per method, plus a summary table. Where a dgt sweep reads
-its stacks in place, that pass records the tracking error alone and the
-winning step size runs once more for its record. Everything is seeded, so
-identical configs produce byte-identical output trees.
+record, one CSV per method, plus a summary table. Where a dgt sweep has
+one-step blocks and at least ``_TRACKING_ONLY_LANES`` lanes, that pass
+records the tracking error alone and the winning step size runs once more
+for its record. Everything is seeded, so identical configs produce
+byte-identical output trees.
 
 Scenarios:
 
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, init_state, reads_in_place, run
+from .algorithms import _TRACKING_ONLY_LANES, ALGORITHMS, init_state, reads_in_place, run
 from .analysis import ANALYSED_METHODS, RegimeError, steady_state_bound
 from .problems import DriftProfile, drift_profile, least_squares_stream, shifting_consensus
 from .records import TrajectoryRecord, read_record, sidecar_path, write_record
@@ -366,17 +367,20 @@ def tune_stepsize(
     ever non-finite. Returns the lowest-scoring step, the larger one on a
     tie, and its record.
 
-    A dgt sweep of several step sizes whose stacks ``run`` reads in place
-    (d >= 2 and one-step blocks) records the tracking error alone, which is
-    all a score reads, and reruns the winning step size as one lane for its
-    record: there, the series it skips, the tracker's among them, cost more
-    than the rerun. Every other sweep records every lane and keeps the
-    winner's record; for the other methods the saving and the rerun cost
-    about the same. Lane g of a sweep is bitwise a one-lane run at its step
-    size, so both ways return the same step and the same record.
+    A dgt sweep of one-step blocks (``reads_in_place``, for any d) and at
+    least ``_TRACKING_ONLY_LANES`` lanes records the tracking error alone,
+    which is all a score reads, and reruns the winning step size as one lane
+    for its record: there, the series it skips, the tracker's among them,
+    cost more than the rerun. With fewer lanes the rerun costs more than
+    the series skipped, and with multi-step blocks those series cost little
+    per step, so every other dgt sweep records every lane and keeps the
+    winner's record; so do the other methods, for which the saving and the
+    rerun cost about the same. Lane g of a sweep is bitwise a one-lane run at
+    its step size, so both ways return the same step and the same record.
     """
     grid = config.stepsizes or default_grid(config, objective.mu, objective.lipschitz)
-    rerun = algorithm == "dgt" and len(grid) > 1 and reads_in_place(objective.n, objective.d, len(grid))
+    rerun = (algorithm == "dgt" and len(grid) >= _TRACKING_ONLY_LANES
+             and reads_in_place(objective.n, objective.d, len(grid)))
     if rerun:
         initial = _initial_state(config, algorithm, objective, wm)
         errors = run(algorithm, objective, wm, grid, config.horizon, initial_state=initial, tracking_only=True)

@@ -584,14 +584,17 @@ def test_in_place_sweep_blocks_match_filed_one_lane_runs():
             assert _same_record(record, expected), (algorithm, alpha)
 
 
-# Sweeps at three shapes, each with a divergent top lane: d = 1 and d = 2 on
-# 17 agents file blocks of steps; d = 2 on 100 agents with the default grid
-# holds 6,200 stack values a step and reads one-step blocks in place.
+# Sweeps at four shapes, each with a divergent top lane: d = 1 and d = 2 on
+# 17 agents file blocks of steps; with the default grid, d = 2 on 100 agents
+# holds 6,200 stack values a step and d = 1 on 81 agents 2,511, so both
+# reduce one-step blocks. Those of d = 2 read the stacks in place, and those
+# of d = 1 do so in a tracking-only sweep.
 SWEEP_SHAPES = {
     "d1_filed": ExperimentConfig(scenario="II", topology="cycle", p=8, horizon=30, seed=3,
                                  stepsizes=(0.01, 0.1, DIVERGENT_ALPHA)),
     "d2_filed": ExperimentConfig(scenario="I", topology="random", edge_probability=0.6, n=17,
                                  horizon=30, seed=3, stepsizes=(0.01, 0.1, DIVERGENT_ALPHA)),
+    "d1_in_place": ExperimentConfig(scenario="II", topology="cycle", p=40, horizon=30, seed=0),
     "d2_in_place": ExperimentConfig(scenario="I", topology="cycle", n=100, horizon=30, seed=0),
 }
 
@@ -604,8 +607,8 @@ def _sweep(shape, init="zeros"):
     if config.stepsizes is None:
         grid = default_grid(config, objective.mu, objective.lipschitz) + (DIVERGENT_ALPHA,)
         config = replace(config, stepsizes=grid)
-    in_place = algorithms.reads_in_place(objective.n, objective.d, len(config.stepsizes))
-    assert in_place == (shape == "d2_in_place")
+    one_step = algorithms.reads_in_place(objective.n, objective.d, len(config.stepsizes))
+    assert one_step == shape.endswith("in_place")
     return config, objective, wm
 
 
@@ -638,13 +641,16 @@ def _full_sweep_winner(config, algorithm, objective, wm):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("init", INITS)
-def test_tune_reruns_the_winner_of_a_tracking_only_sweep(algorithm, init):
-    # At the in-place shape tune_stepsize scores a dgt sweep's lanes from a
+@pytest.mark.parametrize("shape", ["d1_in_place", "d2_in_place"])
+def test_tune_reruns_the_winner_of_a_tracking_only_sweep(algorithm, init, shape):
+    # At the in-place shapes (31 lanes of one-step blocks, at least
+    # _TRACKING_ONLY_LANES) tune_stepsize scores a dgt sweep's lanes from a
     # tracking-only sweep and reruns the winner, and records every lane of
     # the other methods' sweeps: either way the same step size and record,
     # every field and tracker_identity_max included, as the recorded sweep's
     # winning lane.
-    config, objective, wm = _sweep("d2_in_place", init)
+    config, objective, wm = _sweep(shape, init)
+    assert len(config.stepsizes) >= algorithms._TRACKING_ONLY_LANES
     alpha, record = tune_stepsize(config, algorithm, objective, wm)
     expected_alpha, expected = _full_sweep_winner(config, algorithm, objective, wm)
     assert alpha == expected_alpha != DIVERGENT_ALPHA

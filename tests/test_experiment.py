@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netdrift
-from netdrift import cli, experiment, records
+from netdrift import algorithms, cli, experiment, records
 from netdrift.algorithms import ALGORITHMS
 from netdrift.analysis import ANALYSED_METHODS, RegimeError, max_stepsize
 from netdrift.experiment import (
@@ -497,22 +497,31 @@ def _tune(config, algorithm):
     return tune_stepsize(config, algorithm, build_objective(config), wm)
 
 
+K = algorithms._TRACKING_ONLY_LANES
+
+
 @pytest.mark.parametrize(
-    "algorithm, n, d",
-    [("dgt", 5, 1), ("dgt", 1000, 2), ("diffusion", 1000, 2)],
-    ids=["recorded", "tracking-only", "recorded-in-place"],
+    "algorithm, n, d, count, rerun",
+    [("dgt", 2001, 1, K, True), ("dgt", 1000, 2, K - 1, False), ("dgt", 5, 1, K, False),
+     ("diffusion", 1000, 2, K, False)],
+    ids=["tracking-only", "recorded-below-K-lanes", "recorded-multi-step", "recorded-diffusion"],
 )
-def test_tune_takes_the_lowest_tail_and_breaks_ties_toward_the_larger_step(monkeypatch, algorithm, n, d):
-    # Tails of 3, 1, 1 and a lane whose tail is 0 but whose error was once
-    # infinite: the diverged lane scores inf, the tie goes to the third step.
-    # A stand-in objective sets the sweep's shape: 4 lanes of 5 agents and
-    # d = 1 record every lane; a dgt sweep of 4 lanes of 1,000 agents and
-    # d = 2 is read in place, scored from the tracking errors alone, and the
-    # winner is rerun; a diffusion sweep of that shape records every lane.
-    lanes = [np.full(11, 3.0), np.full(11, 1.0), np.full(11, 1.0), np.zeros(11)]
-    lanes[3][4] = np.inf
+def test_tune_takes_the_lowest_tail_and_breaks_ties_toward_the_larger_step(
+    monkeypatch, algorithm, n, d, count, rerun
+):
+    # Tails of 3 (all but the last three lanes), 1, 1 and a lane whose tail
+    # is 0 but whose error was once infinite: the diverged lane scores inf,
+    # the tie goes to the later step. A stand-in objective sets the sweep's
+    # shape. A dgt sweep of one-step blocks (2,001 agents, d = 1) and K lanes
+    # is scored from the tracking errors alone, and the winner is rerun. A
+    # dgt sweep of one-step blocks with fewer than K lanes, one of
+    # multi-step blocks (5 agents), and a diffusion sweep record every lane.
+    assert algorithms.reads_in_place(n, d, count) == (n > 5)
+    lanes = [np.full(11, 3.0)] * (count - 3) + [np.full(11, 1.0), np.full(11, 1.0), np.zeros(11)]
+    lanes[-1][4] = np.inf
     records = [_series_record(values) for values in lanes]
-    config = _static_config(horizon=10, stepsizes=(0.01, 0.02, 0.05, 0.1))
+    config = _static_config(horizon=10, stepsizes=tuple(0.01 * (i + 1) for i in range(count)))
+    winner = config.stepsizes[-2]
     calls = []
 
     def run_single(config, objective, wm, algorithm, alpha):
@@ -527,11 +536,10 @@ def test_tune_takes_the_lowest_tail_and_breaks_ties_toward_the_larger_step(monke
     monkeypatch.setattr(experiment, "run_single", run_single)
     monkeypatch.setattr(experiment, "run", run)
     alpha, record = tune_stepsize(config, algorithm, SimpleNamespace(n=n, d=d), None)
-    assert alpha == 0.05
-    assert record is records[2]
-    rerun = algorithm == "dgt" and d > 1
+    assert alpha == winner
+    assert record is records[-2]
     sweeps = [("run" if rerun else "run_single", config.stepsizes)]
-    assert calls == sweeps + ([("run_single", 0.05)] if rerun else [])
+    assert calls == sweeps + ([("run_single", winner)] if rerun else [])
 
 
 def test_tune_single_element_grid():

@@ -12,12 +12,14 @@ rounding is up to the BLAS build rather than to netdrift.
 
 tests/data/config_digests.json holds the config text and the sha256 of
 every file that ``netdrift run`` writes for scripts/configs/circle_n5.cfg,
-static_cycle.cfg and inplace_n100.cfg, so those trees must come out
-byte-identical. The first two must pin their files' text. The last is a
-suite on a 100-agent least-squares cycle with all four methods and the
-default 30-point grid. Its sweeps hold 6,000 stack values a step, more than
-half a block, so they read their stacks in place, and tune_stepsize scores
-the dgt sweep from its tracking error alone before it reruns the winner.
+static_cycle.cfg, inplace_n100.cfg and inplace_p100.cfg, so those trees
+must come out byte-identical. The first two must pin their files' text. The
+last two are suites with the default 30-point grid: all four methods on a
+100-agent least-squares cycle (d = 2, 6,000 stack values a step), and
+diffusion and dgt in scenario III on a 201-agent cycle (d = 1, 6,030
+values). Each step is more than half a block, so their sweeps reduce
+one-step blocks, and tune_stepsize scores each dgt sweep from its tracking
+error alone, read in place, before it reruns the winner.
 The records print avg_error in full, so a BLAS build that rounds that norm
 differently fails here too; the two rotation configs are compared by hand,
 because their beta comes from ARPACK.
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netdrift import algorithms, cli
+from netdrift import algorithms, cli, experiment
 from netdrift.algorithms import ALGORITHMS
 from netdrift.experiment import (
     OUTPUT_ROOT_ENV,
@@ -55,8 +57,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 with np.load(DATA / "golden.npz") as _pinned:
     GOLDEN = dict(_pinned)
 DIGESTS = json.loads((DATA / "config_digests.json").read_text())
-# The pinned suite whose sweeps read their stacks in place.
-INPLACE_SUITE = "inplace_n100.cfg"
+# The pinned suites whose sweeps reduce one-step blocks, by the dimension d of their problem.
+INPLACE_SUITES = {"inplace_n100.cfg": 2, "inplace_p100.cfg": 1}
 CONSTANTS = json.loads((DATA / "setup_constants.json").read_text())
 CASES = sorted({key.split("/")[0] for key in GOLDEN})
 SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
@@ -111,17 +113,28 @@ def _tree_digests(config_path, root, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_config_trees_match_pinned_digests(name, tmp_path, monkeypatch):
+    # In the in-place suites the dgt sweep, and only it, records the tracking
+    # error alone: the run that tune_stepsize asks for with tracking_only.
     pinned = DIGESTS[name]
-    if name == INPLACE_SUITE:
+    if name in INPLACE_SUITES:
         config = parse_config(pinned["config"])
         objective = build_objective(config)
-        assert config.stepsizes is None and len(config.algorithms) == len(ALGORITHMS)
+        assert config.stepsizes is None and "dgt" in config.algorithms and objective.d == INPLACE_SUITES[name]
         assert algorithms.reads_in_place(objective.n, objective.d, config.grid_points)
     else:
         assert (CONFIGS / name).read_text() == pinned["config"]
+    tracking_only = []
+
+    def run(algorithm, *args, **kwargs):
+        if kwargs.get("tracking_only"):
+            tracking_only.append(algorithm)
+        return algorithms.run(algorithm, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run", run)
     config_path = tmp_path / name
     config_path.write_text(pinned["config"])
     assert _tree_digests(config_path, tmp_path / "out", monkeypatch) == pinned["digests"]
+    assert tracking_only == (["dgt"] if name in INPLACE_SUITES else [])
 
 
 @pytest.mark.parametrize("name", sorted(CONSTANTS))
