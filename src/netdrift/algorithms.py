@@ -51,7 +51,7 @@ of steps at once, along a leading block axis. A block holds about
 ``_BLOCK_VALUES`` stack values, and at least one step: a small network
 records hundreds of steps per block, a large one a single step. A block of
 several steps is filed: each step's stacks are copied into it. When the
-budget holds fewer than two steps (``reads_in_place``), each one-step block
+budget holds fewer than two steps (``one_step_blocks``), each one-step block
 reads the live stacks in place, as a leading axis of length one, with no
 copy: the (n, G*d) stacks when d >= 2, and the (G, n) transposed view of x
 in a tracking-only run when d = 1, whose deviations from the optimum go
@@ -231,12 +231,11 @@ def _widen(state: AlgorithmState, lanes: int) -> tuple:
     )
 
 
-def reads_in_place(n: int, d: int, lanes: int) -> bool:
+def one_step_blocks(n: int, d: int, lanes: int) -> bool:
     """Whether ``run``'s blocks of (n, lanes*d) stacks are one step long, a budget under 2 steps.
 
-    Such a block reads the stacks in place in a tracking-only run, and in a
-    recorded one when d >= 2. ``experiment.tune_stepsize`` reads the same
-    test to choose its sweep.
+    ``run`` reads such blocks in place where its mode allows, and
+    ``experiment.tune_stepsize`` reads the same test to choose its sweep.
     """
     return _BLOCK_VALUES // (n * lanes * d) < 2
 
@@ -299,7 +298,7 @@ def run(
     The series are reduced in blocks of steps that hold about
     ``_BLOCK_VALUES`` stack values each, and a record does not depend on the
     block length. A block of several steps is filed with copies of the
-    stacks. When the budget holds fewer than two steps (``reads_in_place``),
+    stacks. When the budget holds fewer than two steps (``one_step_blocks``),
     each one-step block reads them in place, except in a recorded run with
     d = 1, which files them so that each lane's agents sum as one contiguous
     row. The norms of the average iterate's error and of the tracker gap
@@ -361,7 +360,7 @@ def run(
         axis, shape, bar_shape = -1, (lanes, n), (lanes, 1)
     # A recorded d = 1 run files its stacks: the network average sums each
     # lane pairwise only over a contiguous row.
-    in_place = reads_in_place(n, d, lanes) and (d > 1 or tracking_only)
+    in_place = one_step_blocks(n, d, lanes) and (d > 1 or tracking_only)
     filed = [] if in_place else [np.empty((block, *shape)) for _ in range(recorded)]
     # Each step's optimum: once per lane when d >= 2, coordinate-major as in
     # a stack's columns; once for all lanes when d = 1, a single value that

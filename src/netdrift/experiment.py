@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import _TRACKING_ONLY_LANES, ALGORITHMS, init_state, reads_in_place, run
+from .algorithms import _TRACKING_ONLY_LANES, ALGORITHMS, init_state, one_step_blocks, run
 from .analysis import ANALYSED_METHODS, RegimeError, steady_state_bound
 from .problems import DriftProfile, drift_profile, least_squares_stream, shifting_consensus
 from .records import TrajectoryRecord, read_record, sidecar_path, write_record
@@ -367,7 +367,7 @@ def tune_stepsize(
     ever non-finite. Returns the lowest-scoring step, the larger one on a
     tie, and its record.
 
-    A dgt sweep of one-step blocks (``reads_in_place``, for any d) and at
+    A dgt sweep of one-step blocks (``one_step_blocks``, for any d) and at
     least ``_TRACKING_ONLY_LANES`` lanes records the tracking error alone,
     which is all a score reads, and reruns the winning step size as one lane
     for its record: there, the series it skips, the tracker's among them,
@@ -380,7 +380,7 @@ def tune_stepsize(
     """
     grid = config.stepsizes or default_grid(config, objective.mu, objective.lipschitz)
     rerun = (algorithm == "dgt" and len(grid) >= _TRACKING_ONLY_LANES
-             and reads_in_place(objective.n, objective.d, len(grid)))
+             and one_step_blocks(objective.n, objective.d, len(grid)))
     if rerun:
         initial = _initial_state(config, algorithm, objective, wm)
         errors = run(algorithm, objective, wm, grid, config.horizon, initial_state=initial, tracking_only=True)

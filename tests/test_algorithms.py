@@ -607,7 +607,7 @@ def _sweep(shape, init="zeros"):
     if config.stepsizes is None:
         grid = default_grid(config, objective.mu, objective.lipschitz) + (DIVERGENT_ALPHA,)
         config = replace(config, stepsizes=grid)
-    one_step = algorithms.reads_in_place(objective.n, objective.d, len(config.stepsizes))
+    one_step = algorithms.one_step_blocks(objective.n, objective.d, len(config.stepsizes))
     assert one_step == shape.endswith("in_place")
     return config, objective, wm
 
@@ -663,7 +663,7 @@ def test_tune_raises_when_every_lane_of_a_tracking_only_sweep_diverges(algorithm
     # dgt scores a tracking-only sweep, the other methods a recorded one.
     config, objective, wm = _sweep("d2_in_place")
     config = replace(config, stepsizes=tuple(np.geomspace(1e50, DIVERGENT_ALPHA, 11)))
-    assert algorithms.reads_in_place(objective.n, objective.d, len(config.stepsizes))
+    assert algorithms.one_step_blocks(objective.n, objective.d, len(config.stepsizes))
     assert _full_sweep_winner(config, algorithm, objective, wm) is None
     with pytest.raises(TuningError, match="every step size diverged"):
         tune_stepsize(config, algorithm, objective, wm)

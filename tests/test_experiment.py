@@ -516,7 +516,7 @@ def test_tune_takes_the_lowest_tail_and_breaks_ties_toward_the_larger_step(
     # is scored from the tracking errors alone, and the winner is rerun. A
     # dgt sweep of one-step blocks with fewer than K lanes, one of
     # multi-step blocks (5 agents), and a diffusion sweep record every lane.
-    assert algorithms.reads_in_place(n, d, count) == (n > 5)
+    assert algorithms.one_step_blocks(n, d, count) == (n > 5)
     lanes = [np.full(11, 3.0)] * (count - 3) + [np.full(11, 1.0), np.full(11, 1.0), np.zeros(11)]
     lanes[-1][4] = np.inf
     records = [_series_record(values) for values in lanes]

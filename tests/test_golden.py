@@ -57,8 +57,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 with np.load(DATA / "golden.npz") as _pinned:
     GOLDEN = dict(_pinned)
 DIGESTS = json.loads((DATA / "config_digests.json").read_text())
-# The pinned suites whose sweeps reduce one-step blocks, by the dimension d of their problem.
-INPLACE_SUITES = {"inplace_n100.cfg": 2, "inplace_p100.cfg": 1}
+# The pinned suites whose sweeps reduce one-step blocks: the dimension d of
+# their problem and the methods they run.
+INPLACE_SUITES = {"inplace_n100.cfg": (2, ALGORITHMS), "inplace_p100.cfg": (1, ("diffusion", "dgt"))}
 CONSTANTS = json.loads((DATA / "setup_constants.json").read_text())
 CASES = sorted({key.split("/")[0] for key in GOLDEN})
 SERIES = ("tracking_error", "consensus_dev", "avg_error", "y_dev")
@@ -119,8 +120,8 @@ def test_config_trees_match_pinned_digests(name, tmp_path, monkeypatch):
     if name in INPLACE_SUITES:
         config = parse_config(pinned["config"])
         objective = build_objective(config)
-        assert config.stepsizes is None and "dgt" in config.algorithms and objective.d == INPLACE_SUITES[name]
-        assert algorithms.reads_in_place(objective.n, objective.d, config.grid_points)
+        assert config.stepsizes is None and (objective.d, config.algorithms) == INPLACE_SUITES[name]
+        assert algorithms.one_step_blocks(objective.n, objective.d, config.grid_points)
     else:
         assert (CONFIGS / name).read_text() == pinned["config"]
     tracking_only = []
