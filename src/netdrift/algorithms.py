@@ -21,66 +21,54 @@ of the stacks, and the update itself is a private function on a tuple of
 them: ``step`` hands it the state and names the plain tuple it returns,
 while ``run`` advances plain tuples, so both take one path through the
 arithmetic and the loop builds no state object per step.
-Mixing goes through ``WeightMatrix.mix``, which applies the sparse view of
-the weight matrix with scipy's compiled kernels and none of its operator
-dispatch, so each update touches neighbor values only: the one-column
-kernel for a one-lane run of a one-dimensional problem, the multi-column
-kernel for every wider stack, both with 64-bit indices. EXTRA keeps its
-product ``W x`` in the state and reads it back as ``W x_prev`` on its next
-step, so every method makes one sparse product per step, except dgt, which
-makes two.
+Mixing goes through ``WeightMatrix.mix``. EXTRA keeps its product ``W x``
+in the state and reads it back as ``W x_prev`` on its next step, so every
+method makes one sparse product per step, except dgt, which makes two.
 
 Step-size lanes: ``run`` can advance one method at several step sizes in a
-single pass. Each step size is a lane, and a stack holds the G lanes
+single pass, one lane per step size. A stack holds the G lanes
 coordinate-major in its (n, G*d) columns: column j*G + g is coordinate j of
-lane g, so the lanes are the innermost, contiguous axis of every operand.
-``run`` builds the step sizes once as a contiguous (n, G*d) array, entry
-(i, j*G + g) holding lane g's, so every product with ``alpha`` is a
-same-shape loop; mixing is one sparse product over all lanes, and the
-gradients of all lanes come from one call: least squares broadcasts its
-coefficients over the lanes, and the consensus family subtracts a target
-tile as wide as the stack. Every operation acts on each lane separately,
-and each recorded metric reduces over agents within one lane in the same
-order as a one-lane run, so lane g of a sweep is bitwise identical to a
-one-lane run at that step size. A lane that diverges fills with non-finite
-values without touching the others.
+lane g, so the lanes are the innermost, contiguous axis of every operand,
+and the (n, G*d) array of step sizes that every product with ``alpha``
+reads has the same shape. Mixing is one sparse product over all lanes, and
+the gradients of all lanes come from one call. Every operation acts on each
+lane separately, and each recorded series reduces over agents within one
+lane in a one-lane run's order (below), so lane g of a sweep is bitwise a
+one-lane run at its step size.
 
 Blocks of recorded steps: the metrics cost about fifteen small numpy calls,
-which dominate a step on small networks. So ``run`` reduces a whole block
-of steps at once, along a leading block axis. A block holds about
-``_BLOCK_VALUES`` stack values, and at least one step: a small network
-records hundreds of steps per block, a large one a single step. A block of
-several steps is filed: each step's stacks are copied into it. When the
-budget holds fewer than two steps (``one_step_blocks``), each one-step block
-reads the live stacks in place, as a leading axis of length one, with no
-copy: the (n, G*d) stacks when d >= 2, and the (G, n) transposed view of x
-in a tracking-only run when d = 1, whose deviations from the optimum go
-straight into contiguous rows. A recorded run with d = 1 files its one-step
-blocks too, because the network average sums pairwise only over contiguous
-rows. The per-lane norms of the average iterate's error and of the tracker
-gap are taken over many steps at once: each step's differences go into one
-buffer of whole blocks, with a series axis of one row per norm and up to
-``_BLOCK_VALUES`` values (lanes x d per step) per row, whose norms are
-taken in one call once it fills, so a sweep of one-step blocks takes them
-once per many steps. What a run records comes
-from one row of counts per mode: the squared deviation series, the stacks
-filed and the norms. A tracking-only run reduces x alone: it sums the
-squared deviations from the optimum as above and takes no network average
-and no norm. Tuning asks for one when a dgt sweep has one-step blocks and
-at least ``_TRACKING_ONLY_LANES`` lanes, and reruns the winning step size
-as one lane; below that many lanes the rerun costs more than the sweep
-saves.
+which dominate a step on small networks, so ``run`` reduces a whole block of
+steps at once, along a leading block axis. A block holds about
+``_BLOCK_VALUES`` stack values, and at least one step. A block of several
+steps is filed: each step's stacks are copied into it. When the budget holds
+fewer than two steps (``one_step_blocks``), each one-step block reads the
+live stacks in place, as a leading axis of length one, with no copy: the
+(n, G*d) stacks when d >= 2, and x's (G, n) transposed view in a
+tracking-only run with d = 1, whose deviations from the optimum are written
+into contiguous rows. A recorded run with d = 1 files its one-step blocks
+too, because its network average sums each lane pairwise only over a
+contiguous row (below).
 
-Summation order of the recorded series: numpy sums a one-lane (n, d) stack
-over its agents one agent after the other when d >= 2, and pairwise when
-d = 1. ``run`` keeps both orders, in blocks of any length. For d >= 2 it
-reduces (m, n, G*d) blocks of the stacks over the agent axis, which also
-goes agent by agent; for d = 1 it sums each lane's column as one contiguous
-row of a lane-major (m, G, n) copy, pairwise. That copy must be C-ordered:
-in an F-ordered one (``np.stack`` of transposed stacks gives one) the rows
-are strided, numpy sums them agent by agent, and the last bit changes.
-Either way the squared deviations of one lane are summed over d coordinate
-by coordinate and then over agents pairwise, per lane and step.
+The norm buffer: the per-lane norms of the average iterate's error and of
+the tracker gap are taken over many steps in one call, so that a sweep of
+one-step blocks does not pay a call per step. Each step's differences go
+into one buffer of whole blocks, with one row per norm of up to
+``_BLOCK_VALUES`` values (lanes x d per step), whose norms are taken when
+it fills.
+
+Summation order: numpy sums a one-lane (n, d) stack over its agents one
+agent after the other when d >= 2, and pairwise when d = 1. ``run`` keeps
+both orders, in blocks of any length. For d >= 2 it reduces (m, n, G*d)
+blocks over the agent axis, which also goes agent by agent; for d = 1 it
+sums each lane's column as one contiguous row of a lane-major (m, G, n)
+block, pairwise. Both need C order: in an F-ordered block (``np.stack`` of
+transposed stacks gives one) the agents of a lane lie innermost for d >= 2
+and strided for d = 1, numpy sums them in the other order, and the last bit
+changes. So filed blocks are C-ordered, and the stacks that blocks read in
+place start as C-ordered copies of the initial state, also of an F-ordered
+one (``_widen``). The squared deviations of one lane are summed over d
+coordinate by coordinate, the order numpy uses on a row shorter than 8, and
+then over agents pairwise, per lane and step.
 """
 
 from __future__ import annotations
@@ -96,11 +84,8 @@ from .records import RunMetadata, TrajectoryRecord
 from .topology import WeightMatrix
 
 ALGORITHMS = ("diffusion", "dgt", "extra", "exact_diffusion")
-# ``run`` records up to about this many stack values (agents x columns) per
-# block of steps, and always at least one step.
-_BLOCK_VALUES = 2**12
-# A dgt tuning sweep of at least this many lanes on one-step blocks records the
-# tracking error alone and reruns the winning step size (experiment.tune_stepsize).
+_BLOCK_VALUES = 2**12  # stack values per block of steps (module docstring)
+# The fewest lanes of a tracking-only dgt sweep; experiment.tune_stepsize states the rule.
 _TRACKING_ONLY_LANES = 6
 
 
@@ -183,11 +168,9 @@ def step(
     current and half-mixes the previous iterates, taking ``W x_prev`` from
     the state when its last step left it there and computing it otherwise;
     exact diffusion half-mixes ``2x - x_prev`` less the step along the
-    gradient difference. Each method makes one sparse product per step,
-    except dgt, which makes two, and each goes through ``wm.mix``. ``alpha``
-    is one step size or any array that broadcasts against the (n, G*d)
-    stacks, such as a row of G*d whose entry j*G + g is lane g's step size,
-    or ``run``'s full (n, G*d) array of them.
+    gradient difference. ``alpha`` is one step size or any array that
+    broadcasts against the (n, G*d) stacks of the lane layout (module
+    docstring).
     """
     return AlgorithmState(*_update(algorithm, state, objective, wm, alpha, k))
 
@@ -219,23 +202,14 @@ def _update(algorithm, stacks, objective, wm, alpha, k) -> tuple:
 
 
 def _widen(state: AlgorithmState, lanes: int) -> tuple:
-    """The stacks of a one-lane state, C-ordered, each column replicated as ``lanes`` columns.
-
-    C order keeps the agent sums of a block read in place in a filed block's
-    order (module docstring), also for an F-ordered initial state.
-    """
-    return tuple(
-        stack if stack is None else np.ascontiguousarray(stack) if lanes == 1
-        else np.repeat(stack, lanes, axis=1)
-        for stack in state
-    )
+    """C-ordered copies of a one-lane state's stacks, each column replicated as ``lanes`` columns."""
+    return tuple(stack if stack is None else np.repeat(stack, lanes, axis=1) for stack in state)
 
 
 def one_step_blocks(n: int, d: int, lanes: int) -> bool:
     """Whether ``run``'s blocks of (n, lanes*d) stacks are one step long, a budget under 2 steps.
 
-    ``run`` reads such blocks in place where its mode allows, and
-    ``experiment.tune_stepsize`` reads the same test to choose its sweep.
+    ``experiment.tune_stepsize`` states how its sweep depends on it.
     """
     return _BLOCK_VALUES // (n * lanes * d) < 2
 
@@ -275,8 +249,7 @@ def run(
     and returns a tuple with one record per lane in the same order. Lane g
     is bitwise identical to a one-lane run at ``alpha[g]``, and a lane that
     diverges leaves the others unchanged. ``initial_state`` is a one-lane
-    state; every lane starts from it, in coordinate-major (n, G*d) stacks
-    (column j*G + g is coordinate j of lane g; module docstring).
+    state from which every lane starts.
 
     The recorded series are, per iteration k: the root mean square distance
     of the agent iterates to the current optimum divided by the problem's
@@ -288,28 +261,12 @@ def run(
     Overflow during divergent runs is recorded as non-finite values rather
     than raised.
 
-    ``tracking_only=True`` is for tuning sweeps, which score each lane by
-    its tracking error alone (``experiment.tune_stepsize``), not an output
-    format: it returns the (horizon + 1, G) matrix of the lanes' tracking
-    errors instead of records, column g bitwise lane g's
-    ``tracking_error``. Such a run reduces x alone: it takes no network
-    average and no norm, and builds no record.
+    ``tracking_only=True`` returns the (horizon + 1, G) matrix of the lanes'
+    tracking errors instead of records, column g bitwise lane g's
+    ``tracking_error``, for tuning sweeps (``experiment.tune_stepsize``).
 
-    The series are reduced in blocks of steps that hold about
-    ``_BLOCK_VALUES`` stack values each, and a record does not depend on the
-    block length. A block of several steps is filed with copies of the
-    stacks. When the budget holds fewer than two steps (``one_step_blocks``),
-    each one-step block reads them in place, except in a recorded run with
-    d = 1, which files them so that each lane's agents sum as one contiguous
-    row. The norms of the average iterate's error and of the tracker gap
-    share one buffer of whole blocks, a row per norm of up to
-    ``_BLOCK_VALUES`` values of lanes x d per step, and run in one call each
-    time it fills.
-    The network averages sum over agents in the order of a one-lane run:
-    agent by agent (agents-leading) when the objective's dimension d >= 2,
-    and pairwise per lane over the C-ordered rows of a lane-major copy when
-    d = 1. Each squared deviation is summed over d column by column and then
-    pairwise over agents.
+    The steps are reduced in blocks (module docstring), and a record does
+    not depend on the block length.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -336,30 +293,16 @@ def run(
     length = horizon + 1
     # What the run records, as counts per mode: the squared-deviation series
     # (tracking, consensus, tracker), the stacks filed (x, y, g_prev) and the
-    # per-lane norms (x-bar - x*, y-bar - g-bar).
+    # per-lane norms (x-bar - x*, y-bar - g-bar). A tracking-only run reduces
+    # x alone: no network average, no norm and no record.
     series, recorded, norms = (1, 1, 0) if tracking_only else (3, 3, 2) if algorithm == "dgt" else (2, 1, 1)
-    # Each step files its recorded stacks and its optimum into a block of
-    # steps, or hands a one-step block its stacks in place; each full
-    # block, and the last, partial one, is reduced at once along a
-    # leading block axis, summing the squared deviations per step, series
-    # and lane into ``sums`` in a one-lane run's order (module docstring).
-    # The differences whose norms are recorded go into ``bar_dev``, a buffer
-    # of ``span`` steps, whole blocks, whose norms are taken when it fills.
+    # Steps per block and per norm buffer, and the block layout by d (module docstring).
     block = max(1, min(length, _BLOCK_VALUES // (n * lanes * d)))
     span = block * max(1, min(length, _BLOCK_VALUES // (lanes * d)) // block)
     if d > 1:
-        # Agents-leading (m, n, G*d) blocks: reducing over the agent axis
-        # goes agent by agent, with one inner loop of G*d per agent. A
-        # one-step block is the (n, G*d) stacks themselves, read in place.
         axis, shape, bar_shape = -2, (n, lanes * d), (1, lanes * d)
     else:
-        # Lane-major (m, G, n) blocks, C-ordered: each lane's column becomes
-        # one contiguous row, which numpy sums pairwise. A one-step block
-        # read in place is x's (G, n) transposed view, whose deviations from
-        # the optimum are written into contiguous rows.
         axis, shape, bar_shape = -1, (lanes, n), (lanes, 1)
-    # A recorded d = 1 run files its stacks: the network average sums each
-    # lane pairwise only over a contiguous row.
     in_place = one_step_blocks(n, d, lanes) and (d > 1 or tracking_only)
     filed = [] if in_place else [np.empty((block, *shape)) for _ in range(recorded)]
     # Each step's optimum: once per lane when d >= 2, coordinate-major as in
@@ -397,13 +340,10 @@ def run(
             g_bar = np.add.reduce(stacks[2], axis=axis, keepdims=True) / n
             np.subtract(y_bar, g_bar, out=held[:, 1])
         np.square(dev, out=dev)
-        if d > 1:
-            # Sum over d column by column, in the order numpy sums a row
-            # shorter than 8, into the lane-major rows of ``lane_sums``.
+        if d > 1:  # over d into the lane-major rows of ``lane_sums`` (summation order: module docstring)
             np.add(columns[0], columns[1], out=lane_sums)
             for column in columns[2:]:
                 np.add(lane_sums, column, out=lane_sums)
-        # Each lane's row of n agents sums pairwise, as in a one-lane run.
         np.add.reduce(lane_sums, axis=3, out=sums[k0:k1])
 
     full = cut(block)

@@ -4,11 +4,10 @@ A text config (``key = value`` lines) selects a scenario, a topology, a
 step-size grid, and the methods to compare. ``run_suite`` builds the network
 and the drifting objective, tunes each method's step size by tail error in
 one multi-lane pass over the whole grid, and persists the winning lane's
-record, one CSV per method, plus a summary table. Where a dgt sweep has
-one-step blocks and at least ``_TRACKING_ONLY_LANES`` lanes, that pass
-records the tracking error alone and the winning step size runs once more
-for its record. Everything is seeded, so identical configs produce
-byte-identical output trees.
+record, one CSV per method, plus a summary table (``tune_stepsize`` states
+which sweeps record the tracking error alone and rerun the winner).
+Everything is seeded, so identical configs produce byte-identical output
+trees.
 
 Scenarios:
 
@@ -112,8 +111,9 @@ class ExperimentConfig:
     ``shift`` defaults to p+1 for scenario II, 1 for III, and 0 for static.
     Scenario I gives each agent one least-squares row per step, and the
     consensus targets are 1, ..., n; neither is a key. Nor is the tail
-    window: a run scores its mean tracking error over the final
-    ceil(tail_fraction * horizon) steps, with ``tail_fraction`` fixed at 0.2.
+    window: a step size scores, and the summary reports, the mean tracking
+    error over the final ceil(tail_fraction * horizon) steps, with
+    ``tail_fraction`` fixed at 0.2.
     Construction checks every key; what depends on the graph, build_network checks.
     Each value is checked against its field's type and then stored as that
     Python type (a numpy number as an ``int`` or ``float``, a list as a
@@ -312,7 +312,7 @@ def build_objective(config: ExperimentConfig):
 
 
 def _tail(tracking_error: np.ndarray, tail_fraction: float) -> np.ndarray:
-    """The normalized tracking error over the final ceil(tail_fraction*M) steps."""
+    """The tail window of a tracking-error series (``ExperimentConfig``)."""
     window = math.ceil(tail_fraction * (len(tracking_error) - 1))
     if window < 1:
         raise ValueError("tail window is empty; record too short for this tail_fraction")
@@ -362,13 +362,13 @@ def tune_stepsize(
 ) -> tuple[float, TrajectoryRecord]:
     """Sweep the grid in one multi-lane pass on a prebuilt objective and network.
 
-    Each step size scores its ``steady_state_error``, the mean tracking error
-    over the final ceil(0.2 * horizon) steps, or inf if its tracking error is
-    ever non-finite. Returns the lowest-scoring step, the larger one on a
-    tie, and its record.
+    Each step size scores its ``steady_state_error`` over the tail window
+    (``ExperimentConfig``), or inf if its tracking error is ever non-finite.
+    Returns the lowest-scoring step, the larger one on a tie, and its record.
 
-    A dgt sweep of one-step blocks (``one_step_blocks``, for any d) and at
-    least ``_TRACKING_ONLY_LANES`` lanes records the tracking error alone,
+    The tracking-only rule: a dgt sweep of one-step blocks
+    (``algorithms.one_step_blocks``, for any d) and at least
+    ``_TRACKING_ONLY_LANES`` lanes records the tracking error alone,
     which is all a score reads, and reruns the winning step size as one lane
     for its record: there, the series it skips, the tracker's among them,
     cost more than the rerun. With fewer lanes the rerun costs more than

@@ -86,9 +86,8 @@ class DynamicObjective(Protocol):
     def gradient_stack(self, k: int, x_stack: NDArray[np.float64]) -> NDArray[np.float64]:
         """Per-agent gradients at time k of an (n, d) stack.
 
-        A multi-step-size run passes an (n, G*d) stack of G lanes,
-        coordinate-major (column j*G + g holds coordinate j of lane g), and
-        expects the gradients in the same layout.
+        A multi-step-size run passes an (n, G*d) stack of G lanes in the lane
+        layout of ``netdrift.algorithms``, and expects the gradients in it.
         """
 
 

@@ -7,8 +7,9 @@ more than one block of ``run``'s budget, so by default it reduces one-step
 blocks that read the stacks in place, and in blocks of 2 and 7 steps it
 files them.
 The series must reproduce bitwise, except avg_error, which may differ by
-1e-12 relative: it is a norm taken through the BLAS dot kernel, whose
-rounding is up to the BLAS build rather than to netdrift.
+1e-12 relative: it is a norm taken through OpenBLAS's ddot, and the OpenBLAS
+bundled with the numpy wheel picks that kernel per CPU at start-up, so its
+rounding is up to the CPU rather than to netdrift.
 
 tests/data/config_digests.json holds the config text and the sha256 of
 every file that ``netdrift run`` writes for scripts/configs/circle_n5.cfg,
@@ -20,9 +21,11 @@ diffusion and dgt in scenario III on a 201-agent cycle (d = 1, 6,030
 values). Each step is more than half a block, so their sweeps reduce
 one-step blocks, and tune_stepsize scores each dgt sweep from its tracking
 error alone, read in place, before it reruns the winner.
-The records print avg_error in full, so a BLAS build that rounds that norm
-differently fails here too; the two rotation configs are compared by hand,
-because their beta comes from ARPACK.
+The records print avg_error in full, so a CPU whose kernel rounds that norm
+differently fails here too: the digests were pinned under the SkylakeX
+kernel, and under OPENBLAS_CORETYPE=Haswell the same wheel fails those of
+circle_n5.cfg and inplace_n100.cfg. The two rotation configs are compared
+by hand, because their beta comes from ARPACK.
 
 tests/data/setup_constants.json holds the repr of mu, L, delta_x, the
 gradient bound and the gradient drift of the benchmark's problem shapes and
